@@ -16,7 +16,7 @@ from pathlib import Path
 
 
 from . import hardy, io, kernels, means, verify, weights
-from .errors import VilenkinError
+from .errors import InvalidGroupError, VilenkinError
 from .group import GroupSpec, digits_of, make_group
 from .spectral import (
     GridFunction,
@@ -37,8 +37,19 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=2024, help="PRNG seed for random functions")
 
 
+def _pattern_from_args(args) -> list[int]:
+    try:
+        pattern = [int(tok) for tok in str(args.m).split(",") if tok]
+    except ValueError:
+        raise InvalidGroupError(
+            f"--m takes comma-separated integer radices, got {args.m!r}") from None
+    if not pattern:
+        raise InvalidGroupError("--m needs at least one radix")
+    return pattern
+
+
 def _group_from_args(args, min_levels: int = 1) -> GroupSpec:
-    pattern = [int(tok) for tok in str(args.m).split(",") if tok]
+    pattern = _pattern_from_args(args)
     levels = args.levels
     if levels is None:
         levels = max(len(pattern), min_levels)
@@ -103,7 +114,7 @@ def _weights_from_args(args, n: int) -> weights.WeightSequence:
 
 
 def cmd_lebesgue(args) -> int:
-    pattern = [int(t) for t in str(args.m).split(",") if t]
+    pattern = _pattern_from_args(args)
     need = 1
     prod = pattern[0]
     while prod <= args.max_n:
@@ -127,17 +138,15 @@ def cmd_mean(args) -> int:
         f = io.load_grid(args.input, g)
     else:
         f = random_grid_function(g, args.res, seed=args.seed)
-    s = transform_forward(f)
     kw = {}
     if args.kind in ("cesaro", "u", "v"):
         kw["alpha"] = args.alpha
     if args.kind in ("norlund", "tmean"):
         kw["q"] = _weights_from_args(args, args.max_n)
-    mean = means._mean_by_kind(args.kind, **kw)
-    start = 2 if args.kind in ("riesz_log", "norlund_log") else 1
+    orders = range(means.first_order(args.kind), args.max_n + 1)
     rows = []
-    for n in range(start, args.max_n + 1):
-        err = lp_norm(f.with_values(mean(f, n, s).values - f.values), args.p)
+    for n, mean in means.mean_sweep(f, args.kind, orders, **kw):
+        err = lp_norm(f.with_values(hardy.embed(mean, f.resolution).values - f.values), args.p)
         rows.append([n, err])
     _emit(args, ["n", "error"], rows)
     return 0

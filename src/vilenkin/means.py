@@ -4,16 +4,27 @@ All means follow the convention sum_{k=1}^{n} with S_0 f = 0, matching the
 kernels module, and every mean is evaluated as a single spectral multiplier
 (weights on S_k translate to coefficient tail sums), which makes the
 convolution representation mean_n f = f * kernel_n exact up to rounding.
+
+Scans over the order n (maximal operators, strong sums, divergence probes,
+convergence tables) go through ``mean_sweep``, which evaluates each mean at
+its minimal resolution: a mean of order n uses only f^(0..n-1), and psi_k
+with k < M_j is constant on rank-j cosets, so for n <= M_j the mean is a
+rank-j function.  It equals the same mean of E_j f (the rank-j coset
+averages), whose spectrum is exactly f^(0..M_j-1), and is computed on M_j
+points instead of M_N.  The per-order functions below keep evaluating on
+the full grid and serve as the oracle path.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .errors import DomainError, RangeError
+from .hardy import project_to_level
 from .spectral import (
     GridFunction,
     Spectrum,
@@ -23,10 +34,6 @@ from .spectral import (
 from .weights import WeightSequence, harmonic_number
 
 
-def _weights_to_mean(f: GridFunction, w: np.ndarray, spectrum: Spectrum | None) -> GridFunction:
-    return weighted_sum_combination(f, w, spectrum)
-
-
 def fejer_mean(f: GridFunction, n: int, spectrum: Spectrum | None = None) -> GridFunction:
     """sigma_n f = (1/n) sum_{k=1}^{n} S_k f."""
     MN = f.group.order(f.resolution)
@@ -34,7 +41,7 @@ def fejer_mean(f: GridFunction, n: int, spectrum: Spectrum | None = None) -> Gri
         raise RangeError(f"fejer mean order {n} outside 1..{MN}")
     w = np.zeros(n + 1)
     w[1:] = 1.0 / n
-    return _weights_to_mean(f, w, spectrum)
+    return weighted_sum_combination(f, w, spectrum)
 
 
 @dataclass(frozen=True)
@@ -73,7 +80,7 @@ def cesaro_mean(f: GridFunction, n: int, alpha: float, spectrum: Spectrum | None
     upper = cesaro_coeffs(alpha, n)
     w = np.zeros(n + 1)
     w[1:] = lower.table[n - 1::-1] / upper.a(n)
-    return _weights_to_mean(f, w, spectrum)
+    return weighted_sum_combination(f, w, spectrum)
 
 
 def u_mean(f: GridFunction, n: int, alpha: float, spectrum: Spectrum | None = None) -> GridFunction:
@@ -86,7 +93,7 @@ def u_mean(f: GridFunction, n: int, alpha: float, spectrum: Spectrum | None = No
     upper = cesaro_coeffs(alpha, n)
     w = np.zeros(n)
     w[1:] = lower.table[1:n] / upper.a(n)
-    return _weights_to_mean(f, w, spectrum)
+    return weighted_sum_combination(f, w, spectrum)
 
 
 def v_mean(f: GridFunction, n: int, alpha: float, spectrum: Spectrum | None = None) -> GridFunction:
@@ -105,7 +112,7 @@ def riesz_log_mean(f: GridFunction, n: int, spectrum: Spectrum | None = None) ->
     ln = harmonic_number(n)
     w = np.zeros(n)
     w[1:] = 1.0 / (np.arange(1, n) * ln)
-    return _weights_to_mean(f, w, spectrum)
+    return weighted_sum_combination(f, w, spectrum)
 
 
 def norlund_log_mean(f: GridFunction, n: int, spectrum: Spectrum | None = None) -> GridFunction:
@@ -115,7 +122,7 @@ def norlund_log_mean(f: GridFunction, n: int, spectrum: Spectrum | None = None) 
     ln = harmonic_number(n)
     w = np.zeros(n)
     w[1:] = 1.0 / ((n - np.arange(1, n)) * ln)
-    return _weights_to_mean(f, w, spectrum)
+    return weighted_sum_combination(f, w, spectrum)
 
 
 def norlund_mean(f: GridFunction, n: int, q: WeightSequence, spectrum: Spectrum | None = None) -> GridFunction:
@@ -128,18 +135,18 @@ def norlund_mean(f: GridFunction, n: int, q: WeightSequence, spectrum: Spectrum 
     Qn = q.Q(n)
     w = np.zeros(n + 1)
     w[1:] = q.values[n - 1::-1] / Qn
-    return _weights_to_mean(f, w, spectrum)
+    return weighted_sum_combination(f, w, spectrum)
 
 
 def t_mean(f: GridFunction, n: int, q: WeightSequence, spectrum: Spectrum | None = None) -> GridFunction:
     """T_n f = (1/Q_n) sum_{k=1}^{n-1} q_k S_k f (forward weights, S_0 f = 0)."""
     if n < 1:
         raise RangeError("t mean requires n >= 1")
+    q.extend(n - 1)
     Qn = q.Q(n)
     w = np.zeros(n)
-    for k in range(1, n):
-        w[k] = q.q(k) / Qn
-    return _weights_to_mean(f, w, spectrum)
+    w[1:] = q.values[1:n] / Qn
+    return weighted_sum_combination(f, w, spectrum)
 
 
 def t_mean_abel(f: GridFunction, n: int, q: WeightSequence, spectrum: Spectrum | None = None) -> GridFunction:
@@ -235,6 +242,35 @@ def _mean_by_kind(kind: str, **params) -> MeanFn:
     raise DomainError(f"unknown mean kind {kind!r}")
 
 
+def first_order(kind: str) -> int:
+    """Least order at which a mean of this kind is defined."""
+    return 2 if kind in ("riesz_log", "norlund_log") else 1
+
+
+def mean_sweep(
+    f: GridFunction, kind: str, orders: Iterable[int], **params
+) -> Iterator[tuple[int, GridFunction]]:
+    """Yield (n, mean_n f) for each order, each at its minimal resolution.
+
+    mean_n f is returned as a rank-j function for the least j with
+    M_j >= n; ``hardy.embed`` replicates it onto f's grid.  One forward
+    transform serves the whole sweep, and each level's spectrum is the
+    prefix f^(0..M_j-1) of it, which is the exact spectrum of E_j f.
+    Orders outside 1..M_N go to the full grid, where the per-order mean
+    raises its usual error.  Orders may come in any order and repeat.
+    """
+    mean = _mean_by_kind(kind, **params)
+    s = transform_forward(f)
+    M, N = f.group.M, f.resolution
+    at_level: dict[int, tuple[GridFunction, Spectrum]] = {}
+    for n in orders:
+        j = bisect.bisect_left(M, n, 0, N) if 1 <= n <= M[N] else N
+        if j not in at_level:
+            at_level[j] = (project_to_level(f, j), Spectrum(f.group, j, s.coeffs[:M[j]]))
+        fj, sj = at_level[j]
+        yield n, mean(fj, n, sj)
+
+
 def weighted_maximal(
     f: GridFunction,
     kind: str,
@@ -246,17 +282,23 @@ def weighted_maximal(
 
     ``weight=None`` gives the plain truncated maximal operator; passing the
     subsequence (M_0, M_1, ...) as ``indices`` gives restricted operators.
+    The means come from ``mean_sweep`` at their minimal resolutions; the
+    running max is kept at the finest of those so far and replicated onto
+    f's grid once at the end, which leaves every value unchanged.
     """
     idx = list(indices)
     if not idx:
         raise RangeError("maximal operator needs a nonempty index range")
-    mean = _mean_by_kind(kind, **params)
-    s = transform_forward(f)
-    out = np.zeros(f.group.order(f.resolution))
-    for n in idx:
+    out = np.zeros(1)
+    for n, mean in mean_sweep(f, kind, idx, **params):
         w = 1.0 if weight is None else float(weight(n))
-        vals = np.abs(mean(f, n, s).values) / w
+        vals = np.abs(mean.values) / w
+        if vals.size > out.size:
+            out = np.tile(out, vals.size // out.size)
+        elif vals.size < out.size:
+            vals = np.tile(vals, out.size // vals.size)
         np.maximum(out, vals, out=out)
+    out = np.tile(out, f.group.order(f.resolution) // out.size)
     return GridFunction(f.group, f.resolution, out.astype(np.complex128))
 
 

@@ -821,15 +821,14 @@ def strong_sum(
     checkpoints = sorted(set(checkpoints or [n_max]))
     if checkpoints[-1] > n_max:
         raise InvalidParamsError("checkpoint beyond n_max")
-    mean = means._mean_by_kind(mean_kind, **mean_params)
-    s = transform_forward(f)
     ref = hp_ref if hp_ref is not None else hardy.hardy_quasinorm_fn(f, p) ** p
     rows = []
     acc = 0.0
     cp = set(checkpoints)
-    start = 2 if mean_kind in ("riesz_log", "norlund_log") else 1
-    for n in range(start, n_max + 1):
-        vals = mean(f, n, s)
+    orders = range(means.first_order(mean_kind), n_max + 1)
+    # both norms are unchanged by replication, so each mean stays at its
+    # minimal resolution
+    for n, vals in means.mean_sweep(f, mean_kind, orders, **mean_params):
         if norm_source == "hp":
             term = hardy.hardy_quasinorm_fn(vals, p) ** p
         else:
@@ -860,20 +859,14 @@ def divergence_probe(
     one checkpoint and, when ``bound_fn`` is given, the lower-bound
     expression evaluated there.
     """
-    f = mart.final
-    s = transform_forward(f)
+    if operator_kind not in ("tmean", "fejer", "partial_sum"):
+        raise InvalidParamsError(f"unknown probe operator {operator_kind!r}")
+    if operator_kind == "tmean" and q is None:
+        raise InvalidParamsError("tmean probe needs a weight sequence")
+    params = {"q": q} if operator_kind == "tmean" else {}
     rows = []
-    for n in checkpoints:
-        if operator_kind == "tmean":
-            if q is None:
-                raise InvalidParamsError("tmean probe needs a weight sequence")
-            vals = means.t_mean(f, n, q, s)
-        elif operator_kind == "fejer":
-            vals = means.fejer_mean(f, n, s)
-        elif operator_kind == "partial_sum":
-            vals = partial_sum(f, n, s)
-        else:
-            raise InvalidParamsError(f"unknown probe operator {operator_kind!r}")
+    # weak-L_p is unchanged by replication: each mean stays at its minimal resolution
+    for n, vals in means.mean_sweep(mart.final, operator_kind, checkpoints, **params):
         row = {"n": n, "weak_lp": weak_lp(vals, p)}
         if bound_fn is not None:
             row["bound"] = float(bound_fn(n))
@@ -929,29 +922,15 @@ def run_strong_suite(g: GroupSpec, rank: int = 5, n_max: int = 64,
     alphas = [a for a in (1, 2, 3) if a + 1 <= g.levels and 2 * g.M[a] <= g.order(min(g.levels, rank + 2))]
     if len(alphas) >= 2:
         rk = min(g.levels, max(rank, alphas[-1] + 1))
-        mart = hardy.counterexample(g, "strong-partial-sums", alphas, rank=rk)
-        fm = mart.final
-        sm = transform_forward(fm)
-        vals = []
-        for a in alphas:
-            n = 2 * g.M[a]
-            acc = math.fsum(lp_norm(partial_sum(fm, k, sm), 1.0) for k in range(1, n + 1))
-            phi = hardy._default_phi(n)
-            vals.append(acc / (n * phi))
-        recs.append(_trend(suite, "theorem1", {**gp, "probe": "sharpness",
-                                               "alphas": alphas}, vals))
-        mart = hardy.counterexample(g, "strong-fejer", alphas, rank=rk)
-        fm = mart.final
-        sm = transform_forward(fm)
-        vals = []
-        for a in alphas:
-            n = 2 * g.M[a]
-            acc = math.fsum(lp_norm(means.fejer_mean(fm, k, sm), 0.5) ** 0.5
-                            for k in range(1, n + 1))
-            phi = hardy._default_phi(n)
-            vals.append(acc / (n * phi))
-        recs.append(_trend(suite, "theorem1sigma", {**gp, "probe": "sharpness",
-                                                    "alphas": alphas}, vals))
+        for kind, mean_kind, p, claim in (("strong-partial-sums", "partial_sum", 1.0, "theorem1"),
+                                          ("strong-fejer", "fejer", 0.5, "theorem1sigma")):
+            mart = hardy.counterexample(g, kind, alphas, rank=rk)
+            ends = [2 * g.M[a] for a in alphas]
+            terms = [lp_norm(m, p) ** p
+                     for _, m in means.mean_sweep(mart.final, mean_kind, range(1, ends[-1] + 1))]
+            vals = [math.fsum(terms[:n]) / (n * hardy._default_phi(n)) for n in ends]
+            recs.append(_trend(suite, claim, {**gp, "probe": "sharpness",
+                                              "alphas": alphas}, vals))
     return _sorted(recs)
 
 

@@ -127,7 +127,7 @@ def power_weights(alpha: float, n_max: int) -> WeightSequence:
     if not 0 < alpha <= 1:
         raise DomainError("power weights require 0 < alpha <= 1")
     fn = lambda k: 1.0 if k == 0 else float(k) ** (alpha - 1.0)
-    return from_function(fn, n_max, NONINCREASING if alpha < 1 else NONINCREASING)
+    return from_function(fn, n_max, NONINCREASING)
 
 
 def log_weights(alpha: float, n_max: int, beta: int = 1) -> WeightSequence:

@@ -146,6 +146,22 @@ def test_cli_transform_round_trip(tmp_path, capsys):
     assert np.abs(spec.values - transform_forward(f).coeffs).max() < 1e-14
 
 
+@pytest.mark.parametrize("argv", [
+    ("group", "--m", "a"),
+    ("group", "--m", ","),
+    ("lebesgue", "--m", "2,x", "--max-n", "4"),
+    ("mean", "--m", "a", "--res", "2"),
+    ("kernel", "--kind", "fejer", "--n", "2", "--m", "2.5"),
+    ("transform", "--m", "a", "--res", "2"),
+    ("verify", "--m", "a", "--suite", "identities"),
+    ("counterexample", "--kind", "hp-blocks", "--m", "a"),
+])
+def test_cli_bad_radix_pattern(capsys, argv):
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--m" in err
+
+
 def test_cli_determinism(capsys):
     run_cli("mean", "--kind", "fejer", "--m", "3", "--res", "3", "--max-n", "9", "--seed", "7")
     first = capsys.readouterr().out

@@ -18,7 +18,13 @@ from vilenkin.means import (
     v_mean,
     weighted_maximal,
 )
-from vilenkin.spectral import constant, partial_sum, random_grid_function, transform_forward
+from vilenkin.spectral import (
+    constant,
+    partial_sum,
+    random_grid_function,
+    transform_forward,
+    weighted_sum_combination,
+)
 
 
 @pytest.fixture
@@ -115,6 +121,19 @@ def test_norlund_ones_equals_fejer(f6):
 def test_norlund_first_order(f6):
     q = wts.power_weights(0.5, 8)
     assert np.abs(norlund_mean(f6, 1, q).values - partial_sum(f6, 1).values).max() < 1e-13
+
+
+def test_t_mean_weights_bit_identical_to_per_k_loop(f6):
+    s = transform_forward(f6)
+    explicit = wts.from_values([3.0, 2.0, 1.0] * 22)
+    for q in (wts.power_weights(0.5, 4), wts.log_weights(1.0, 4), explicit):
+        for n in (3, 7, 33, 64):
+            Qn = q.Q(n)
+            w = np.zeros(n)
+            for k in range(1, n):
+                w[k] = q.q(k) / Qn
+            expect = weighted_sum_combination(f6, w, s)
+            assert np.array_equal(t_mean(f6, n, q, s).values, expect.values)
 
 
 def test_t_mean_abel_identity(f6):

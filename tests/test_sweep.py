@@ -1,0 +1,234 @@
+"""The minimal-resolution n-sweep against the full-grid oracle path.
+
+``means.mean_sweep`` evaluates a mean of order n <= M_j on the M_j points of
+the rank-j coset averages; the per-order functions evaluate it on all M_N
+points.  Every consumer of the sweep is compared here with a full-grid
+reference loop at 1e-12.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from vilenkin import means, spectral, verify
+from vilenkin import weights as wts
+from vilenkin.cli import main
+from vilenkin.errors import InvalidParamsError, RangeError
+from vilenkin.group import make_group
+from vilenkin.hardy import counterexample, embed, hardy_quasinorm_fn
+from vilenkin.spectral import lp_norm, random_grid_function, transform_forward, weak_lp
+
+TOL = 1e-12
+
+GROUPS = {"m2": ([2], 8), "m5": ([5], 4), "m234": ([2, 3, 4], 5)}
+
+
+def _params(kind: str, n_max: int) -> dict:
+    if kind in ("cesaro", "u", "v"):
+        return {"alpha": 0.5}
+    if kind in ("norlund", "tmean"):
+        return {"q": wts.power_weights(0.5, n_max)}
+    return {}
+
+
+KINDS = ("partial_sum", "fejer", "cesaro", "u", "v", "riesz_log", "norlund_log", "norlund",
+         "tmean")
+
+
+@pytest.fixture(scope="module", params=sorted(GROUPS), ids=sorted(GROUPS))
+def grid(request):
+    pattern, levels = GROUPS[request.param]
+    g = make_group(pattern, levels)
+    return random_grid_function(g, levels, seed=31)
+
+
+def _minimal_level(g, n: int) -> int:
+    return min(j for j in range(len(g.M)) if g.M[j] >= n)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_sweep_matches_full_grid_mean(grid, kind):
+    g, N = grid.group, grid.resolution
+    MN = g.order(N)
+    params = _params(kind, MN)
+    mean = means._mean_by_kind(kind, **params)
+    s = transform_forward(grid)
+    orders = range(means.first_order(kind), MN + 1)
+    seen = []
+    for n, m in means.mean_sweep(grid, kind, orders, **params):
+        assert m.resolution == _minimal_level(g, n)
+        full = mean(grid, n, s)
+        assert np.abs(embed(m, N).values - full.values).max() <= TOL, n
+        seen.append(n)
+    # every order, so each block edge M_j, M_j + 1 and M_N is among them
+    assert seen == list(orders)
+
+
+def test_sweep_out_of_range_order_raises_as_oracle(grid):
+    MN = grid.group.order(grid.resolution)
+    for n in (0, MN + 1):
+        with pytest.raises(RangeError) as sweep_err:
+            list(means.mean_sweep(grid, "fejer", [n]))
+        with pytest.raises(RangeError) as oracle_err:
+            means.fejer_mean(grid, n)
+        assert str(sweep_err.value) == str(oracle_err.value)
+
+
+def _brute_maximal(f, kind, indices, weight, **params):
+    mean = means._mean_by_kind(kind, **params)
+    s = transform_forward(f)
+    return np.max([np.abs(mean(f, n, s).values) / (1.0 if weight is None else weight(n))
+                   for n in indices], axis=0)
+
+
+@pytest.mark.parametrize("kind", ("fejer", "tmean", "partial_sum", "riesz_log"))
+def test_weighted_maximal_unsorted_and_repeated_orders(grid, kind):
+    g, N = grid.group, grid.resolution
+    MN = g.order(N)
+    rng = np.random.default_rng(7)
+    start = means.first_order(kind)
+    orders = [int(n) for n in rng.integers(start, MN + 1, size=40)]
+    orders += [MN, start, g.M[1], g.M[1] + 1, orders[0], orders[3]]
+    rng.shuffle(orders)
+    params = _params(kind, MN)
+    for weight in (None, means.power_log_weight(0.4, with_log=False)):
+        mx = means.weighted_maximal(grid, kind, orders, weight=weight, **params)
+        assert mx.resolution == N and mx.values.dtype == np.complex128
+        brute = _brute_maximal(grid, kind, orders, weight, **params)
+        assert np.abs(mx.values.real - brute).max() <= TOL
+        assert not mx.values.imag.any()
+
+
+def test_weighted_maximal_coarse_orders_only(grid):
+    # every order at a low level: the running max is replicated once at the end
+    orders = [3, 1, 2, 2]
+    mx = means.weighted_maximal(grid, "fejer", orders)
+    brute = _brute_maximal(grid, "fejer", orders, None)
+    assert mx.resolution == grid.resolution
+    assert np.abs(mx.values.real - brute).max() <= TOL
+
+
+def test_weighted_maximal_below_group_levels():
+    # f of rank 5 on a group with 12 levels: the sweep tops out at f's rank
+    g = make_group([2], 12)
+    f = random_grid_function(g, 5, seed=2)
+    orders = list(range(32, 0, -1))
+    mx = means.weighted_maximal(f, "fejer", orders)
+    assert mx.resolution == 5
+    assert np.abs(mx.values.real - _brute_maximal(f, "fejer", orders, None)).max() <= TOL
+
+
+@pytest.mark.parametrize("kind,source", [("partial_sum", "lp"), ("fejer", "lp"),
+                                         ("tmean", "lp"), ("riesz_log", "hp")])
+def test_strong_sum_matches_full_grid_loop(grid, kind, source):
+    MN = grid.group.order(grid.resolution)
+    n_max = min(MN, 100)
+    p = 0.4
+    params = _params(kind, n_max)
+    cps = [n_max // 3, n_max // 2, n_max]
+    weight = lambda k: math.log(k + 1) ** p * k ** (2.0 * p - 2.0)
+    rows = verify.strong_sum(grid, kind, p, weight, n_max, cps, norm_source=source, **params)
+
+    mean = means._mean_by_kind(kind, **params)
+    s = transform_forward(grid)
+    ref = hardy_quasinorm_fn(grid, p) ** p
+    acc, expect = 0.0, []
+    for n in range(means.first_order(kind), n_max + 1):
+        vals = mean(grid, n, s)
+        term = hardy_quasinorm_fn(vals, p) ** p if source == "hp" else lp_norm(vals, p) ** p
+        acc += weight(n) * term
+        if n in cps:
+            expect.append((n, acc, acc / ref))
+    assert [r["n"] for r in rows] == [n for n, _, _ in expect]
+    for r, (_, cum, ratio) in zip(rows, expect):
+        assert r["cumulative"] == pytest.approx(cum, rel=TOL, abs=0)
+        assert r["ratio_to_hp"] == pytest.approx(ratio, rel=TOL, abs=0)
+
+
+@pytest.mark.parametrize("kind", ("tmean", "fejer", "partial_sum"))
+def test_divergence_probe_matches_full_grid_loop(kind):
+    g = make_group([3], 6)
+    mart = counterexample(g, "hp-blocks", [1, 2, 3], rank=5, p=0.4)
+    f = mart.final
+    cps = [g.M[3] + 2, g.M[1] + 2, g.M[2] + 2, g.M[1] + 2, g.order(5)]
+    q = wts.ones(g.order(5))
+    rows = verify.divergence_probe(mart, kind, 0.4, cps, q=q if kind == "tmean" else None,
+                                   bound_fn=lambda n: 1.0 / n)
+    mean = means._mean_by_kind(kind, **({"q": q} if kind == "tmean" else {}))
+    s = transform_forward(f)
+    assert [r["n"] for r in rows] == cps
+    for r, n in zip(rows, cps):
+        assert r["weak_lp"] == pytest.approx(weak_lp(mean(f, n, s), 0.4), rel=TOL, abs=0)
+        assert r["bound"] == 1.0 / n
+
+
+def test_divergence_probe_rejects_bad_operator():
+    g = make_group([2], 6)
+    mart = counterexample(g, "hp-blocks", [1, 2], rank=4, p=0.4)
+    with pytest.raises(InvalidParamsError):
+        verify.divergence_probe(mart, "cesaro", 0.4, [4])
+    with pytest.raises(InvalidParamsError):
+        verify.divergence_probe(mart, "tmean", 0.4, [4])
+
+
+def test_cli_mean_matches_full_grid_loop(capsys):
+    assert main(["mean", "--kind", "tmean", "--q", "power:0.5", "--m", "2,3,4",
+                 "--res", "5", "--max-n", "144", "--p", "1.5", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    g = make_group([2, 3, 4], 5)
+    f = random_grid_function(g, 5, seed=2024)
+    q = wts.power_weights(0.5, 145)
+    s = transform_forward(f)
+    assert [r["n"] for r in rows] == list(range(1, 145))
+    for r in rows:
+        full = means.t_mean(f, r["n"], q, s)
+        expect = lp_norm(f.with_values(full.values - f.values), 1.5)
+        assert r["error"] == pytest.approx(expect, rel=TOL, abs=TOL)
+
+
+# ---------------------------------------------------------------------------
+# Work counts: deterministic, unlike a wall-clock gate
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def transform_counts(monkeypatch):
+    counts = {"forward": 0, "inverse": []}
+    forward, inverse = spectral.transform_forward, spectral.transform_inverse
+
+    def counted_forward(f):
+        counts["forward"] += 1
+        return forward(f)
+
+    def counted_inverse(s):
+        counts["inverse"].append(s.resolution)
+        return inverse(s)
+
+    monkeypatch.setattr(spectral, "transform_forward", counted_forward)
+    monkeypatch.setattr(means, "transform_forward", counted_forward)
+    monkeypatch.setattr(spectral, "transform_inverse", counted_inverse)
+    return counts
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_sweep_work_on_radix5(transform_counts, kind):
+    g = make_group([5], 6)
+    f = random_grid_function(g, 6, seed=11)
+    orders = range(means.first_order(kind), 125)
+    out = list(means.mean_sweep(f, kind, orders, **_params(kind, 124)))
+    assert len(out) == len(orders)
+    assert transform_counts["forward"] == 1
+    assert len(transform_counts["inverse"]) == len(orders)
+    assert max(transform_counts["inverse"]) <= 3
+
+
+def test_maximal_and_strong_sum_work_on_radix5(transform_counts):
+    g = make_group([5], 6)
+    f = random_grid_function(g, 6, seed=11)
+    means.weighted_maximal(f, "tmean", range(1, 125), q=wts.power_weights(0.5, 124))
+    assert transform_counts["forward"] == 1
+    assert max(transform_counts["inverse"]) <= 3
+    verify.strong_sum(f, "riesz_log", 0.4, lambda k: 1.0, 124, norm_source="hp")
+    assert transform_counts["forward"] == 2
+    assert max(transform_counts["inverse"]) <= 3
