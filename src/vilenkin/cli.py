@@ -14,13 +14,14 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 
 from . import hardy, io, kernels, means, verify, weights
-from .errors import InvalidGroupError, VilenkinError
+from .errors import InvalidGroupError, InvalidParamsError, VilenkinError
 from .group import GroupSpec, digits_of, make_group
 from .spectral import (
     GridFunction,
-    lp_norm,
+    lp_norm_rows,
     random_grid_function,
     transform_forward,
     transform_inverse,
@@ -145,9 +146,10 @@ def cmd_mean(args) -> int:
         kw["q"] = _weights_from_args(args, args.max_n)
     orders = range(means.first_order(args.kind), args.max_n + 1)
     rows = []
-    for n, mean in means.mean_sweep(f, args.kind, orders, **kw):
-        err = lp_norm(f.with_values(hardy.embed(mean, f.resolution).values - f.values), args.p)
-        rows.append([n, err])
+    for _, ns, vals in means.mean_blocks(f, args.kind, orders, **kw):
+        reps = f.values.size // vals.shape[1]
+        rows.extend([n, float(lp_norm_rows(np.tile(row, reps) - f.values, args.p))]
+                    for n, row in zip(ns, vals))
     _emit(args, ["n", "error"], rows)
     return 0
 
@@ -193,7 +195,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    alphas = [int(t) for t in args.alpha.split(",") if t]
+    try:
+        alphas = [int(t) for t in args.alpha.split(",") if t]
+    except ValueError:
+        raise InvalidParamsError(
+            f"--alpha takes comma-separated integer block levels, got {args.alpha!r}") from None
     g = _group_from_args(args, min_levels=max(args.rank, 1))
     mart = hardy.counterexample(g, args.kind, alphas, rank=args.rank, p=args.p)
     if args.kind == "hp-blocks":

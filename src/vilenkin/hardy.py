@@ -29,6 +29,7 @@ from .spectral import (
     GridFunction,
     Spectrum,
     lp_norm,
+    lp_norm_rows,
     shift,
     transform_forward,
 )
@@ -127,6 +128,22 @@ def hardy_quasinorm(mart: StepMartingale, p: float) -> float:
 def hardy_quasinorm_fn(f: GridFunction, p: float) -> float:
     """H_p quasi-norm of the regular martingale generated by f."""
     return hardy_quasinorm(regular_martingale(f), p)
+
+
+def hardy_quasinorm_rows(g: GroupSpec, resolution: int, values: np.ndarray, p: float) -> np.ndarray:
+    """``hardy_quasinorm_fn`` of each row of a (B, M_j) block of rank-j grid values.
+
+    The maximal function of a row's regular martingale is the max over
+    levels l <= j of its |rank-l coset averages|, replicated onto M_j points.
+    """
+    B, Mj = values.shape
+    if Mj != g.order(resolution):
+        raise ShapeMismatchError(f"expected rows of {g.order(resolution)} values, got {Mj}")
+    star = np.zeros(values.shape)
+    for Ml in g.M[:resolution + 1]:
+        avg = np.abs(values.reshape(B, Mj // Ml, Ml).mean(axis=1))
+        np.maximum(star, np.tile(avg, (1, Mj // Ml)), out=star)
+    return lp_norm_rows(star, p)
 
 
 # ---------------------------------------------------------------------------

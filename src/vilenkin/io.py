@@ -57,7 +57,11 @@ def save_grid(f: GridFunction, path: str | Path) -> None:
 
 
 def load_grid(path: str | Path, group: GroupSpec | None = None) -> GridFunction:
-    return grid_from_dict(json.loads(Path(path).read_text(encoding="utf-8")), group)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InvalidParamsError(f"cannot read grid file {str(path)!r}: {exc.strerror}") from None
+    return grid_from_dict(json.loads(text), group)
 
 
 def martingale_to_dict(mart: StepMartingale) -> dict:

@@ -1,18 +1,22 @@
 """Summability means of grid functions and weighted maximal operators.
 
 All means follow the convention sum_{k=1}^{n} with S_0 f = 0, matching the
-kernels module, and every mean is evaluated as a single spectral multiplier
-(weights on S_k translate to coefficient tail sums), which makes the
-convolution representation mean_n f = f * kernel_n exact up to rounding.
+kernels module.  Each kind of mean is one weight vector w on the partial
+sums S_k, built by its ``_*_weights(n)`` function; the mean is the single
+spectral multiplier sum_k w_k S_k f (weights on S_k translate to
+coefficient tail sums), which makes the convolution representation
+mean_n f = f * kernel_n exact up to rounding.  The per-order functions
+(``fejer_mean``, ``t_mean``, ...) evaluate that multiplier on the full grid
+and serve as the oracle path.
 
 Scans over the order n (maximal operators, strong sums, divergence probes,
-convergence tables) go through ``mean_sweep``, which evaluates each mean at
-its minimal resolution: a mean of order n uses only f^(0..n-1), and psi_k
-with k < M_j is constant on rank-j cosets, so for n <= M_j the mean is a
-rank-j function.  It equals the same mean of E_j f (the rank-j coset
-averages), whose spectrum is exactly f^(0..M_j-1), and is computed on M_j
-points instead of M_N.  The per-order functions below keep evaluating on
-the full grid and serve as the oracle path.
+convergence tables) go through ``mean_blocks``, which evaluates every run of
+orders sharing a minimal level j as one (orders, M_j) block.  A mean of
+order n uses only f^(0..n-1), and psi_k with k < M_j is constant on rank-j
+cosets, so for n <= M_j the mean is a rank-j function: the same mean of E_j f
+(the rank-j coset averages), whose spectrum is exactly f^(0..M_j-1).  The
+block's coefficient rows are that spectrum prefix times each order's tail
+sums, and one batched inverse stage pass synthesizes them all.
 """
 
 from __future__ import annotations
@@ -24,14 +28,27 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import DomainError, RangeError
-from .hardy import project_to_level
 from .spectral import (
     GridFunction,
     Spectrum,
+    inverse_rows,
+    partial_sum,
     transform_forward,
     weighted_sum_combination,
 )
-from .weights import WeightSequence, harmonic_number
+from .weights import WeightSequence, harmonic_number, power_weights
+
+
+def _partial_sum_weights(n: int) -> np.ndarray:
+    w = np.zeros(n + 1)
+    w[n] = 1.0
+    return w
+
+
+def _fejer_weights(n: int) -> np.ndarray:
+    w = np.zeros(n + 1)
+    w[1:] = 1.0 / n
+    return w
 
 
 def fejer_mean(f: GridFunction, n: int, spectrum: Spectrum | None = None) -> GridFunction:
@@ -39,9 +56,7 @@ def fejer_mean(f: GridFunction, n: int, spectrum: Spectrum | None = None) -> Gri
     MN = f.group.order(f.resolution)
     if not 1 <= n <= MN:
         raise RangeError(f"fejer mean order {n} outside 1..{MN}")
-    w = np.zeros(n + 1)
-    w[1:] = 1.0 / n
-    return weighted_sum_combination(f, w, spectrum)
+    return weighted_sum_combination(f, _fejer_weights(n), spectrum)
 
 
 @dataclass(frozen=True)
@@ -70,8 +85,7 @@ def cesaro_coeffs(alpha: float, n_max: int) -> CesaroCoeffs:
     return CesaroCoeffs(alpha=alpha, table=t)
 
 
-def cesaro_mean(f: GridFunction, n: int, alpha: float, spectrum: Spectrum | None = None) -> GridFunction:
-    """(C, alpha) mean (1/A_n^alpha) sum_{k=1}^{n} A_{n-k}^{alpha-1} S_k f."""
+def _cesaro_weights(n: int, alpha: float) -> np.ndarray:
     if not 0 < alpha <= 1:
         raise DomainError("cesaro mean requires 0 < alpha <= 1")
     if n < 1:
@@ -80,11 +94,15 @@ def cesaro_mean(f: GridFunction, n: int, alpha: float, spectrum: Spectrum | None
     upper = cesaro_coeffs(alpha, n)
     w = np.zeros(n + 1)
     w[1:] = lower.table[n - 1::-1] / upper.a(n)
-    return weighted_sum_combination(f, w, spectrum)
+    return w
 
 
-def u_mean(f: GridFunction, n: int, alpha: float, spectrum: Spectrum | None = None) -> GridFunction:
-    """Inverse-order Cesaro mean (1/A_n^alpha) sum_{k=0}^{n-1} A_k^{alpha-1} S_k f."""
+def cesaro_mean(f: GridFunction, n: int, alpha: float, spectrum: Spectrum | None = None) -> GridFunction:
+    """(C, alpha) mean (1/A_n^alpha) sum_{k=1}^{n} A_{n-k}^{alpha-1} S_k f."""
+    return weighted_sum_combination(f, _cesaro_weights(n, alpha), spectrum)
+
+
+def _u_weights(n: int, alpha: float) -> np.ndarray:
     if not 0 < alpha < 1:
         raise DomainError("u mean requires 0 < alpha < 1")
     if n < 1:
@@ -93,40 +111,54 @@ def u_mean(f: GridFunction, n: int, alpha: float, spectrum: Spectrum | None = No
     upper = cesaro_coeffs(alpha, n)
     w = np.zeros(n)
     w[1:] = lower.table[1:n] / upper.a(n)
-    return weighted_sum_combination(f, w, spectrum)
+    return w
+
+
+def u_mean(f: GridFunction, n: int, alpha: float, spectrum: Spectrum | None = None) -> GridFunction:
+    """Inverse-order Cesaro mean (1/A_n^alpha) sum_{k=0}^{n-1} A_k^{alpha-1} S_k f."""
+    return weighted_sum_combination(f, _u_weights(n, alpha), spectrum)
+
+
+def _v_weights(n: int, alpha: float) -> np.ndarray:
+    if not 0 < alpha < 1:
+        raise DomainError("v mean requires 0 < alpha < 1")
+    return _t_weights(n, power_weights(alpha, n))
 
 
 def v_mean(f: GridFunction, n: int, alpha: float, spectrum: Spectrum | None = None) -> GridFunction:
     """T mean with weights q_0 = 1, q_k = k^(alpha-1): (1/Q_n) sum_{k=1}^{n-1} q_k S_k f."""
-    if not 0 < alpha < 1:
-        raise DomainError("v mean requires 0 < alpha < 1")
-    from .weights import power_weights
-
-    return t_mean(f, n, power_weights(alpha, n), spectrum)
+    return weighted_sum_combination(f, _v_weights(n, alpha), spectrum)
 
 
-def riesz_log_mean(f: GridFunction, n: int, spectrum: Spectrum | None = None) -> GridFunction:
-    """R_n f = (1/l_n) sum_{k=1}^{n-1} S_k f / k, n >= 2."""
+def _riesz_log_weights(n: int) -> np.ndarray:
     if n < 2:
         raise RangeError("riesz-log mean requires n >= 2")
     ln = harmonic_number(n)
     w = np.zeros(n)
     w[1:] = 1.0 / (np.arange(1, n) * ln)
-    return weighted_sum_combination(f, w, spectrum)
+    return w
 
 
-def norlund_log_mean(f: GridFunction, n: int, spectrum: Spectrum | None = None) -> GridFunction:
-    """L_n f = (1/l_n) sum_{k=1}^{n-1} S_k f / (n-k), n >= 2."""
+def riesz_log_mean(f: GridFunction, n: int, spectrum: Spectrum | None = None) -> GridFunction:
+    """R_n f = (1/l_n) sum_{k=1}^{n-1} S_k f / k, n >= 2."""
+    return weighted_sum_combination(f, _riesz_log_weights(n), spectrum)
+
+
+def _norlund_log_weights(n: int) -> np.ndarray:
     if n < 2:
         raise RangeError("norlund-log mean requires n >= 2")
     ln = harmonic_number(n)
     w = np.zeros(n)
     w[1:] = 1.0 / ((n - np.arange(1, n)) * ln)
-    return weighted_sum_combination(f, w, spectrum)
+    return w
 
 
-def norlund_mean(f: GridFunction, n: int, q: WeightSequence, spectrum: Spectrum | None = None) -> GridFunction:
-    """t_n f = (1/Q_n) sum_{k=1}^{n} q_{n-k} S_k f (reversed weights)."""
+def norlund_log_mean(f: GridFunction, n: int, spectrum: Spectrum | None = None) -> GridFunction:
+    """L_n f = (1/l_n) sum_{k=1}^{n-1} S_k f / (n-k), n >= 2."""
+    return weighted_sum_combination(f, _norlund_log_weights(n), spectrum)
+
+
+def _norlund_weights(n: int, q: WeightSequence) -> np.ndarray:
     if n < 1:
         raise RangeError("norlund mean requires n >= 1")
     if q.q(0) <= 0:
@@ -135,18 +167,27 @@ def norlund_mean(f: GridFunction, n: int, q: WeightSequence, spectrum: Spectrum 
     Qn = q.Q(n)
     w = np.zeros(n + 1)
     w[1:] = q.values[n - 1::-1] / Qn
-    return weighted_sum_combination(f, w, spectrum)
+    return w
 
 
-def t_mean(f: GridFunction, n: int, q: WeightSequence, spectrum: Spectrum | None = None) -> GridFunction:
-    """T_n f = (1/Q_n) sum_{k=1}^{n-1} q_k S_k f (forward weights, S_0 f = 0)."""
+def norlund_mean(f: GridFunction, n: int, q: WeightSequence, spectrum: Spectrum | None = None) -> GridFunction:
+    """t_n f = (1/Q_n) sum_{k=1}^{n} q_{n-k} S_k f (reversed weights)."""
+    return weighted_sum_combination(f, _norlund_weights(n, q), spectrum)
+
+
+def _t_weights(n: int, q: WeightSequence) -> np.ndarray:
     if n < 1:
         raise RangeError("t mean requires n >= 1")
     q.extend(n - 1)
     Qn = q.Q(n)
     w = np.zeros(n)
     w[1:] = q.values[1:n] / Qn
-    return weighted_sum_combination(f, w, spectrum)
+    return w
+
+
+def t_mean(f: GridFunction, n: int, q: WeightSequence, spectrum: Spectrum | None = None) -> GridFunction:
+    """T_n f = (1/Q_n) sum_{k=1}^{n-1} q_k S_k f (forward weights, S_0 f = 0)."""
+    return weighted_sum_combination(f, _t_weights(n, q), spectrum)
 
 
 def t_mean_abel(f: GridFunction, n: int, q: WeightSequence, spectrum: Spectrum | None = None) -> GridFunction:
@@ -212,34 +253,31 @@ def regularity_report(q: WeightSequence, n_max: int) -> dict:
 
 MeanFn = Callable[[GridFunction, int, Spectrum | None], GridFunction]
 
+# kind -> (per-order full-grid mean, weights(n, *params), names of the params)
+_KINDS = {
+    "partial_sum": (partial_sum, _partial_sum_weights, ()),
+    "fejer": (fejer_mean, _fejer_weights, ()),
+    "cesaro": (cesaro_mean, _cesaro_weights, ("alpha",)),
+    "u": (u_mean, _u_weights, ("alpha",)),
+    "v": (v_mean, _v_weights, ("alpha",)),
+    "riesz_log": (riesz_log_mean, _riesz_log_weights, ()),
+    "norlund_log": (norlund_log_mean, _norlund_log_weights, ()),
+    "norlund": (norlund_mean, _norlund_weights, ("q",)),
+    "tmean": (t_mean, _t_weights, ("q",)),
+}
+
+
+def _method(kind: str, params: dict) -> tuple[MeanFn, Callable[[int], np.ndarray]]:
+    """The per-order mean and the weights(n) of a kind, bound to its parameters."""
+    if kind not in _KINDS:
+        raise DomainError(f"unknown mean kind {kind!r}")
+    mean, weights, names = _KINDS[kind]
+    args = tuple(params[name] for name in names)
+    return (lambda f, n, s: mean(f, n, *args, s)), (lambda n: weights(n, *args))
+
 
 def _mean_by_kind(kind: str, **params) -> MeanFn:
-    from .spectral import partial_sum
-
-    if kind == "partial_sum":
-        return lambda f, n, s: partial_sum(f, n, s)
-    if kind == "fejer":
-        return lambda f, n, s: fejer_mean(f, n, s)
-    if kind == "cesaro":
-        alpha = params["alpha"]
-        return lambda f, n, s: cesaro_mean(f, n, alpha, s)
-    if kind == "u":
-        alpha = params["alpha"]
-        return lambda f, n, s: u_mean(f, n, alpha, s)
-    if kind == "v":
-        alpha = params["alpha"]
-        return lambda f, n, s: v_mean(f, n, alpha, s)
-    if kind == "riesz_log":
-        return lambda f, n, s: riesz_log_mean(f, n, s)
-    if kind == "norlund_log":
-        return lambda f, n, s: norlund_log_mean(f, n, s)
-    if kind == "norlund":
-        q = params["q"]
-        return lambda f, n, s: norlund_mean(f, n, q, s)
-    if kind == "tmean":
-        q = params["q"]
-        return lambda f, n, s: t_mean(f, n, q, s)
-    raise DomainError(f"unknown mean kind {kind!r}")
+    return _method(kind, params)[0]
 
 
 def first_order(kind: str) -> int:
@@ -247,28 +285,54 @@ def first_order(kind: str) -> int:
     return 2 if kind in ("riesz_log", "norlund_log") else 1
 
 
-def mean_sweep(
-    f: GridFunction, kind: str, orders: Iterable[int], **params
-) -> Iterator[tuple[int, GridFunction]]:
-    """Yield (n, mean_n f) for each order, each at its minimal resolution.
+# Most complex entries one ``mean_blocks`` block holds (1 MiB); longer runs
+# of orders on one level are split into several blocks.
+_BLOCK_ENTRIES = 1 << 16
 
-    mean_n f is returned as a rank-j function for the least j with
-    M_j >= n; ``hardy.embed`` replicates it onto f's grid.  One forward
-    transform serves the whole sweep, and each level's spectrum is the
-    prefix f^(0..M_j-1) of it, which is the exact spectrum of E_j f.
-    Orders outside 1..M_N go to the full grid, where the per-order mean
-    raises its usual error.  Orders may come in any order and repeat.
+
+def mean_blocks(
+    f: GridFunction, kind: str, orders: Iterable[int], **params
+) -> Iterator[tuple[int, list[int], np.ndarray]]:
+    """Yield (j, ns, values) for each run of consecutive orders on one level.
+
+    Row b of ``values`` (shape (len(ns), M_j)) is mean_{ns[b]} f as a rank-j
+    function, j the least level with M_j >= n for every n in ns;
+    ``hardy.embed`` replicates a row onto f's grid.  One forward transform
+    serves the sweep: each level's spectrum is its prefix f^(0..M_j-1), the
+    exact spectrum of E_j f.  A block's coefficient rows are that prefix
+    times the reverse cumulative sums of the orders' weight vectors (the
+    same tails ``weighted_sum_combination`` forms), synthesized by one
+    batched inverse; no block holds more than ``_BLOCK_ENTRIES`` entries
+    unless a single row does.  Orders outside 1..M_N go to the full grid
+    one at a time, where the per-order mean raises its usual error.  Orders
+    may come in any order and repeat.
     """
-    mean = _mean_by_kind(kind, **params)
+    mean, weights = _method(kind, params)
+    g, N = f.group, f.resolution
+    M = g.M
+    orders = list(orders)
+    levels = [bisect.bisect_left(M, n, 0, N) if 1 <= n <= M[N] else None for n in orders]
     s = transform_forward(f)
-    M, N = f.group.M, f.resolution
-    at_level: dict[int, tuple[GridFunction, Spectrum]] = {}
-    for n in orders:
-        j = bisect.bisect_left(M, n, 0, N) if 1 <= n <= M[N] else N
-        if j not in at_level:
-            at_level[j] = (project_to_level(f, j), Spectrum(f.group, j, s.coeffs[:M[j]]))
-        fj, sj = at_level[j]
-        yield n, mean(fj, n, sj)
+    start = 0
+    while start < len(orders):
+        j = levels[start]
+        if j is None:
+            yield N, [orders[start]], mean(f, orders[start], s).values[None]
+            start += 1
+            continue
+        stop = start + 1
+        most = max(1, _BLOCK_ENTRIES // M[j])
+        while stop < len(orders) and levels[stop] == j and stop - start < most:
+            stop += 1
+        ns = orders[start:stop]
+        W = np.zeros((len(ns), M[j] + 1))
+        for b, n in enumerate(ns):
+            w = weights(n)
+            W[b, :w.size] = w
+        # tails[b, k] = sum_{i>k} W[b, i]: the multiplier of f^(k) in row b
+        tails = np.cumsum(W[:, ::-1], axis=1)[:, ::-1][:, 1:]
+        yield j, ns, inverse_rows(g, j, s.coeffs[:M[j]] * tails)
+        start = stop
 
 
 def weighted_maximal(
@@ -282,22 +346,24 @@ def weighted_maximal(
 
     ``weight=None`` gives the plain truncated maximal operator; passing the
     subsequence (M_0, M_1, ...) as ``indices`` gives restricted operators.
-    The means come from ``mean_sweep`` at their minimal resolutions; the
-    running max is kept at the finest of those so far and replicated onto
-    f's grid once at the end, which leaves every value unchanged.
+    The means come from ``mean_blocks`` as rank-j rows; each block reduces
+    to one rank-j maximum, and since replication commutes with |.|, / and
+    max, the running max is kept at the finest level seen so far and
+    replicated onto f's grid once at the end, which leaves every value
+    unchanged.
     """
     idx = list(indices)
     if not idx:
         raise RangeError("maximal operator needs a nonempty index range")
     out = np.zeros(1)
-    for n, mean in mean_sweep(f, kind, idx, **params):
-        w = 1.0 if weight is None else float(weight(n))
-        vals = np.abs(mean.values) / w
-        if vals.size > out.size:
-            out = np.tile(out, vals.size // out.size)
-        elif vals.size < out.size:
-            vals = np.tile(vals, out.size // vals.size)
-        np.maximum(out, vals, out=out)
+    for _, ns, vals in mean_blocks(f, kind, idx, **params):
+        w = np.ones(len(ns)) if weight is None else np.array([float(weight(n)) for n in ns])
+        block = (np.abs(vals) / w[:, None]).max(axis=0)
+        if block.size > out.size:
+            out = np.tile(out, block.size // out.size)
+        elif block.size < out.size:
+            block = np.tile(block, out.size // block.size)
+        np.maximum(out, block, out=out)
     out = np.tile(out, f.group.order(f.resolution) // out.size)
     return GridFunction(f.group, f.resolution, out.astype(np.complex128))
 

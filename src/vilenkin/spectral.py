@@ -103,19 +103,18 @@ def _dft_matrix(m: int, sign: int) -> np.ndarray:
 
 
 def _stage_pass(vals: np.ndarray, g: GroupSpec, resolution: int, sign: int) -> np.ndarray:
-    """Apply one radix-m_j butterfly per digit position j = 0..N-1.
+    """Apply one radix-m_j butterfly per digit position j = 0..N-1 to the last axis.
 
     The flat index sum_j x_j M_j reshapes (C order) to an array whose last
-    axis is digit 0; digit j lives on axis N-1-j.
+    axis is digit 0; digit j lives on axis -1-j.  Leading axes are a batch.
     """
     N = resolution
-    shape = tuple(reversed(g.m[:N]))
-    a = vals.reshape(shape)
+    a = vals.reshape(vals.shape[:-1] + tuple(reversed(g.m[:N])))
     for j in range(N):
-        axis = N - 1 - j
+        axis = a.ndim - 1 - j
         F = _dft_matrix(g.m[j], sign)
         a = np.moveaxis(np.tensordot(F, a, axes=([1], [axis])), 0, axis)
-    return a.reshape(-1)
+    return a.reshape(vals.shape)
 
 
 def transform_forward(f: GridFunction) -> Spectrum:
@@ -129,6 +128,17 @@ def transform_inverse(s: Spectrum) -> GridFunction:
     """Synthesize sum_n c_n psi_n from a full coefficient vector."""
     vals = _stage_pass(s.coeffs, s.group, s.resolution, sign=+1)
     return GridFunction(s.group, s.resolution, vals)
+
+
+def inverse_rows(g: GroupSpec, resolution: int, coeffs: np.ndarray) -> np.ndarray:
+    """Synthesize every row of a (..., M_N) coefficient block in one stage pass.
+
+    Row b of the result is the grid of sum_n coeffs[b, n] psi_n, as
+    ``transform_inverse`` would give it one row at a time.
+    """
+    if coeffs.shape[-1:] != (g.order(resolution),):
+        raise ShapeMismatchError("coefficient rows must have M_N entries")
+    return _stage_pass(coeffs, g, resolution, sign=+1)
 
 
 def naive_forward(f: GridFunction) -> Spectrum:
@@ -232,12 +242,17 @@ def shift(f: GridFunction, h: int) -> GridFunction:
 
 def lp_norm(f: GridFunction, p: float) -> float:
     """||f||_p under normalized Haar measure; p = inf gives the sup norm."""
+    return float(lp_norm_rows(f.values, p))
+
+
+def lp_norm_rows(values: np.ndarray, p: float) -> np.ndarray:
+    """``lp_norm`` of each row of a (..., M_N) block of grid values."""
     if p <= 0:
         raise DomainError(f"p must be positive, got {p}")
-    a = np.abs(f.values)
+    a = np.abs(values)
     if np.isinf(p):
-        return float(a.max()) if a.size else 0.0
-    return float((a**p).mean() ** (1.0 / p))
+        return a.max(axis=-1)
+    return (a**p).mean(axis=-1) ** (1.0 / p)
 
 
 def weak_lp(f: GridFunction, p: float) -> float:
@@ -246,9 +261,14 @@ def weak_lp(f: GridFunction, p: float) -> float:
     On a finite grid the supremum is attained as lam approaches one of the
     distinct values of |f| from below, so scanning sorted values suffices.
     """
+    return float(weak_lp_rows(f.values, p))
+
+
+def weak_lp_rows(values: np.ndarray, p: float) -> np.ndarray:
+    """``weak_lp`` of each row of a (..., M_N) block of grid values."""
     if p <= 0:
         raise DomainError(f"p must be positive, got {p}")
-    a = np.sort(np.abs(f.values))[::-1]
-    MN = a.size
+    a = np.sort(np.abs(values), axis=-1)[..., ::-1]
+    MN = a.shape[-1]
     frac = (np.arange(1, MN + 1) / MN) ** (1.0 / p)
-    return float((a * frac).max()) if MN else 0.0
+    return (a * frac).max(axis=-1)

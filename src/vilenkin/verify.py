@@ -36,10 +36,11 @@ from .spectral import (
     GridFunction,
     convolve,
     lp_norm,
+    lp_norm_rows,
     partial_sum,
     random_grid_function,
     transform_forward,
-    weak_lp,
+    weak_lp_rows,
 )
 
 # ---------------------------------------------------------------------------
@@ -817,6 +818,12 @@ def strong_sum(
     H_p reference norm of f (computed from the regular martingale unless
     ``hp_ref`` is supplied).  ``norm_source`` picks ||.||_p ("lp") or the
     H_p quasi-norm of each mean ("hp").
+
+    The means come from ``means.mean_blocks`` as rank-j rows, and each block
+    is normed row-wise at once.  Both norms are exact there: replication
+    leaves ||.||_p unchanged, and the regular martingale of a rank-j
+    function is constant from level j on, so its maximal function needs
+    only the levels l <= j.  The sum is accumulated in increasing n.
     """
     checkpoints = sorted(set(checkpoints or [n_max]))
     if checkpoints[-1] > n_max:
@@ -826,22 +833,21 @@ def strong_sum(
     acc = 0.0
     cp = set(checkpoints)
     orders = range(means.first_order(mean_kind), n_max + 1)
-    # both norms are unchanged by replication, so each mean stays at its
-    # minimal resolution
-    for n, vals in means.mean_sweep(f, mean_kind, orders, **mean_params):
+    for j, ns, vals in means.mean_blocks(f, mean_kind, orders, **mean_params):
         if norm_source == "hp":
-            term = hardy.hardy_quasinorm_fn(vals, p) ** p
+            terms = hardy.hardy_quasinorm_rows(f.group, j, vals, p) ** p
         else:
-            term = lp_norm(vals, p) ** p
-        acc += weight(n) * term
-        if n in cp:
-            norm = normalizer(n) if normalizer is not None else 1.0
-            rows.append({
-                "n": n,
-                "cumulative": acc,
-                "normalized": acc / norm,
-                "ratio_to_hp": acc / (norm * ref) if ref > 0 else math.inf,
-            })
+            terms = lp_norm_rows(vals, p) ** p
+        for n, term in zip(ns, terms.tolist()):
+            acc += weight(n) * term
+            if n in cp:
+                norm = normalizer(n) if normalizer is not None else 1.0
+                rows.append({
+                    "n": n,
+                    "cumulative": acc,
+                    "normalized": acc / norm,
+                    "ratio_to_hp": acc / (norm * ref) if ref > 0 else math.inf,
+                })
     return rows
 
 
@@ -865,12 +871,13 @@ def divergence_probe(
         raise InvalidParamsError("tmean probe needs a weight sequence")
     params = {"q": q} if operator_kind == "tmean" else {}
     rows = []
-    # weak-L_p is unchanged by replication: each mean stays at its minimal resolution
-    for n, vals in means.mean_sweep(mart.final, operator_kind, checkpoints, **params):
-        row = {"n": n, "weak_lp": weak_lp(vals, p)}
-        if bound_fn is not None:
-            row["bound"] = float(bound_fn(n))
-        rows.append(row)
+    # weak-L_p is unchanged by replication: each mean stays a rank-j row
+    for _, ns, vals in means.mean_blocks(mart.final, operator_kind, checkpoints, **params):
+        for n, wl in zip(ns, weak_lp_rows(vals, p).tolist()):
+            row = {"n": n, "weak_lp": wl}
+            if bound_fn is not None:
+                row["bound"] = float(bound_fn(n))
+            rows.append(row)
     return rows
 
 
@@ -926,8 +933,8 @@ def run_strong_suite(g: GroupSpec, rank: int = 5, n_max: int = 64,
                                           ("strong-fejer", "fejer", 0.5, "theorem1sigma")):
             mart = hardy.counterexample(g, kind, alphas, rank=rk)
             ends = [2 * g.M[a] for a in alphas]
-            terms = [lp_norm(m, p) ** p
-                     for _, m in means.mean_sweep(mart.final, mean_kind, range(1, ends[-1] + 1))]
+            terms = [t for _, _, v in means.mean_blocks(mart.final, mean_kind, range(1, ends[-1] + 1))
+                     for t in (lp_norm_rows(v, p) ** p).tolist()]
             vals = [math.fsum(terms[:n]) / (n * hardy._default_phi(n)) for n in ends]
             recs.append(_trend(suite, claim, {**gp, "probe": "sharpness",
                                               "alphas": alphas}, vals))

@@ -6,6 +6,7 @@ from vilenkin.errors import (
     AtomMeanError,
     AtomSupportError,
     InvalidParamsError,
+    ShapeMismatchError,
 )
 from vilenkin.group import make_group
 from vilenkin.hardy import (
@@ -18,6 +19,8 @@ from vilenkin.hardy import (
     counterexample,
     gap_report,
     hardy_quasinorm,
+    hardy_quasinorm_fn,
+    hardy_quasinorm_rows,
     make_atom,
     maximal_function,
     modulus,
@@ -255,3 +258,17 @@ def test_single_atom_normalized_quasinorm(walsh):
     mart, _ = atom_martingale([(1.0, atom)], levels=[1, 2, 3])
     bound = walsh.M[N] ** (1 / p)  # = mu(I)^{-1/p}
     assert hardy_quasinorm(mart, p) / bound <= 1 + 1e-10
+
+
+@pytest.mark.parametrize("res", [0, 1, 3])
+def test_hardy_quasinorm_rows_matches_regular_martingale(any_group, res):
+    g = any_group
+    rng = np.random.default_rng(12)
+    rows = rng.standard_normal((6, g.order(res))) + 1j * rng.standard_normal((6, g.order(res)))
+    for p in (0.4, 1.0, np.inf):
+        got = hardy_quasinorm_rows(g, res, rows, p)
+        for b, row in enumerate(rows):
+            expect = hardy_quasinorm_fn(GridFunction(g, res, row), p)
+            assert got[b] == pytest.approx(expect, rel=1e-12, abs=0)
+    with pytest.raises(ShapeMismatchError):
+        hardy_quasinorm_rows(g, res + 1, rows, 0.4)

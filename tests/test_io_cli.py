@@ -122,6 +122,22 @@ def test_cli_counterexample_bad_alpha(capsys):
                    "--m", "5", "--rank", "4") == 2
 
 
+@pytest.mark.parametrize("alpha", ["x", "1,two", "1.5"])
+def test_cli_counterexample_non_integer_alpha(capsys, alpha):
+    assert run_cli("counterexample", "--kind", "hp-blocks", "--alpha", alpha,
+                   "--m", "5", "--rank", "4") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--alpha" in err
+
+
+@pytest.mark.parametrize("cmd", ["mean", "transform"])
+def test_cli_missing_input_file(tmp_path, capsys, cmd):
+    missing = tmp_path / "nonexistent.json"
+    assert run_cli(cmd, "--input", str(missing), "--m", "2", "--levels", "4") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(missing) in err
+
+
 def test_cli_mean_convergence(capsys):
     code = run_cli("mean", "--kind", "fejer", "--m", "2", "--res", "4", "--max-n", "16",
                    "--p", "2")

@@ -10,14 +10,18 @@ from vilenkin.spectral import (
     convolve_naive,
     delta,
     fourier_coeff,
+    inverse_rows,
     lp_norm,
+    lp_norm_rows,
     naive_forward,
     partial_sum,
     random_grid_function,
     shift,
+    Spectrum,
     transform_forward,
     transform_inverse,
     weak_lp,
+    weak_lp_rows,
     weighted_sum_combination,
 )
 
@@ -169,3 +173,31 @@ def test_values_are_immutable(walsh):
     f = random_grid_function(walsh, 3, seed=0)
     with pytest.raises(ValueError):
         f.values[0] = 1.0
+
+
+@pytest.mark.parametrize("res", [0, 1, 4])
+def test_inverse_rows_matches_transform_inverse(any_group, res):
+    g = any_group
+    MN = g.order(res)
+    rng = np.random.default_rng(3)
+    coeffs = rng.standard_normal((5, MN)) + 1j * rng.standard_normal((5, MN))
+    vals = inverse_rows(g, res, coeffs)
+    assert vals.shape == coeffs.shape
+    for c, v in zip(coeffs, vals):
+        assert np.abs(v - transform_inverse(Spectrum(g, res, c)).values).max() <= 1e-12
+    with pytest.raises(ShapeMismatchError):
+        inverse_rows(g, res, np.ones((2, MN + 1)))
+
+
+def test_row_norms_equal_per_row_norms(mixed):
+    rng = np.random.default_rng(8)
+    rows = rng.standard_normal((4, mixed.order(3))) + 1j * rng.standard_normal((4, mixed.order(3)))
+    for p in (0.4, 1.0, 2.0, np.inf):
+        lp, weak = lp_norm_rows(rows, p), weak_lp_rows(rows, p)
+        for b, row in enumerate(rows):
+            f = GridFunction(mixed, 3, row)
+            assert lp[b] == lp_norm(f, p) and weak[b] == weak_lp(f, p)
+    with pytest.raises(DomainError):
+        lp_norm_rows(rows, 0)
+    with pytest.raises(DomainError):
+        weak_lp_rows(rows, -1.0)

@@ -1,13 +1,14 @@
-"""The minimal-resolution n-sweep against the full-grid oracle path.
+"""The level-batched n-sweep against the full-grid oracle path.
 
-``means.mean_sweep`` evaluates a mean of order n <= M_j on the M_j points of
-the rank-j coset averages; the per-order functions evaluate it on all M_N
-points.  Every consumer of the sweep is compared here with a full-grid
-reference loop at 1e-12.
+``means.mean_blocks`` evaluates the means of order n <= M_j as rows of
+(orders, M_j) blocks, on the M_j points of the rank-j coset averages; the
+per-order functions evaluate one mean on all M_N points.  Every consumer of
+the sweep is compared here with a full-grid reference loop at 1e-12.
 """
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from vilenkin import weights as wts
 from vilenkin.cli import main
 from vilenkin.errors import InvalidParamsError, RangeError
 from vilenkin.group import make_group
-from vilenkin.hardy import counterexample, embed, hardy_quasinorm_fn
+from vilenkin.hardy import counterexample, hardy_quasinorm_fn
 from vilenkin.spectral import lp_norm, random_grid_function, transform_forward, weak_lp
 
 TOL = 1e-12
@@ -48,6 +49,13 @@ def _minimal_level(g, n: int) -> int:
     return min(j for j in range(len(g.M)) if g.M[j] >= n)
 
 
+def _chunks(g, orders) -> int:
+    """Number of (level, chunk) blocks a sorted sweep over ``orders`` needs."""
+    per_level = Counter(_minimal_level(g, n) for n in orders)
+    return sum(-(-count // max(1, means._BLOCK_ENTRIES // g.M[j]))
+               for j, count in per_level.items())
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_sweep_matches_full_grid_mean(grid, kind):
     g, N = grid.group, grid.resolution
@@ -57,20 +65,49 @@ def test_sweep_matches_full_grid_mean(grid, kind):
     s = transform_forward(grid)
     orders = range(means.first_order(kind), MN + 1)
     seen = []
-    for n, m in means.mean_sweep(grid, kind, orders, **params):
-        assert m.resolution == _minimal_level(g, n)
-        full = mean(grid, n, s)
-        assert np.abs(embed(m, N).values - full.values).max() <= TOL, n
-        seen.append(n)
+    for j, ns, vals in means.mean_blocks(grid, kind, orders, **params):
+        assert vals.shape == (len(ns), g.M[j])
+        for n, row in zip(ns, vals):
+            assert j == _minimal_level(g, n)
+            full = mean(grid, n, s)
+            assert np.abs(np.tile(row, MN // g.M[j]) - full.values).max() <= TOL, n
+        seen.extend(ns)
     # every order, so each block edge M_j, M_j + 1 and M_N is among them
     assert seen == list(orders)
+
+
+def test_blocks_are_runs_of_one_level(grid):
+    g = grid.group
+    orders = [3, 1, 2, 2, 5, 4, 3]
+    blocks = [(j, ns) for j, ns, _ in means.mean_blocks(grid, "fejer", orders)]
+    levels = [_minimal_level(g, n) for n in orders]
+    expect, start = [], 0
+    for i in range(1, len(orders) + 1):
+        if i == len(orders) or levels[i] != levels[start]:
+            expect.append((levels[start], orders[start:i]))
+            start = i
+    assert blocks == expect
+
+
+def test_blocks_respect_entry_cap():
+    g = make_group([2], 12)
+    f = random_grid_function(g, 12, seed=5)
+    MN = g.order(12)
+    seen, last = [], None
+    for j, ns, vals in means.mean_blocks(f, "fejer", range(1, MN + 1)):
+        assert vals.size <= means._BLOCK_ENTRIES
+        seen.extend(ns)
+        last = ns[-1], vals[-1]
+    assert seen == list(range(1, MN + 1))
+    n, row = last
+    assert np.abs(row - means.fejer_mean(f, n).values).max() <= TOL
 
 
 def test_sweep_out_of_range_order_raises_as_oracle(grid):
     MN = grid.group.order(grid.resolution)
     for n in (0, MN + 1):
         with pytest.raises(RangeError) as sweep_err:
-            list(means.mean_sweep(grid, "fejer", [n]))
+            list(means.mean_blocks(grid, "fejer", [n]))
         with pytest.raises(RangeError) as oracle_err:
             means.fejer_mean(grid, n)
         assert str(sweep_err.value) == str(oracle_err.value)
@@ -194,20 +231,27 @@ def test_cli_mean_matches_full_grid_loop(capsys):
 
 @pytest.fixture
 def transform_counts(monkeypatch):
-    counts = {"forward": 0, "inverse": []}
+    counts = {"forward": [], "inverse": 0, "rows": []}
     forward, inverse = spectral.transform_forward, spectral.transform_inverse
+    rows = spectral.inverse_rows
 
     def counted_forward(f):
-        counts["forward"] += 1
+        counts["forward"].append(f.resolution)
         return forward(f)
 
     def counted_inverse(s):
-        counts["inverse"].append(s.resolution)
+        counts["inverse"] += 1
         return inverse(s)
+
+    def counted_rows(g, resolution, coeffs):
+        counts["rows"].append(resolution)
+        return rows(g, resolution, coeffs)
 
     monkeypatch.setattr(spectral, "transform_forward", counted_forward)
     monkeypatch.setattr(means, "transform_forward", counted_forward)
     monkeypatch.setattr(spectral, "transform_inverse", counted_inverse)
+    monkeypatch.setattr(spectral, "inverse_rows", counted_rows)
+    monkeypatch.setattr(means, "inverse_rows", counted_rows)
     return counts
 
 
@@ -216,19 +260,24 @@ def test_sweep_work_on_radix5(transform_counts, kind):
     g = make_group([5], 6)
     f = random_grid_function(g, 6, seed=11)
     orders = range(means.first_order(kind), 125)
-    out = list(means.mean_sweep(f, kind, orders, **_params(kind, 124)))
-    assert len(out) == len(orders)
-    assert transform_counts["forward"] == 1
-    assert len(transform_counts["inverse"]) == len(orders)
-    assert max(transform_counts["inverse"]) <= 3
+    out = [n for _, ns, _ in means.mean_blocks(f, kind, orders, **_params(kind, 124))
+           for n in ns]
+    assert out == list(orders)
+    assert transform_counts["forward"] == [6]
+    # one batched inverse per (level, chunk), none per order
+    assert len(transform_counts["rows"]) == _chunks(g, orders)
+    assert max(transform_counts["rows"]) <= 3
+    assert transform_counts["inverse"] == 0
 
 
 def test_maximal_and_strong_sum_work_on_radix5(transform_counts):
     g = make_group([5], 6)
     f = random_grid_function(g, 6, seed=11)
     means.weighted_maximal(f, "tmean", range(1, 125), q=wts.power_weights(0.5, 124))
-    assert transform_counts["forward"] == 1
-    assert max(transform_counts["inverse"]) <= 3
+    assert transform_counts["forward"] == [6]
+    assert len(transform_counts["rows"]) == _chunks(g, range(1, 125))
     verify.strong_sum(f, "riesz_log", 0.4, lambda k: 1.0, 124, norm_source="hp")
-    assert transform_counts["forward"] == 2
-    assert max(transform_counts["inverse"]) <= 3
+    assert transform_counts["forward"] == [6, 6]
+    assert len(transform_counts["rows"]) == _chunks(g, range(1, 125)) + _chunks(g, range(2, 125))
+    assert max(transform_counts["rows"]) <= 3
+    assert transform_counts["inverse"] == 0
