@@ -24,15 +24,16 @@ from .errors import (
     RangeError,
     ShapeMismatchError,
 )
-from .group import GroupSpec, coset_indices
+from .characters import character_column
+from .group import GroupSpec, coset_indices, digit_matrix
 from .spectral import (
     GridFunction,
-    Spectrum,
     lp_norm,
     lp_norm_rows,
-    shift,
     transform_forward,
 )
+
+_SHIFT_ENTRIES = 1 << 16   # index-table entries gathered at once by ``modulus``
 
 
 def conditional_expectation(f: GridFunction, n: int) -> GridFunction:
@@ -154,19 +155,26 @@ def modulus(f: GridFunction, p: float, n: int) -> float:
     """omega_p(1/M_n, f) = sup over shifts h in I_n of ||f(.-h) - f||_p.
 
     Shifts representable on the grid have zero digits below position n,
-    i.e. flat indices h = H * M_n; the supremum enumerates all of them.
+    i.e. flat indices h = H * M_n; the supremum runs over all of them at
+    once, gathering f through a table of the flat indices of x - h (digits
+    at or above n are subtracted mod m_j) in chunks of at most
+    ``_SHIFT_ENTRIES`` entries.
     """
     if not 0 <= n <= f.resolution:
         raise RangeError(f"level {n} outside 0..{f.resolution}")
-    g = f.group
+    g, N = f.group, f.resolution
     Mn = g.M[n]
-    MN = g.order(f.resolution)
+    MN = g.order(N)
+    dm = digit_matrix(g, N)
+    hd = dm[:, Mn:MN:Mn]                       # digits of every h = H * M_n, H >= 1
+    step = max(1, _SHIFT_ENTRIES // MN)
+    low = np.arange(MN) % Mn
     best = 0.0
-    for H in range(MN // Mn):
-        h = H * Mn
-        if h == 0:
-            continue
-        best = max(best, lp_norm(f.with_values(shift(f, h).values - f.values), p))
+    for c in range(0, hd.shape[1], step):
+        idx = low
+        for j in range(n, N):
+            idx = idx + ((dm[j] - hd[j, c:c + step, None]) % g.m[j]) * g.M[j]
+        best = max(best, float(lp_norm_rows(f.values[idx] - f.values, p).max()))
     return best
 
 
@@ -349,8 +357,11 @@ def counterexample(
     """Finite martingale with the designated block-constant spectrum.
 
     The atoms behind each kind are scaled Dirichlet-block differences, so
-    the spectrum is exactly constant on each block; the constructor builds
-    the spectrum directly and the atom route is exercised in tests.
+    the spectrum is exactly constant on each block.  The grid is built in
+    closed form from D_{M_k} = M_k 1_{I_k}: an hp-block with coefficient c_a
+    on [M_a, M_{a+1}) is c_a (D_{M_{a+1}} - D_{M_a}), and a strong-* block on
+    [M_a, 2 M_a) is c_a psi_{M_a} D_{M_a}.  Values off the blocks' support
+    are exactly 0; the transform of ``block_coefficients`` is the test oracle.
     """
     alphas = list(alphas)
     if not alphas or any(a2 <= a1 for a1, a2 in zip(alphas, alphas[1:])) or alphas[0] < 1:
@@ -363,9 +374,15 @@ def counterexample(
     if rank > g.levels:
         raise RangeError(f"rank {rank} exceeds group levels {g.levels}")
     coeffs = block_coefficients(g, kind, alphas, rank, p=p, phi=phi)
-    from .spectral import transform_inverse
-
-    full = transform_inverse(Spectrum(g, rank, coeffs))
+    vals = np.zeros(g.order(rank), dtype=np.complex128)
+    for a in alphas:
+        Ma, c = g.M[a], coeffs[g.M[a]]
+        if kind == "hp-blocks":
+            vals[::g.M[a + 1]] += c * g.M[a + 1]
+            vals[::Ma] -= c * Ma
+        else:
+            vals[::Ma] += c * Ma * character_column(g, Ma, rank)[::Ma]
+    full = GridFunction(g, rank, vals)
     if levels is None:
         levels = list(range(1, rank + 1))
     entries = tuple(project_to_level(full, n) for n in levels)

@@ -3,8 +3,11 @@
 A GridFunction holds the M_N values of a function constant on rank-N
 cosets; integration is (1/M_N) * sum(values) under the normalized Haar
 measure.  The forward transform computes all Fourier coefficients
-f^(n) = int f conj(psi_n) dmu in O(M_N * sum_k m_k) by running one
-radix-m_j butterfly stage per digit position; with little-endian flat
+f^(n) = int f conj(psi_n) dmu as a tensor product of small DFTs with no
+twiddle factors.  Adjacent digit positions are fused into blocks whose
+radix product B is at most 64 (a larger radix is a block of its own), and
+each block is one cached B x B character table applied by a matrix product,
+for a cost of O(M_N * sum over blocks of B).  With little-endian flat
 indexing on both sides no reordering pass is needed.
 """
 
@@ -95,32 +98,72 @@ def random_grid_function(g: GroupSpec, resolution: int, seed: int, kind: str = "
 # Fast mixed-radix transform
 # ---------------------------------------------------------------------------
 
+# Largest radix product fused into one block.  In round trips on [2]^17,
+# [3]^11, [5]^7 and [2,3,4]^11, caps of 128 and 256 were about 1.3x and 2x
+# slower than 64; 16, 32 and 64 were within run-to-run noise (about 15%).
+_BLOCK = 64
+
+
 @lru_cache(maxsize=64)
-def _dft_matrix(m: int, sign: int) -> np.ndarray:
-    """m x m matrix exp(sign * 2*pi*i * k * x / m)."""
-    k = np.arange(m)
-    return np.exp(sign * 2j * np.pi * np.outer(k, k) / m)
+def _blocks(radices: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Runs (j0, j1) of digit positions with prod m_j0..m_{j1-1} <= _BLOCK.
+
+    Runs are filled greedily from digit 0; a radix above ``_BLOCK`` is a run
+    of its own.
+    """
+    runs = []
+    j0, B = 0, 1
+    for j, m in enumerate(radices):
+        if j > j0 and B * m > _BLOCK:
+            runs.append((j0, j))
+            j0, B = j, 1
+        B *= m
+    if radices:
+        runs.append((j0, len(radices)))
+    return tuple(runs)
+
+
+@lru_cache(maxsize=128)
+def _block_matrix(radices: tuple[int, ...], sign: int) -> np.ndarray:
+    """Character table of Z_{m_j0} x ... x Z_{m_{j1-1}}, little-endian on both axes.
+
+    Entry (k, x) is exp(sign * 2*pi*i * sum_j k_j x_j / m_j), i.e.
+    kron(F_{m_{j1-1}}, ..., F_{m_j0}) with F_m = exp(sign * 2*pi*i * k x / m).
+    The phase is reduced exactly to r/B before one exponential, so every
+    entry depends only on the rational phase.  Read-only: the cache shares it.
+    """
+    B = int(np.prod(radices))
+    k = np.arange(B)
+    r = np.zeros((B, B), dtype=np.int64)
+    for m in radices:
+        k, d = np.divmod(k, m)
+        r += np.outer(d, d) * (B // m)
+    F = np.exp(sign * 2j * np.pi * ((r % B) / B))
+    F.flags.writeable = False
+    return F
 
 
 def _stage_pass(vals: np.ndarray, g: GroupSpec, resolution: int, sign: int) -> np.ndarray:
-    """Apply one radix-m_j butterfly per digit position j = 0..N-1 to the last axis.
+    """Apply the character table of every fused digit block to the last axis.
 
-    The flat index sum_j x_j M_j reshapes (C order) to an array whose last
-    axis is digit 0; digit j lives on axis -1-j.  Leading axes are a batch.
+    The flat index sum_j x_j M_j splits at each block (j0, j1) into
+    (high, block digits, low) with sizes (M_N / M_{j1}, B, M_{j0}); the block
+    acts on the middle axis as one matrix product.  Leading axes are a batch.
+    For N = 0 there is no block and the result is a view of ``vals``.
     """
-    N = resolution
-    a = vals.reshape(vals.shape[:-1] + tuple(reversed(g.m[:N])))
-    for j in range(N):
-        axis = a.ndim - 1 - j
-        F = _dft_matrix(g.m[j], sign)
-        a = np.moveaxis(np.tensordot(F, a, axes=([1], [axis])), 0, axis)
+    a = vals.reshape(-1, g.order(resolution))
+    for j0, j1 in _blocks(g.m[:resolution]):
+        F = _block_matrix(g.m[j0:j1], sign)
+        if j0 == 0:   # M_0 = 1: one 2-D product, not a stack of matrix-vector products
+            a = a.reshape(-1, F.shape[0]) @ F.T
+        else:
+            a = np.matmul(F, a.reshape(-1, F.shape[0], g.M[j0]))
     return a.reshape(vals.shape)
 
 
 def transform_forward(f: GridFunction) -> Spectrum:
-    """All Fourier coefficients of f; O(M_N * sum_k m_k)."""
-    coeffs = _stage_pass(f.values, f.group, f.resolution, sign=-1)
-    coeffs /= f.group.order(f.resolution)
+    """All Fourier coefficients of f; O(M_N * sum over fused blocks of B)."""
+    coeffs = _stage_pass(f.values, f.group, f.resolution, sign=-1) / f.group.order(f.resolution)
     return Spectrum(f.group, f.resolution, coeffs)
 
 

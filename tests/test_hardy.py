@@ -8,6 +8,7 @@ from vilenkin.errors import (
     InvalidParamsError,
     ShapeMismatchError,
 )
+from vilenkin import hardy
 from vilenkin.group import make_group
 from vilenkin.hardy import (
     StepMartingale,
@@ -37,7 +38,10 @@ from vilenkin.spectral import (
     lp_norm,
     partial_sum,
     random_grid_function,
+    shift,
+    Spectrum,
     transform_forward,
+    transform_inverse,
 )
 
 
@@ -107,6 +111,26 @@ def test_modulus_nonincreasing_in_level(any_group):
     f = random_grid_function(any_group, 4, seed=21)
     vals = [modulus(f, 1, n) for n in range(5)]
     assert all(vals[i] >= vals[i + 1] - 1e-12 for i in range(4))
+
+
+def _modulus_per_shift(f, p, n):
+    """The supremum of ``modulus`` as one translated grid per shift h = H * M_n."""
+    Mn, MN = f.group.M[n], f.group.order(f.resolution)
+    return max((lp_norm(f.with_values(shift(f, H * Mn).values - f.values), p)
+                for H in range(1, MN // Mn)), default=0.0)
+
+
+@pytest.mark.parametrize("pattern", [[2], [3], [2, 3, 4], [5, 2]])
+def test_modulus_matches_per_shift_loop(pattern, monkeypatch):
+    g = make_group(pattern, 6)
+    for entries in (1 << 16, 3 * g.order(4) + 1):   # one chunk; several, the last one short
+        monkeypatch.setattr(hardy, "_SHIFT_ENTRIES", entries)
+        for N in range(5):
+            f = random_grid_function(g, N, seed=N)
+            for p in (0.5, 1.0, 2.0, np.inf):
+                for n in range(N + 1):
+                    ref = _modulus_per_shift(f, p, n)
+                    assert abs(modulus(f, p, n) - ref) <= 1e-12 * max(ref, 1.0)
 
 
 def test_watari_bracket(any_group):
@@ -223,6 +247,22 @@ def test_counterexample_atom_route_matches(walsh):
                      * dirichlet_block(walsh, a, rank))
         total += lam * atom_vals
     assert np.abs(mart.final.values - total).max() < 1e-10
+
+
+@pytest.mark.parametrize("pattern", [[2], [3], [2, 3, 4], [5, 2]])
+@pytest.mark.parametrize("kind", ["strong-partial-sums", "strong-fejer", "hp-blocks"])
+def test_counterexample_closed_form_matches_transform(pattern, kind):
+    g = make_group(pattern, 6)
+    alphas, rank = [1, 2, 3], 5
+    if g.order(rank) > 2000:
+        alphas, rank = [1, 2], 4
+    full = counterexample(g, kind, alphas, rank=rank, p=0.4).final.values
+    coeffs = block_coefficients(g, kind, alphas, rank, p=0.4)
+    ref = transform_inverse(Spectrum(g, rank, coeffs)).values
+    assert np.abs(full - ref).max() <= 1e-12 * np.abs(ref).max()
+    # every block is supported on I_{alpha_1}: the points x with x mod M_{alpha_1} != 0
+    off = np.arange(g.order(rank)) % g.M[alphas[0]] != 0
+    assert (full[off] == 0).all()
 
 
 def test_counterexample_invalid_alphas(walsh):

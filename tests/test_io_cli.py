@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,3 +194,19 @@ def test_cli_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("k,m_k")
+
+
+@pytest.mark.parametrize("m,levels", [("2", 12), ("3", 9), ("2,3,4", 9)])
+def test_verify_json_independent_of_blas_threads(m, levels):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = src + (os.pathsep + base["PYTHONPATH"] if base.get("PYTHONPATH") else "")
+    argv = [sys.executable, "-m", "vilenkin.cli", "verify", "--suite", "all",
+            "--format", "json", "--m", m, "--levels", str(levels), "--seed", "11"]
+    outs = []
+    for threads in ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, {}):
+        proc = subprocess.run(argv, env={**base, **threads}, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]

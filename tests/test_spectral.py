@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from vilenkin.errors import DomainError, RangeError, ShapeMismatchError
+from vilenkin.group import make_group
+from vilenkin.hardy import project_to_level
 from vilenkin.spectral import (
+    _BLOCK,
+    _blocks,
     GridFunction,
     character_function,
     constant,
@@ -175,6 +179,38 @@ def test_values_are_immutable(walsh):
         f.values[0] = 1.0
 
 
+# Radices 70 and 100 exceed _BLOCK, so they form blocks of their own.
+FUSED_GROUPS = [([2], 9), ([3], 6), ([5], 4), ([2, 3, 4], 5), ([70, 3], 2), ([2, 100, 3], 3)]
+
+
+@pytest.mark.parametrize("pattern,levels", FUSED_GROUPS)
+def test_fused_pass_matches_naive_at_every_resolution(pattern, levels):
+    g = make_group(pattern, levels)
+    for N in range(levels + 1):
+        f = random_grid_function(g, N, seed=N)
+        assert np.abs(transform_forward(f).coeffs - naive_forward(f).coeffs).max() < 1e-12
+
+
+@pytest.mark.parametrize("pattern,levels", FUSED_GROUPS + [([2], 17), ([3], 11)])
+def test_blocks_partition_digits(pattern, levels):
+    g = make_group(pattern, levels)
+    runs = _blocks(g.m)
+    assert [j0 for j0, _ in runs] == [0] + [j1 for _, j1 in runs[:-1]]
+    assert runs[-1][1] == levels
+    for j0, j1 in runs:
+        assert j1 - j0 == 1 or g.M[j1] // g.M[j0] <= _BLOCK
+    for (j0, j1), _ in zip(runs, runs[1:]):     # no run could take the next digit
+        assert g.M[j1 + 1] // g.M[j0] > _BLOCK
+    assert _blocks(()) == ()
+
+
+def test_rank0_transform_round_trip(mixed):
+    f = project_to_level(random_grid_function(mixed, 3, seed=6), 0)
+    s = transform_forward(f)
+    assert s.coeffs[0] == f.values[0]
+    assert transform_inverse(s).values[0] == f.values[0]
+
+
 @pytest.mark.parametrize("res", [0, 1, 4])
 def test_inverse_rows_matches_transform_inverse(any_group, res):
     g = any_group
@@ -187,6 +223,17 @@ def test_inverse_rows_matches_transform_inverse(any_group, res):
         assert np.abs(v - transform_inverse(Spectrum(g, res, c)).values).max() <= 1e-12
     with pytest.raises(ShapeMismatchError):
         inverse_rows(g, res, np.ones((2, MN + 1)))
+
+
+@pytest.mark.parametrize("pattern,levels", FUSED_GROUPS)
+def test_inverse_rows_batch_matches_rows_on_fused_blocks(pattern, levels):
+    g = make_group(pattern, levels)
+    rng = np.random.default_rng(4)
+    shape = (2, 3, g.order(levels))
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    vals = inverse_rows(g, levels, coeffs)
+    for c, v in zip(coeffs.reshape(6, -1), vals.reshape(6, -1)):
+        assert np.abs(v - transform_inverse(Spectrum(g, levels, c)).values).max() <= 1e-12
 
 
 def test_row_norms_equal_per_row_norms(mixed):
