@@ -90,16 +90,17 @@ def cmd_kernel(args) -> int:
         f = kernels.dirichlet(g, n, N)
     elif args.kind == "fejer":
         f = kernels.fejer(g, n, N)
-    elif args.kind == "riesz-log":
-        f = kernels.riesz_log_kernel(g, n, N)
-    elif args.kind == "norlund-log":
-        f = kernels.norlund_log_kernel(g, n, N)
     else:
-        q = _weights_from_args(args, n)
-        fn = kernels.norlund_kernel if args.kind == "norlund" else kernels.tmean_kernel
-        f = fn(g, q, n, N)
+        kind = args.kind.replace("-", "_")
+        f = kernels.mean_kernel(g, kind, n, N, **_mean_params(args, kind, n))
     _emit(args, ["x-index", "re", "im"], io.kernel_csv_rows(f), json_obj=io.grid_to_dict(f))
     return 0
+
+
+def _mean_params(args, kind: str, n: int) -> dict:
+    """The parameters of a summation kind, read from the arguments of the same name."""
+    return {name: _weights_from_args(args, n) if name == "q" else getattr(args, name)
+            for name in means.param_names(kind)}
 
 
 def _weights_from_args(args, n: int) -> weights.WeightSequence:
@@ -139,11 +140,7 @@ def cmd_mean(args) -> int:
         f = io.load_grid(args.input, g)
     else:
         f = random_grid_function(g, args.res, seed=args.seed)
-    kw = {}
-    if args.kind in ("cesaro", "u", "v"):
-        kw["alpha"] = args.alpha
-    if args.kind in ("norlund", "tmean"):
-        kw["q"] = _weights_from_args(args, args.max_n)
+    kw = _mean_params(args, args.kind, args.max_n)
     orders = range(means.first_order(args.kind), args.max_n + 1)
     rows = []
     for _, ns, vals in means.mean_blocks(f, args.kind, orders, **kw):

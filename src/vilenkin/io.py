@@ -48,7 +48,12 @@ def grid_from_dict(obj: dict, group: GroupSpec | None = None) -> GridFunction:
     if len(m) < N:
         raise InvalidParamsError("radix list shorter than the resolution")
     g = group if group is not None else make_group(m)
+    if list(g.m[:N]) != m[:N]:
+        raise InvalidParamsError(
+            f"grid file radices {m[:N]} do not match the group's radices {list(g.m[:N])}")
     vals = np.array([complex(re, im) for re, im in obj["values"]])
+    if not np.isfinite(vals).all():
+        raise InvalidParamsError("grid file values must be finite (no NaN or inf)")
     return GridFunction(g, N, vals)
 
 

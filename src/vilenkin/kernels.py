@@ -1,4 +1,4 @@
-"""Dirichlet, Fejer, Norlund, T, and logarithmic-mean kernels.
+"""Dirichlet, Fejer and weighted-mean kernels, and Lebesgue constants.
 
 Every kernel of index n is constant on rank-(|n|+1) cosets, so that is the
 default evaluation resolution.  Dirichlet and Fejer kernels carry two
@@ -7,47 +7,37 @@ from the block identities (Dirichlet: the digit-expansion product formula;
 Fejer: the block decomposition through K at s*M_t indices).  Their
 agreement is exercised by the verification suites.
 
-Kernel grids are memoized in a read-only cache keyed by
-(group, kind, n, resolution, weights); concurrent readers are safe and
-insertion happens under a lock.
+The weighted kernels (Norlund, T, Riesz- and Norlund-logarithmic, and any
+other kind in ``means._KINDS``) are not written out here: ``mean_kernel``
+takes the mean's own weight vector w and evaluates sum_k w_k D_k as one
+spectral multiplier, the coefficient tails of w.
+
+Kernel grids are memoized in an LRU cache of at most ``_CACHE_ENTRIES``
+grids, keyed by (group, kind, n, resolution) or, for weighted kernels, by
+(group, resolution, weight vector); lookups and insertions hold a lock.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import means
 from .characters import _unit_roots, character_column
 from .errors import DomainError, RangeError, ShapeMismatchError
 from .group import GroupSpec, NatDigits, digit_matrix, digits_of, variation_v, variation_vstar
-from .spectral import GridFunction, Spectrum, transform_inverse, lp_norm
-from .weights import WeightSequence, harmonic_number
+from .spectral import GridFunction, Spectrum, coefficient_tails, lp_norm, transform_inverse
+from .weights import WeightSequence
 
-_cache: dict = {}
+# Most kernel grids the cache keeps; the least recently used go first.  One
+# ``vilenkin verify --suite all`` run on [2]^12, [3]^9 or [2,3,4]^9 inserts
+# 343-349 grids (under 0.6 MB), so a whole run stays cached.
+_CACHE_ENTRIES = 512
+_cache: OrderedDict = OrderedDict()
 _cache_lock = threading.Lock()
-
-KERNEL_KINDS = ("dirichlet", "fejer", "norlund", "tmean", "riesz_log", "norlund_log")
-
-
-@dataclass(frozen=True)
-class KernelId:
-    """Identifies a kernel grid: kind, index n, optional weight sequence."""
-
-    kind: str
-    n: int
-    weights: WeightSequence | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in KERNEL_KINDS:
-            raise DomainError(f"unknown kernel kind {self.kind!r}")
-        if self.kind in ("norlund", "tmean") and self.weights is None:
-            raise DomainError(f"{self.kind} kernel requires a weight sequence")
-        if self.kind not in ("norlund", "tmean") and self.weights is not None:
-            raise DomainError(f"{self.kind} kernel takes no weight sequence")
-        if self.n < 1 and self.kind != "dirichlet":
-            raise RangeError("summed kernels require n >= 1")
 
 
 def min_resolution(g: GroupSpec, n: int) -> int:
@@ -71,11 +61,15 @@ def _resolve(g: GroupSpec, n: int, N: int | None) -> int:
 def _cached(key, build):
     with _cache_lock:
         hit = _cache.get(key)
-    if hit is not None:
-        return hit
+        if hit is not None:
+            _cache.move_to_end(key)
+            return hit
     val = build()
     with _cache_lock:
-        _cache.setdefault(key, val)
+        val = _cache.setdefault(key, val)
+        _cache.move_to_end(key)
+        while len(_cache) > _CACHE_ENTRIES:
+            _cache.popitem(last=False)
     return val
 
 
@@ -242,94 +236,41 @@ def fejer(g: GroupSpec, n: int, N: int | None = None, method: str = "closed") ->
 
 
 # ---------------------------------------------------------------------------
-# Weighted Dirichlet combinations (Norlund, T, logarithmic kernels)
+# Kernels of the summation methods in means._KINDS
 # ---------------------------------------------------------------------------
 
-def _dirichlet_combination(g: GroupSpec, coeffs: np.ndarray, N: int) -> np.ndarray:
-    """sum_k coeffs[k] * D_k as one spectral multiplier.
+def mean_kernel(g: GroupSpec, kind: str, n: int, N: int | None = None, **params) -> GridFunction:
+    """sum_k w_k D_k for the weight vector w = weights(n) of a ``means._KINDS`` kind.
 
-    D_k contains psi_j exactly for j < k, so the coefficient at psi_j is
-    sum_{k>j} coeffs[k].
+    This is the kernel of the order-n mean of that kind: convolving f with
+    it gives the mean, up to rounding.  The weights come from the mean's own
+    table entry, so its parameter checks and messages apply here too.
     """
-    MN = g.order(N)
-    if len(coeffs) > MN + 1:
-        raise RangeError("combination order exceeds grid order")
-    tail = np.zeros(MN, dtype=np.complex128)
-    rev = np.cumsum(coeffs[::-1])[::-1]
-    upto = min(len(coeffs) - 1, MN)
-    tail[:upto] = rev[1:upto + 1]
-    return transform_inverse(Spectrum(g, N, tail)).values
+    w = means._method(kind, params)[1](n)
+    N = _resolve(g, n, N)
+    key = (g.key(), "weighted", N, w.tobytes())
+    return GridFunction(g, N, _cached(key, lambda: transform_inverse(
+        Spectrum(g, N, coefficient_tails(w, g.order(N)))).values))
 
 
 def norlund_kernel(g: GroupSpec, q: WeightSequence, n: int, N: int | None = None) -> GridFunction:
     """A_n = (1/Q_n) sum_{k=1}^{n} q_{n-k} D_k (reversed weights)."""
-    if n < 1:
-        raise RangeError("norlund kernel requires n >= 1")
-    if q.q(0) <= 0:
-        raise DomainError("norlund weights require q_0 > 0")
-    N = _resolve(g, n, N)
-    Qn = q.Q(n)
-    coeffs = np.zeros(n + 1)
-    for k in range(1, n + 1):
-        coeffs[k] = q.q(n - k) / Qn
-    key = (g.key(), "norlund", n, N, q.key())
-    return GridFunction(g, N, _cached(key, lambda: _dirichlet_combination(g, coeffs, N)))
+    return mean_kernel(g, "norlund", n, N, q=q)
 
 
 def tmean_kernel(g: GroupSpec, q: WeightSequence, n: int, N: int | None = None) -> GridFunction:
-    """F_n = (1/Q_n) sum_{k=1}^{n-1} q_k D_k (forward weights).
-
-    Index range chosen so the T mean is exactly convolution with F_n given
-    S_0 f = 0.
-    """
-    if n < 1:
-        raise RangeError("t-mean kernel requires n >= 1")
-    N = _resolve(g, n, N)
-    Qn = q.Q(n)
-    coeffs = np.zeros(n)
-    for k in range(1, n):
-        coeffs[k] = q.q(k) / Qn
-    key = (g.key(), "tmean", n, N, q.key())
-    return GridFunction(g, N, _cached(key, lambda: _dirichlet_combination(g, coeffs, N)))
+    """F_n = (1/Q_n) sum_{k=1}^{n-1} q_k D_k (forward weights, S_0 f = 0)."""
+    return mean_kernel(g, "tmean", n, N, q=q)
 
 
 def riesz_log_kernel(g: GroupSpec, n: int, N: int | None = None) -> GridFunction:
     """Y_n = (1/l_n) sum_{k=1}^{n-1} D_k / k, n >= 2."""
-    if n < 2:
-        raise RangeError("riesz-log kernel requires n >= 2 (l_n = 0 otherwise)")
-    N = _resolve(g, n, N)
-    ln = harmonic_number(n)
-    coeffs = np.zeros(n)
-    coeffs[1:] = 1.0 / (np.arange(1, n) * ln)
-    key = (g.key(), "riesz_log", n, N)
-    return GridFunction(g, N, _cached(key, lambda: _dirichlet_combination(g, coeffs, N)))
+    return mean_kernel(g, "riesz_log", n, N)
 
 
 def norlund_log_kernel(g: GroupSpec, n: int, N: int | None = None) -> GridFunction:
     """P_n = (1/l_n) sum_{k=1}^{n-1} D_k / (n-k), n >= 2."""
-    if n < 2:
-        raise RangeError("norlund-log kernel requires n >= 2 (l_n = 0 otherwise)")
-    N = _resolve(g, n, N)
-    ln = harmonic_number(n)
-    coeffs = np.zeros(n)
-    coeffs[1:] = 1.0 / ((n - np.arange(1, n)) * ln)
-    key = (g.key(), "norlund_log", n, N)
-    return GridFunction(g, N, _cached(key, lambda: _dirichlet_combination(g, coeffs, N)))
-
-
-def kernel(g: GroupSpec, kid: KernelId, N: int | None = None) -> GridFunction:
-    """Dispatch a KernelId to its evaluator."""
-    if kid.kind == "dirichlet":
-        return dirichlet(g, kid.n, N)
-    if kid.kind == "fejer":
-        return fejer(g, kid.n, N)
-    if kid.kind == "norlund":
-        return norlund_kernel(g, kid.weights, kid.n, N)
-    if kid.kind == "tmean":
-        return tmean_kernel(g, kid.weights, kid.n, N)
-    if kid.kind == "riesz_log":
-        return riesz_log_kernel(g, kid.n, N)
-    return norlund_log_kernel(g, kid.n, N)
+    return mean_kernel(g, "norlund_log", n, N)
 
 
 # ---------------------------------------------------------------------------
@@ -412,15 +353,3 @@ def q_pattern(g: GroupSpec, k: int) -> int:
         raise RangeError("pattern level exceeds group levels")
     return sum(g.M[2 * i] for i in range(k + 1))
 
-
-def kernel_lemma_bounds(g: GroupSpec, n_max: int = 64, N: int | None = None,
-                        tol: float = 1e-12):
-    """Pointwise/averaged kernel estimates on the coset cells, as records.
-
-    Vanishing claims are checked to exact zero within ``tol``; claims with
-    an unspecified constant report their empirical supremum.  Thin wrapper
-    over the verification suite so kernel consumers can run it directly.
-    """
-    from .verify import run_kernel_lemma_suite
-
-    return run_kernel_lemma_suite(g, n_max=n_max, tol=tol, N=N)

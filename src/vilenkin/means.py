@@ -1,12 +1,12 @@
 """Summability means of grid functions and weighted maximal operators.
 
-All means follow the convention sum_{k=1}^{n} with S_0 f = 0, matching the
-kernels module.  Each kind of mean is one weight vector w on the partial
-sums S_k, built by its ``_*_weights(n)`` function; the mean is the single
-spectral multiplier sum_k w_k S_k f (weights on S_k translate to
-coefficient tail sums), which makes the convolution representation
-mean_n f = f * kernel_n exact up to rounding.  The per-order functions
-(``fejer_mean``, ``t_mean``, ...) evaluate that multiplier on the full grid
+All means follow the convention sum_{k=1}^{n} with S_0 f = 0.  Each kind of
+mean is one weight vector w on the partial sums S_k, one ``weights(n)`` entry
+of the table ``_KINDS``; the mean is the spectral multiplier sum_k w_k S_k f
+(the coefficient tails of w), and ``kernels.mean_kernel`` builds its kernel
+sum_k w_k D_k from the same entry, so mean_n f = f * kernel_n up to rounding
+and both share the entry's parameter checks.  The per-order functions
+(``fejer_mean``, ``t_mean``, ...) evaluate the multiplier on the full grid
 and serve as the oracle path.
 
 Scans over the order n (maximal operators, strong sums, divergence probes,
@@ -31,6 +31,7 @@ from .errors import DomainError, RangeError
 from .spectral import (
     GridFunction,
     Spectrum,
+    coefficient_tails,
     inverse_rows,
     partial_sum,
     transform_forward,
@@ -40,12 +41,16 @@ from .weights import WeightSequence, harmonic_number, power_weights
 
 
 def _partial_sum_weights(n: int) -> np.ndarray:
+    if n < 0:
+        raise RangeError("partial sum requires n >= 0")
     w = np.zeros(n + 1)
     w[n] = 1.0
     return w
 
 
 def _fejer_weights(n: int) -> np.ndarray:
+    if n < 1:
+        raise RangeError("fejer mean requires n >= 1")
     w = np.zeros(n + 1)
     w[1:] = 1.0 / n
     return w
@@ -267,12 +272,17 @@ _KINDS = {
 }
 
 
-def _method(kind: str, params: dict) -> tuple[MeanFn, Callable[[int], np.ndarray]]:
-    """The per-order mean and the weights(n) of a kind, bound to its parameters."""
+def param_names(kind: str) -> tuple[str, ...]:
+    """Names of the parameters a kind's mean and weights(n) take."""
     if kind not in _KINDS:
         raise DomainError(f"unknown mean kind {kind!r}")
-    mean, weights, names = _KINDS[kind]
-    args = tuple(params[name] for name in names)
+    return _KINDS[kind][2]
+
+
+def _method(kind: str, params: dict) -> tuple[MeanFn, Callable[[int], np.ndarray]]:
+    """The per-order mean and the weights(n) of a kind, bound to its parameters."""
+    args = tuple(params[name] for name in param_names(kind))
+    mean, weights, _ = _KINDS[kind]
     return (lambda f, n, s: mean(f, n, *args, s)), (lambda n: weights(n, *args))
 
 
@@ -300,10 +310,9 @@ def mean_blocks(
     ``hardy.embed`` replicates a row onto f's grid.  One forward transform
     serves the sweep: each level's spectrum is its prefix f^(0..M_j-1), the
     exact spectrum of E_j f.  A block's coefficient rows are that prefix
-    times the reverse cumulative sums of the orders' weight vectors (the
-    same tails ``weighted_sum_combination`` forms), synthesized by one
-    batched inverse; no block holds more than ``_BLOCK_ENTRIES`` entries
-    unless a single row does.  Orders outside 1..M_N go to the full grid
+    times the coefficient tails of the orders' weight vectors, synthesized
+    by one batched inverse; no block holds more than ``_BLOCK_ENTRIES``
+    entries unless a single row does.  Orders outside 1..M_N go to the full grid
     one at a time, where the per-order mean raises its usual error.  Orders
     may come in any order and repeat.
     """
@@ -329,9 +338,7 @@ def mean_blocks(
         for b, n in enumerate(ns):
             w = weights(n)
             W[b, :w.size] = w
-        # tails[b, k] = sum_{i>k} W[b, i]: the multiplier of f^(k) in row b
-        tails = np.cumsum(W[:, ::-1], axis=1)[:, ::-1][:, 1:]
-        yield j, ns, inverse_rows(g, j, s.coeffs[:M[j]] * tails)
+        yield j, ns, inverse_rows(g, j, s.coeffs[:M[j]] * coefficient_tails(W, M[j]))
         start = stop
 
 

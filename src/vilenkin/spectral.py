@@ -190,8 +190,10 @@ def naive_forward(f: GridFunction) -> Spectrum:
     MN = g.order(N)
     dm = digit_matrix(g, N)
     coeffs = np.empty(MN, dtype=np.complex128)
-    # exponent of psi_n at x is sum_j n_j x_j / m_j; build rows one n at a time
-    digit_tables = [np.exp(-2j * np.pi * np.outer(np.arange(g.m[j]), dm[j]) / g.m[j]) for j in range(N)]
+    # exponent of psi_n at x is sum_j n_j x_j / m_j, each term reduced exactly
+    # mod 1 before the exponential; build rows one n at a time
+    digit_tables = [np.exp(-2j * np.pi * ((np.outer(np.arange(g.m[j]), dm[j]) % g.m[j]) / g.m[j]))
+                    for j in range(N)]
     for n in range(MN):
         t = n
         row = np.ones(MN, dtype=np.complex128)
@@ -233,20 +235,29 @@ def weighted_sum_combination(
     """sum_k weights[k] * S_k f, evaluated as one coefficient multiplier.
 
     S_k f contains psi_j exactly when j < k, so the combined coefficient
-    multiplier at j is sum_{k>j} weights[k].  ``weights`` is indexed by k
-    from 0 (entry 0 is vacuous since S_0 f = 0).
+    multiplier at j is sum_{k>j} weights[k] (``coefficient_tails``).
+    ``weights`` is indexed by k from 0 (entry 0 is vacuous since S_0 f = 0).
     """
-    MN = f.group.order(f.resolution)
     w = np.asarray(weights, dtype=np.complex128)
-    if w.shape[0] > MN + 1:
-        raise RangeError("weight list longer than M_N + 1")
+    tail = coefficient_tails(w, f.group.order(f.resolution))
     s = spectrum if spectrum is not None else transform_forward(f)
-    tail = np.zeros(MN, dtype=np.complex128)
-    # tail[j] = sum_{k=j+1}^{len(w)-1} w[k]
-    rev = np.cumsum(w[::-1])[::-1]
-    upto = min(len(w) - 1, MN)
-    tail[:upto] = rev[1:upto + 1]
     return transform_inverse(Spectrum(f.group, f.resolution, s.coeffs * tail))
+
+
+def coefficient_tails(weights: np.ndarray, size: int) -> np.ndarray:
+    """Multipliers of f^(0..size-1) in sum_k weights[..., k] * S_k f.
+
+    S_k f contains psi_j exactly when j < k, so the multiplier at j is
+    sum_{k>j} weights[..., k]; entry 0 of the last axis is vacuous since
+    S_0 f = 0.  Leading axes are rows; the dtype of ``weights`` is kept.
+    """
+    w = np.asarray(weights)
+    if w.shape[-1] > size + 1:
+        raise RangeError("weight list longer than M_N + 1")
+    rev = np.cumsum(w[..., ::-1], axis=-1)[..., ::-1]
+    tail = np.zeros(w.shape[:-1] + (size,), dtype=rev.dtype)
+    tail[..., :w.shape[-1] - 1] = rev[..., 1:]
+    return tail
 
 
 def convolve(f: GridFunction, h: GridFunction) -> GridFunction:

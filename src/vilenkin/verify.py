@@ -34,12 +34,15 @@ from .group import (
 )
 from .spectral import (
     GridFunction,
+    Spectrum,
+    coefficient_tails,
     convolve,
     lp_norm,
     lp_norm_rows,
     partial_sum,
     random_grid_function,
     transform_forward,
+    transform_inverse,
     weak_lp_rows,
 )
 
@@ -758,9 +761,9 @@ def run_kernel_lemma_suite(g: GroupSpec, n_max: int = 64, tol: float = 1e-12,
                 tail_vals = kernels.tmean_kernel(g, q, n, N=res).values
             else:
                 coeffs = np.zeros(n)
-                for j in range(g.M[N], n):
-                    coeffs[j] = q.q(j) / Qn
-                tail_vals = kernels._dirichlet_combination(g, coeffs, res)
+                coeffs[g.M[N]:] = q.values[g.M[N]:n] / Qn
+                tail = coefficient_tails(coeffs, g.order(res))
+                tail_vals = transform_inverse(Spectrum(g, res, tail)).values
             dom = sum(g.M[lvl] * np.abs(kernels.fejer_block(g, lvl, res))
                       for lvl in range(0, digits_of(n, g).hi + 1))
             scale = (n if use_n else g.M[N])

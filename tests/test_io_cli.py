@@ -9,6 +9,7 @@ import pytest
 
 from vilenkin import io as vio
 from vilenkin.cli import main
+from vilenkin.errors import InvalidParamsError
 from vilenkin.group import make_group
 from vilenkin.hardy import counterexample
 from vilenkin.spectral import random_grid_function
@@ -162,6 +163,30 @@ def test_cli_transform_round_trip(tmp_path, capsys):
     from vilenkin.spectral import transform_forward
 
     assert np.abs(spec.values - transform_forward(f).coeffs).max() < 1e-14
+
+
+def test_grid_file_radices_must_match_group(tmp_path, capsys):
+    f = random_grid_function(make_group([2, 3], 2), 2, seed=1)
+    src = tmp_path / "f.json"
+    vio.save_grid(f, src)
+    with pytest.raises(InvalidParamsError):
+        vio.load_grid(src, make_group([3, 2], 2))
+    assert run_cli("transform", "--m", "3,2", "--res", "2", "--input", str(src)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "radices" in err
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_grid_file_values_must_be_finite(tmp_path, capsys, bad):
+    obj = vio.grid_to_dict(random_grid_function(make_group([2], 2), 2, seed=1))
+    obj["values"][1][0] = bad
+    src = tmp_path / "f.json"
+    src.write_text(json.dumps(obj))
+    with pytest.raises(InvalidParamsError):
+        vio.load_grid(src)
+    assert run_cli("transform", "--m", "2", "--res", "2", "--input", str(src)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,19 +1,21 @@
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
+from vilenkin import kernels
 from vilenkin import weights as wts
-from vilenkin.errors import DegenerateWeightsError, RangeError, ShapeMismatchError
+from vilenkin.errors import DegenerateWeightsError, RangeError, ShapeMismatchError, VilenkinError
 from vilenkin.group import digits_of, make_group
 from vilenkin.kernels import (
-    KernelId,
     dirichlet,
     dirichlet_block,
     fejer,
     fejer_l1_batch,
-    kernel,
     lebesgue_batch,
     lebesgue_bounds,
     lebesgue_constant,
+    mean_kernel,
     min_resolution,
     norlund_kernel,
     norlund_log_kernel,
@@ -21,6 +23,7 @@ from vilenkin.kernels import (
     riesz_log_kernel,
     tmean_kernel,
 )
+from vilenkin.means import _KINDS, _mean_by_kind, first_order, param_names
 from vilenkin.spectral import convolve, random_grid_function
 
 
@@ -136,14 +139,6 @@ def test_harmonic_number():
     assert wts.harmonic_number(4) == pytest.approx(11 / 6)
 
 
-def test_kernel_id_validation():
-    with pytest.raises(Exception):
-        KernelId("norlund", 4)   # missing weights
-    kid = KernelId("fejer", 4)
-    g = make_group([2], 6)
-    assert np.abs(kernel(g, kid).values - fejer(g, 4).values).max() == 0
-
-
 def test_lebesgue_values(walsh):
     assert lebesgue_constant(walsh, 1) == pytest.approx(1.0, abs=1e-14)
     assert lebesgue_constant(walsh, 3) == pytest.approx(1.5, abs=1e-14)
@@ -204,3 +199,59 @@ def test_min_resolution(walsh):
     assert min_resolution(walsh, 1) == 1
     assert min_resolution(walsh, 3) == 2
     assert min_resolution(walsh, 8) == 4
+
+
+def _kind_params(kind: str) -> dict:
+    values = {"alpha": 0.5, "q": wts.power_weights(0.5, 8)}
+    return {name: values[name] for name in param_names(kind)}
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+@pytest.mark.parametrize("pattern,levels", [([2], 5), ([3], 3), ([2, 3, 4], 3)])
+def test_mean_kernel_convolves_to_the_mean(kind, pattern, levels):
+    g = make_group(pattern, levels + 1)
+    f = random_grid_function(g, levels, seed=levels)
+    params = _kind_params(kind)
+    mean = _mean_by_kind(kind, **params)
+    for n in range(first_order(kind), g.M[levels]):
+        K = mean_kernel(g, kind, n, N=levels, **params)
+        assert np.abs(convolve(f, K).values - mean(f, n, None).values).max() < 1e-12
+
+
+BAD_MEANS = [(kind, first_order(kind) - 1, _kind_params(kind)) for kind in sorted(_KINDS)] + [
+    ("partial_sum", -1, {}),
+    ("norlund", 3, {"q": wts.from_values([0.0, 1.0, 1.0, 1.0])}),
+    ("tmean", 2, {"q": wts.from_values([0.0, 0.0, 1.0])}),
+    ("v", 3, {"alpha": 1.0}),
+    ("u", 3, {"alpha": 0.0}),
+    ("cesaro", 3, {"alpha": 1.5}),
+]
+
+
+@pytest.mark.parametrize("kind,n,params", BAD_MEANS)
+def test_mean_kernel_fails_like_the_mean(kind, n, params):
+    g = make_group([2], 5)
+    f = random_grid_function(g, 4, seed=5)
+    try:
+        expected = _mean_by_kind(kind, **params)(f, n, None)
+    except VilenkinError as exc:
+        with pytest.raises(type(exc)):
+            mean_kernel(g, kind, n, N=4, **params)
+    else:   # S_0 f = 0: the partial-sum kernel D_0 is 0 as well
+        K = mean_kernel(g, kind, n, N=4, **params)
+        assert np.abs(convolve(f, K).values - expected.values).max() < 1e-12
+
+
+def test_kernel_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(kernels, "_cache", OrderedDict())
+    monkeypatch.setattr(kernels, "_CACHE_ENTRIES", 8)
+    g = make_group([3], 5)
+    first = {n: dirichlet(g, n).values for n in range(1, 30)}
+    assert len(kernels._cache) == 8
+    assert all(np.array_equal(dirichlet(g, n).values, v) for n, v in first.items())
+    assert len(kernels._cache) == 8
+    # a hit refreshes an entry, so the least recently used one goes next
+    dirichlet(g, 22)
+    dirichlet(g, 30)
+    keys = [key[2] for key in kernels._cache]
+    assert 22 in keys and 23 not in keys and len(keys) == 8

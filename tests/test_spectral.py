@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vilenkin.errors import DomainError, RangeError, ShapeMismatchError
-from vilenkin.group import make_group
+from vilenkin.group import digit_matrix, make_group
 from vilenkin.hardy import project_to_level
 from vilenkin.spectral import (
     _BLOCK,
@@ -248,3 +248,25 @@ def test_row_norms_equal_per_row_norms(mixed):
         lp_norm_rows(rows, 0)
     with pytest.raises(DomainError):
         weak_lp_rows(rows, -1.0)
+
+
+def _longdouble_forward(f):
+    """Every coefficient summed in long double, phases reduced exactly mod 1."""
+    g, N = f.group, f.resolution
+    dm = digit_matrix(g, N)
+    turns = np.zeros((g.order(N), g.order(N)), dtype=np.longdouble)
+    for j in range(N):
+        turns += (np.outer(dm[j], dm[j]) % g.m[j]).astype(np.longdouble) / g.m[j]
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    table = np.exp(np.clongdouble(-1j) * two_pi * (turns % 1))
+    return table @ f.values.astype(np.clongdouble) / g.order(N)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="long double is no wider than double on this platform")
+@pytest.mark.parametrize("pattern,levels", [([70, 3], 2), ([2, 100, 3], 3)])
+def test_naive_forward_matches_long_double_sum(pattern, levels):
+    g = make_group(pattern, levels)
+    f = random_grid_function(g, levels, seed=levels)
+    err = np.abs(naive_forward(f).coeffs - _longdouble_forward(f)).max()
+    assert err < 1e-15
