@@ -165,8 +165,19 @@ def cmd_transform(args) -> int:
     return 0
 
 
+# The least values `verify` accepts: the divergence suite builds its
+# martingale on 8 levels; below --max-n 8 the identity suite indexes past its
+# kernel tables and the strong suite normalizes by log 1 = 0.
+VERIFY_MINIMUMS = {"levels": 8, "max_n": 8, "samples": 1}
+
+
 def cmd_verify(args) -> int:
-    g = _group_from_args(args, min_levels=8)
+    for name, least in VERIFY_MINIMUMS.items():
+        value = getattr(args, name)
+        if value is not None and value < least:
+            flag = "--" + name.replace("_", "-")
+            raise InvalidParamsError(f"verify needs {flag} >= {least}, got {value}")
+    g = _group_from_args(args, min_levels=VERIFY_MINIMUMS["levels"])
     names = verify.SUITES if args.suite == "all" else tuple(args.suite.split(","))
     records = []
     for name in names:
@@ -208,12 +219,7 @@ def cmd_counterexample(args) -> int:
               file=sys.stderr)
     out_prefix = args.out if args.out != "-" else "counterexample"
     io.save_martingale(mart, f"{out_prefix}.martingale.json")
-    q = weights.ones(g.M[alphas[-1]] + 2)
-    cps = [g.M[a] + 2 for a in alphas]
-    rows = verify.divergence_probe(
-        mart, "tmean", args.p, cps, q=q,
-        bound_fn=lambda n: next(g.M[a] ** (1.0 / args.p - 2.0) / (16.0 * a)
-                                for a in alphas if g.M[a] + 2 == n))
+    rows = verify.tmean_block_probe(mart, args.p, alphas)
     table = [[r["n"], r["weak_lp"], r["bound"]] for r in rows]
     io.write_csv(f"{out_prefix}.probe.csv", ["n", "weak_lp", "bound"], table)
     print(f"wrote {out_prefix}.martingale.json and {out_prefix}.probe.csv")

@@ -43,15 +43,23 @@ def grid_to_dict(f: GridFunction) -> dict:
 
 
 def grid_from_dict(obj: dict, group: GroupSpec | None = None) -> GridFunction:
-    N = int(obj["resolution"])
-    m = [int(r) for r in obj["m"]]
+    if not isinstance(obj, dict) or not {"m", "resolution", "values"} <= obj.keys():
+        raise InvalidParamsError('a grid file is a JSON object with "m", "resolution" and "values"')
+    N = obj["resolution"]
+    if not isinstance(N, int) or isinstance(N, bool) or N < 0:
+        raise InvalidParamsError(f"grid file resolution must be a nonnegative integer, got {N!r}")
+    try:
+        m = [int(r) for r in obj["m"]]
+        vals = np.array([complex(re, im) for re, im in obj["values"]])
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParamsError(
+            'grid file "m" must list integers and "values" must hold [re, im] pairs') from None
     if len(m) < N:
         raise InvalidParamsError("radix list shorter than the resolution")
     g = group if group is not None else make_group(m)
     if list(g.m[:N]) != m[:N]:
         raise InvalidParamsError(
             f"grid file radices {m[:N]} do not match the group's radices {list(g.m[:N])}")
-    vals = np.array([complex(re, im) for re, im in obj["values"]])
     if not np.isfinite(vals).all():
         raise InvalidParamsError("grid file values must be finite (no NaN or inf)")
     return GridFunction(g, N, vals)
@@ -66,7 +74,11 @@ def load_grid(path: str | Path, group: GroupSpec | None = None) -> GridFunction:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InvalidParamsError(f"cannot read grid file {str(path)!r}: {exc.strerror}") from None
-    return grid_from_dict(json.loads(text), group)
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidParamsError(f"grid file {str(path)!r} is not valid JSON: {exc}") from None
+    return grid_from_dict(obj, group)
 
 
 def martingale_to_dict(mart: StepMartingale) -> dict:

@@ -98,10 +98,6 @@ class WeightSequence:
         q = np.concatenate([self.values, extra])
         self.__init__(values=q, monotonicity=self.monotonicity, generator=self.generator)
 
-    def key(self) -> tuple:
-        """Hashable identity for kernel caches."""
-        return (self.monotonicity, self.values.tobytes())
-
 
 def from_values(values: Sequence[float], monotonicity: str | None = None) -> WeightSequence:
     q = np.asarray(values, dtype=np.float64)

@@ -235,3 +235,46 @@ def test_verify_json_independent_of_blas_threads(m, levels):
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("flag,value,least", [
+    ("--levels", "3", "8"),
+    ("--levels", "7", "8"),
+    ("--max-n", "7", "8"),
+    ("--max-n", "2", "8"),
+    ("--max-n", "-1", "8"),
+    ("--samples", "0", "1"),
+])
+def test_cli_verify_refuses_small_sizes(capsys, flag, value, least):
+    assert run_cli("verify", "--m", "2", "--suite", "identities", flag, value) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err and f">= {least}" in err
+
+
+def test_cli_verify_runs_every_suite_at_the_least_sizes(capsys):
+    assert run_cli("verify", "--m", "3", "--levels", "8", "--max-n", "8", "--samples", "1") == 0
+
+
+@pytest.mark.parametrize("m,max_n", [("5", 16), ("7", 16), ("7", 32)])
+def test_cli_verify_kernel_lemmas_probe_orders_within_max_n(capsys, m, max_n):
+    assert run_cli("verify", "--suite", "kernel-lemmas", "--m", m, "--max-n", str(max_n)) == 0
+    assert capsys.readouterr().err == ""
+
+
+_GRID = {"m": [2, 2], "resolution": 2, "values": [[1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [0.0, 0.0]]}
+
+
+@pytest.mark.parametrize("text", [
+    '{"m": [2, 2], "resolution": 2, "values": [[1, 0]',
+    json.dumps({k: v for k, v in _GRID.items() if k != "resolution"}),
+    json.dumps({**_GRID, "resolution": "two"}),
+    json.dumps({**_GRID, "values": [[1.0, 0.0, 0.0]] * 4}),
+    json.dumps([_GRID]),
+], ids=["invalid-json", "no-resolution", "non-integer-resolution", "not-pairs", "top-level-list"])
+def test_malformed_grid_file(tmp_path, capsys, text):
+    src = tmp_path / "f.json"
+    src.write_text(text)
+    with pytest.raises(InvalidParamsError):
+        vio.load_grid(src)
+    assert run_cli("transform", "--m", "2", "--res", "2", "--input", str(src)) == 2
+    assert capsys.readouterr().err.startswith("error:")

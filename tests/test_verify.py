@@ -166,3 +166,39 @@ def test_strong_partial_sum_sharpness_rank8(walsh10):
         acc = math.fsum(verify.lp_norm(partial_sum(f, k, s), 1.0) for k in range(1, n + 1))
         vals.append(acc / (n * _default_phi(n)))
     assert vals[0] < vals[1] < vals[2]
+
+
+@pytest.fixture(scope="module")
+def records_by_group():
+    groups = [make_group(pat, lv) for pat, lv in (([2], 10), ([3], 7), ([2, 3, 4], 7))]
+    runs = [(g, verify.run_all(g, n_max=32, samples=3)) for g in groups]
+    g5 = make_group([5], 8)
+    return runs + [(g5, verify.run_divergence_suite(g5))]
+
+
+@pytest.mark.parametrize("suite", verify.SUITES)
+def test_each_suite_emits_exactly_its_claims(records_by_group, suite):
+    emitted = set()
+    for _, recs in records_by_group:
+        emitted |= {r.claim for r in recs if r.suite == suite}
+    assert emitted == set(verify.CLAIMS[suite])
+
+
+def test_record_params_start_with_the_group(records_by_group):
+    for g, recs in records_by_group:
+        for r in recs:
+            assert next(iter(r.params)) == "m" and r.params["m"] == list(g.m)
+
+
+def test_record_builder_refuses_a_claim_of_another_suite(walsh10):
+    from vilenkin.errors import DomainError
+
+    rec = verify._Records("identities", walsh10)
+    rec.report("1.1", 0.0)
+    with pytest.raises(DomainError):
+        rec.report("theorem1T", 0.0)
+    assert [r.claim for r in rec.records()] == ["1.1"]
+
+
+def test_each_claim_has_one_suite():
+    assert sum(len(claims) for claims in verify.CLAIMS.values()) == len(verify.all_claim_ids())
