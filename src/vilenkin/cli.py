@@ -18,7 +18,7 @@ import numpy as np
 
 from . import hardy, io, kernels, means, verify, weights
 from .errors import InvalidGroupError, InvalidParamsError, VilenkinError
-from .group import GroupSpec, digits_of, make_group
+from .group import GroupSpec, check_grid_points, digits_of, make_group
 from .spectral import (
     GridFunction,
     lp_norm_rows,
@@ -179,12 +179,15 @@ def cmd_verify(args) -> int:
             raise InvalidParamsError(f"verify needs {flag} >= {least}, got {value}")
     g = _group_from_args(args, min_levels=VERIFY_MINIMUMS["levels"])
     names = verify.SUITES if args.suite == "all" else tuple(args.suite.split(","))
-    records = []
     for name in names:
         if name not in verify.SUITES:
             print(f"unknown suite {name!r}; choose from {', '.join(verify.SUITES)} or all",
                   file=sys.stderr)
             return 2
+    if "divergence" in names:
+        check_grid_points(g, VERIFY_MINIMUMS["levels"])
+    records = []
+    for name in names:
         records.extend(verify.run_suite(name, g, n_max=args.max_n, tol=args.tol,
                                         seed=args.seed, samples=args.samples))
     if args.format == "json":

@@ -25,6 +25,10 @@ from .errors import (
 # Largest admissible M_L; grids beyond this cannot be indexed reliably.
 _MAX_ORDER = 2**62
 
+# Most points a grid built from parameters may have (128 MiB of complex
+# values); ``check_grid_points`` refuses larger grids before they exist.
+MAX_GRID_POINTS = 1 << 23
+
 
 @dataclass(frozen=True)
 class GroupSpec:
@@ -55,6 +59,15 @@ class GroupSpec:
     def key(self) -> tuple[int, ...]:
         """Hashable identity used for caches."""
         return self.m
+
+
+def check_grid_points(g: GroupSpec, resolution: int) -> int:
+    """M_N of a rank-N grid; RangeError if it exceeds ``MAX_GRID_POINTS``."""
+    MN = g.order(resolution)
+    if MN > MAX_GRID_POINTS:
+        raise RangeError(f"a rank-{resolution} grid on radices {list(g.m[:resolution])} has "
+                         f"{MN} points, more than the {MAX_GRID_POINTS} allowed")
+    return MN
 
 
 @dataclass(frozen=True)

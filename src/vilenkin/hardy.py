@@ -25,7 +25,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .characters import character_column
-from .group import GroupSpec, coset_indices, digit_matrix
+from .group import GroupSpec, check_grid_points, coset_indices, digit_matrix
 from .spectral import (
     GridFunction,
     lp_norm,
@@ -373,6 +373,7 @@ def counterexample(
         raise InvalidParamsError(f"rank {rank} cannot hold blocks up to level {needed}")
     if rank > g.levels:
         raise RangeError(f"rank {rank} exceeds group levels {g.levels}")
+    check_grid_points(g, rank)
     coeffs = block_coefficients(g, kind, alphas, rank, p=p, phi=phi)
     vals = np.zeros(g.order(rank), dtype=np.complex128)
     for a in alphas:

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidParamsError
+from .errors import InvalidParamsError, VilenkinError
 from .group import GroupSpec, make_group
 from .hardy import StepMartingale
 from .spectral import GridFunction
@@ -69,16 +69,19 @@ def save_grid(f: GridFunction, path: str | Path) -> None:
     Path(path).write_text(json.dumps(grid_to_dict(f)), encoding="utf-8")
 
 
-def load_grid(path: str | Path, group: GroupSpec | None = None) -> GridFunction:
+def _load_json(path: str | Path, what: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise InvalidParamsError(f"cannot read grid file {str(path)!r}: {exc.strerror}") from None
+        raise InvalidParamsError(f"cannot read {what} file {str(path)!r}: {exc.strerror}") from None
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InvalidParamsError(f"grid file {str(path)!r} is not valid JSON: {exc}") from None
-    return grid_from_dict(obj, group)
+        raise InvalidParamsError(f"{what} file {str(path)!r} is not valid JSON: {exc}") from None
+
+
+def load_grid(path: str | Path, group: GroupSpec | None = None) -> GridFunction:
+    return grid_from_dict(_load_json(path, "grid"), group)
 
 
 def martingale_to_dict(mart: StepMartingale) -> dict:
@@ -90,9 +93,20 @@ def martingale_to_dict(mart: StepMartingale) -> dict:
 
 
 def martingale_from_dict(obj: dict) -> StepMartingale:
-    g = make_group([int(r) for r in obj["m"]])
+    if not isinstance(obj, dict) or not {"m", "levels", "entries"} <= obj.keys():
+        raise InvalidParamsError(
+            'a martingale file is a JSON object with "m", "levels" and "entries"')
+    if not isinstance(obj["entries"], list):
+        raise InvalidParamsError('martingale file "entries" must be a list of grids')
+    try:
+        m = [int(r) for r in obj["m"]]
+        levels = tuple(int(n) for n in obj["levels"])
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParamsError(
+            'martingale file "m" and "levels" must list integers') from None
+    g = make_group(m)
     entries = tuple(grid_from_dict(e, g) for e in obj["entries"])
-    return StepMartingale(group=g, levels=tuple(int(n) for n in obj["levels"]), entries=entries)
+    return StepMartingale(group=g, levels=levels, entries=entries)
 
 
 def save_martingale(mart: StepMartingale, path: str | Path) -> None:
@@ -100,7 +114,11 @@ def save_martingale(mart: StepMartingale, path: str | Path) -> None:
 
 
 def load_martingale(path: str | Path) -> StepMartingale:
-    return martingale_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    obj = _load_json(path, "martingale")
+    try:
+        return martingale_from_dict(obj)
+    except VilenkinError as exc:
+        raise InvalidParamsError(f"martingale file {str(path)!r}: {exc}") from None
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -30,7 +30,6 @@ import numpy as np
 from .errors import DomainError, RangeError
 from .spectral import (
     GridFunction,
-    Spectrum,
     coefficient_tails,
     inverse_rows,
     partial_sum,
@@ -56,12 +55,12 @@ def _fejer_weights(n: int) -> np.ndarray:
     return w
 
 
-def fejer_mean(f: GridFunction, n: int, spectrum: Spectrum | None = None) -> GridFunction:
+def fejer_mean(f: GridFunction, n: int) -> GridFunction:
     """sigma_n f = (1/n) sum_{k=1}^{n} S_k f."""
     MN = f.group.order(f.resolution)
     if not 1 <= n <= MN:
         raise RangeError(f"fejer mean order {n} outside 1..{MN}")
-    return weighted_sum_combination(f, _fejer_weights(n), spectrum)
+    return weighted_sum_combination(f, _fejer_weights(n))
 
 
 @dataclass(frozen=True)
@@ -102,9 +101,9 @@ def _cesaro_weights(n: int, alpha: float) -> np.ndarray:
     return w
 
 
-def cesaro_mean(f: GridFunction, n: int, alpha: float, spectrum: Spectrum | None = None) -> GridFunction:
+def cesaro_mean(f: GridFunction, n: int, alpha: float) -> GridFunction:
     """(C, alpha) mean (1/A_n^alpha) sum_{k=1}^{n} A_{n-k}^{alpha-1} S_k f."""
-    return weighted_sum_combination(f, _cesaro_weights(n, alpha), spectrum)
+    return weighted_sum_combination(f, _cesaro_weights(n, alpha))
 
 
 def _u_weights(n: int, alpha: float) -> np.ndarray:
@@ -119,9 +118,9 @@ def _u_weights(n: int, alpha: float) -> np.ndarray:
     return w
 
 
-def u_mean(f: GridFunction, n: int, alpha: float, spectrum: Spectrum | None = None) -> GridFunction:
+def u_mean(f: GridFunction, n: int, alpha: float) -> GridFunction:
     """Inverse-order Cesaro mean (1/A_n^alpha) sum_{k=0}^{n-1} A_k^{alpha-1} S_k f."""
-    return weighted_sum_combination(f, _u_weights(n, alpha), spectrum)
+    return weighted_sum_combination(f, _u_weights(n, alpha))
 
 
 def _v_weights(n: int, alpha: float) -> np.ndarray:
@@ -130,9 +129,9 @@ def _v_weights(n: int, alpha: float) -> np.ndarray:
     return _t_weights(n, power_weights(alpha, n))
 
 
-def v_mean(f: GridFunction, n: int, alpha: float, spectrum: Spectrum | None = None) -> GridFunction:
+def v_mean(f: GridFunction, n: int, alpha: float) -> GridFunction:
     """T mean with weights q_0 = 1, q_k = k^(alpha-1): (1/Q_n) sum_{k=1}^{n-1} q_k S_k f."""
-    return weighted_sum_combination(f, _v_weights(n, alpha), spectrum)
+    return weighted_sum_combination(f, _v_weights(n, alpha))
 
 
 def _riesz_log_weights(n: int) -> np.ndarray:
@@ -144,9 +143,9 @@ def _riesz_log_weights(n: int) -> np.ndarray:
     return w
 
 
-def riesz_log_mean(f: GridFunction, n: int, spectrum: Spectrum | None = None) -> GridFunction:
+def riesz_log_mean(f: GridFunction, n: int) -> GridFunction:
     """R_n f = (1/l_n) sum_{k=1}^{n-1} S_k f / k, n >= 2."""
-    return weighted_sum_combination(f, _riesz_log_weights(n), spectrum)
+    return weighted_sum_combination(f, _riesz_log_weights(n))
 
 
 def _norlund_log_weights(n: int) -> np.ndarray:
@@ -158,9 +157,9 @@ def _norlund_log_weights(n: int) -> np.ndarray:
     return w
 
 
-def norlund_log_mean(f: GridFunction, n: int, spectrum: Spectrum | None = None) -> GridFunction:
+def norlund_log_mean(f: GridFunction, n: int) -> GridFunction:
     """L_n f = (1/l_n) sum_{k=1}^{n-1} S_k f / (n-k), n >= 2."""
-    return weighted_sum_combination(f, _norlund_log_weights(n), spectrum)
+    return weighted_sum_combination(f, _norlund_log_weights(n))
 
 
 def _norlund_weights(n: int, q: WeightSequence) -> np.ndarray:
@@ -175,9 +174,9 @@ def _norlund_weights(n: int, q: WeightSequence) -> np.ndarray:
     return w
 
 
-def norlund_mean(f: GridFunction, n: int, q: WeightSequence, spectrum: Spectrum | None = None) -> GridFunction:
+def norlund_mean(f: GridFunction, n: int, q: WeightSequence) -> GridFunction:
     """t_n f = (1/Q_n) sum_{k=1}^{n} q_{n-k} S_k f (reversed weights)."""
-    return weighted_sum_combination(f, _norlund_weights(n, q), spectrum)
+    return weighted_sum_combination(f, _norlund_weights(n, q))
 
 
 def _t_weights(n: int, q: WeightSequence) -> np.ndarray:
@@ -190,12 +189,12 @@ def _t_weights(n: int, q: WeightSequence) -> np.ndarray:
     return w
 
 
-def t_mean(f: GridFunction, n: int, q: WeightSequence, spectrum: Spectrum | None = None) -> GridFunction:
+def t_mean(f: GridFunction, n: int, q: WeightSequence) -> GridFunction:
     """T_n f = (1/Q_n) sum_{k=1}^{n-1} q_k S_k f (forward weights, S_0 f = 0)."""
-    return weighted_sum_combination(f, _t_weights(n, q), spectrum)
+    return weighted_sum_combination(f, _t_weights(n, q))
 
 
-def t_mean_abel(f: GridFunction, n: int, q: WeightSequence, spectrum: Spectrum | None = None) -> GridFunction:
+def t_mean_abel(f: GridFunction, n: int, q: WeightSequence) -> GridFunction:
     """Abel-transform form of the T mean:
 
     T_n f = (1/Q_n) [ sum_{j=0}^{n-2} (q_j - q_{j+1}) j sigma_j f
@@ -205,15 +204,14 @@ def t_mean_abel(f: GridFunction, n: int, q: WeightSequence, spectrum: Spectrum |
     if n < 1:
         raise RangeError("t mean requires n >= 1")
     Qn = q.Q(n)
-    s = spectrum if spectrum is not None else transform_forward(f)
     MN = f.group.order(f.resolution)
     acc = np.zeros(MN, dtype=np.complex128)
     for j in range(1, n - 1):
         c = (q.q(j) - q.q(j + 1)) * j
         if c != 0.0:
-            acc = acc + c * fejer_mean(f, j, s).values
+            acc = acc + c * fejer_mean(f, j).values
     if n >= 2:
-        acc = acc + q.q(n - 1) * (n - 1) * fejer_mean(f, n - 1, s).values
+        acc = acc + q.q(n - 1) * (n - 1) * fejer_mean(f, n - 1).values
     return GridFunction(f.group, f.resolution, acc / Qn)
 
 
@@ -256,7 +254,7 @@ def regularity_report(q: WeightSequence, n_max: int) -> dict:
 # Maximal operators
 # ---------------------------------------------------------------------------
 
-MeanFn = Callable[[GridFunction, int, Spectrum | None], GridFunction]
+MeanFn = Callable[[GridFunction, int], GridFunction]
 
 # kind -> (per-order full-grid mean, weights(n, *params), names of the params)
 _KINDS = {
@@ -283,7 +281,7 @@ def _method(kind: str, params: dict) -> tuple[MeanFn, Callable[[int], np.ndarray
     """The per-order mean and the weights(n) of a kind, bound to its parameters."""
     args = tuple(params[name] for name in param_names(kind))
     mean, weights, _ = _KINDS[kind]
-    return (lambda f, n, s: mean(f, n, *args, s)), (lambda n: weights(n, *args))
+    return (lambda f, n: mean(f, n, *args)), (lambda n: weights(n, *args))
 
 
 def _mean_by_kind(kind: str, **params) -> MeanFn:
@@ -308,13 +306,15 @@ def mean_blocks(
     Row b of ``values`` (shape (len(ns), M_j)) is mean_{ns[b]} f as a rank-j
     function, j the least level with M_j >= n for every n in ns;
     ``hardy.embed`` replicates a row onto f's grid.  One forward transform
-    serves the sweep: each level's spectrum is its prefix f^(0..M_j-1), the
-    exact spectrum of E_j f.  A block's coefficient rows are that prefix
-    times the coefficient tails of the orders' weight vectors, synthesized
-    by one batched inverse; no block holds more than ``_BLOCK_ENTRIES``
-    entries unless a single row does.  Orders outside 1..M_N go to the full grid
-    one at a time, where the per-order mean raises its usual error.  Orders
-    may come in any order and repeat.
+    serves f, not each sweep: ``transform_forward`` memoizes f's spectrum,
+    so every sweep on the same f reads the same one.  Each level's spectrum
+    is its prefix f^(0..M_j-1), the exact spectrum of E_j f.  A block's
+    coefficient rows are that prefix times the coefficient tails of the
+    orders' weight vectors, synthesized by one batched inverse; no block
+    holds more than ``_BLOCK_ENTRIES`` entries unless a single row does.
+    Orders outside 1..M_N go to the full grid one at a time, where the
+    per-order mean raises its usual error.  Orders may come in any order
+    and repeat.
     """
     mean, weights = _method(kind, params)
     g, N = f.group, f.resolution
@@ -326,7 +326,7 @@ def mean_blocks(
     while start < len(orders):
         j = levels[start]
         if j is None:
-            yield N, [orders[start]], mean(f, orders[start], s).values[None]
+            yield N, [orders[start]], mean(f, orders[start]).values[None]
             start += 1
             continue
         stop = start + 1

@@ -9,6 +9,11 @@ radix product B is at most 64 (a larger radix is a block of its own), and
 each block is one cached B x B character table applied by a matrix product,
 for a cost of O(M_N * sum over blocks of B).  With little-endian flat
 indexing on both sides no reordering pass is needed.
+
+``transform_forward`` memoizes the spectrum on the grid function: values
+and coefficients are read-only, so every n-sweep, probe and norm of one f
+shares a single forward stage pass, and the spectrum lives only as long as
+f does.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, RangeError, ShapeMismatchError
-from .group import GroupSpec, digit_matrix, index_sub
+from .group import GroupSpec, check_grid_points, digit_matrix, index_sub
 from .characters import character_column
 
 
@@ -82,8 +87,8 @@ def character_function(g: GroupSpec, n: int, resolution: int) -> GridFunction:
 
 def random_grid_function(g: GroupSpec, resolution: int, seed: int, kind: str = "complex") -> GridFunction:
     """Seeded test function: standard-normal values (PCG64 generator)."""
+    MN = check_grid_points(g, resolution)
     rng = np.random.default_rng(seed)
-    MN = g.order(resolution)
     re = rng.standard_normal(MN)
     if kind == "real":
         vals = re.astype(np.complex128)
@@ -162,9 +167,17 @@ def _stage_pass(vals: np.ndarray, g: GroupSpec, resolution: int, sign: int) -> n
 
 
 def transform_forward(f: GridFunction) -> Spectrum:
-    """All Fourier coefficients of f; O(M_N * sum over fused blocks of B)."""
-    coeffs = _stage_pass(f.values, f.group, f.resolution, sign=-1) / f.group.order(f.resolution)
-    return Spectrum(f.group, f.resolution, coeffs)
+    """All Fourier coefficients of f; O(M_N * sum over fused blocks of B).
+
+    The first call runs the stage pass and stores the (read-only) spectrum
+    on f; later calls on the same f return that object.
+    """
+    s = f.__dict__.get("_spectrum")
+    if s is None:
+        coeffs = _stage_pass(f.values, f.group, f.resolution, sign=-1) / f.group.order(f.resolution)
+        s = Spectrum(f.group, f.resolution, coeffs)
+        object.__setattr__(f, "_spectrum", s)
+    return s
 
 
 def transform_inverse(s: Spectrum) -> GridFunction:
@@ -219,19 +232,16 @@ def fourier_coeff(f: GridFunction, n: int) -> complex:
 # Partial sums and convolution
 # ---------------------------------------------------------------------------
 
-def partial_sum(f: GridFunction, n: int, spectrum: Spectrum | None = None) -> GridFunction:
+def partial_sum(f: GridFunction, n: int) -> GridFunction:
     """S_n f = sum_{k<n} f^(k) psi_k, 0 <= n <= M_N; S_0 f = 0."""
     MN = f.group.order(f.resolution)
     if not 0 <= n <= MN:
         raise RangeError(f"partial-sum order {n} outside 0..{MN}")
-    s = spectrum if spectrum is not None else transform_forward(f)
-    masked = np.where(np.arange(MN) < n, s.coeffs, 0.0)
+    masked = np.where(np.arange(MN) < n, transform_forward(f).coeffs, 0.0)
     return transform_inverse(Spectrum(f.group, f.resolution, masked))
 
 
-def weighted_sum_combination(
-    f: GridFunction, weights: np.ndarray, spectrum: Spectrum | None = None
-) -> GridFunction:
+def weighted_sum_combination(f: GridFunction, weights: np.ndarray) -> GridFunction:
     """sum_k weights[k] * S_k f, evaluated as one coefficient multiplier.
 
     S_k f contains psi_j exactly when j < k, so the combined coefficient
@@ -240,8 +250,7 @@ def weighted_sum_combination(
     """
     w = np.asarray(weights, dtype=np.complex128)
     tail = coefficient_tails(w, f.group.order(f.resolution))
-    s = spectrum if spectrum is not None else transform_forward(f)
-    return transform_inverse(Spectrum(f.group, f.resolution, s.coeffs * tail))
+    return transform_inverse(Spectrum(f.group, f.resolution, transform_forward(f).coeffs * tail))
 
 
 def coefficient_tails(weights: np.ndarray, size: int) -> np.ndarray:

@@ -338,7 +338,6 @@ def run_identity_suite(g: GroupSpec, n_max: int = 64, tol: float = 1e-12,
 
     # (T1) Abel identities for three weight families
     f = random_grid_function(g, ws.N, seed=seed)
-    sf = transform_forward(f)
     for qname, q in _weight_families(n_max).items():
         r2b = 0.0
         r2c = 0.0
@@ -355,8 +354,8 @@ def run_identity_suite(g: GroupSpec, n_max: int = 64, tol: float = 1e-12,
             acc += q.q(n - 1) * ws.B[n - 1]
             Fn = kernels.tmean_kernel(g, q, n, N=ws.N)
             r2c = max(r2c, np.abs(Fn.values - acc / Qn).max())
-            direct = means.t_mean(f, n, q, sf)
-            abel = means.t_mean_abel(f, n, q, sf)
+            direct = means.t_mean(f, n, q)
+            abel = means.t_mean_abel(f, n, q)
             r2d = max(r2d, np.abs(direct.values - abel.values).max())
         rec.identity("T1", r2b, tol, weights=qname, part="2b")
         rec.identity("T1", r2c, tol, weights=qname, part="2c")
@@ -429,13 +428,13 @@ def run_identity_suite(g: GroupSpec, n_max: int = 64, tol: float = 1e-12,
     # (lemma2.3.4) maximal form of the H_p norm + coefficient preservation
     sup_sm = np.zeros(ws.MN)
     for lv in range(ws.N + 1):
-        np.maximum(sup_sm, np.abs(partial_sum(f, g.M[lv], sf).values), out=sup_sm)
+        np.maximum(sup_sm, np.abs(partial_sum(f, g.M[lv]).values), out=sup_sm)
     r = 0.0
     for p in (0.5, 1.0, 2.0):
         direct = float((sup_sm**p).mean() ** (1 / p))
         r = max(r, abs(hardy.hardy_quasinorm_fn(f, p) - direct))
     coeff_r = np.abs(transform_forward(hardy.regular_martingale(f).final).coeffs
-                     - sf.coeffs).max()
+                     - transform_forward(f).coeffs).max()
     rec.identity("lemma2.3.4", max(r, float(coeff_r)), 1e-10)
 
     return rec.records()
@@ -773,9 +772,11 @@ def strong_sum(
 
     Returns one row per checkpoint with the cumulative value, the
     normalized value (divided by ``normalizer(n)``), and its ratio to the
-    H_p reference norm of f (computed from the regular martingale unless
-    ``hp_ref`` is supplied).  ``norm_source`` picks ||.||_p ("lp") or the
-    H_p quasi-norm of each mean ("hp").
+    reference ||f||_{H_p}^p (``hp_ref``, if supplied, is that p-th power).
+    The reference is taken from f's values by ``hardy.hardy_quasinorm_rows``,
+    with no regular martingale of grid functions built;
+    ``hardy.hardy_quasinorm_fn`` is its oracle.  ``norm_source`` picks
+    ||.||_p ("lp") or the H_p quasi-norm of each mean ("hp").
 
     The means come from ``means.mean_blocks`` as rank-j rows, and each block
     is normed row-wise at once.  Both norms are exact there: replication
@@ -786,7 +787,10 @@ def strong_sum(
     checkpoints = sorted(set(checkpoints or [n_max]))
     if checkpoints[-1] > n_max:
         raise InvalidParamsError("checkpoint beyond n_max")
-    ref = hp_ref if hp_ref is not None else hardy.hardy_quasinorm_fn(f, p) ** p
+    if hp_ref is not None:
+        ref = hp_ref
+    else:
+        ref = float(hardy.hardy_quasinorm_rows(f.group, f.resolution, f.values[None], p)[0]) ** p
     rows = []
     acc = 0.0
     cp = set(checkpoints)

@@ -106,9 +106,10 @@ def test_criterion_05_transform():
     t0 = time.perf_counter()
     naive_forward(f)
     t_naive = time.perf_counter() - t0
-    transform_forward(f)   # warm cache
+    transform_forward(f)   # warm the block-table cache
+    fresh = f.with_values(f.values)   # f's own spectrum is memoized: time a new pass
     t0 = time.perf_counter()
-    transform_forward(f)
+    transform_forward(fresh)
     t_fast = time.perf_counter() - t0
     speedup = t_naive / t_fast
     ok = worst_rt < 1e-12 and worst_pl < 1e-10 and worst_naive < 1e-10 and speedup >= 10
@@ -142,25 +143,24 @@ def test_criterion_07_summability_consistency():
     for g in GROUPS.values():
         N = min(5, g.levels)
         f = random_grid_function(g, N, seed=7)
-        s = transform_forward(f)
         q = weights.power_weights(0.5, 70)
         MN = g.order(N)
         cases = []
         for n in (2, 5, min(11, MN)):
             cases += [
-                (means.fejer_mean(f, n, s), kernels.fejer(g, n, N=N)),
-                (means.norlund_mean(f, n, q, s), kernels.norlund_kernel(g, q, n, N=N)),
-                (means.t_mean(f, n, q, s), kernels.tmean_kernel(g, q, n, N=N)),
-                (means.riesz_log_mean(f, n, s), kernels.riesz_log_kernel(g, n, N=N)),
-                (means.norlund_log_mean(f, n, s), kernels.norlund_log_kernel(g, n, N=N)),
+                (means.fejer_mean(f, n), kernels.fejer(g, n, N=N)),
+                (means.norlund_mean(f, n, q), kernels.norlund_kernel(g, q, n, N=N)),
+                (means.t_mean(f, n, q), kernels.tmean_kernel(g, q, n, N=N)),
+                (means.riesz_log_mean(f, n), kernels.riesz_log_kernel(g, n, N=N)),
+                (means.norlund_log_mean(f, n), kernels.norlund_log_kernel(g, n, N=N)),
             ]
         for mean_vals, ker in cases:
             worst_conv = max(worst_conv, float(np.abs(
                 mean_vals.values - convolve(f, ker).values).max()))
         ones = weights.ones(70)
         for n in (1, 6, min(13, MN)):
-            exact = np.abs(means.norlund_mean(f, n, ones, s).values
-                           - means.fejer_mean(f, n, s).values).max()
+            exact = np.abs(means.norlund_mean(f, n, ones).values
+                           - means.fejer_mean(f, n).values).max()
             assert exact == 0.0
     worst_tab = 0.0
     band_ok = True

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from vilenkin import io as vio
+from vilenkin import verify
 from vilenkin.cli import main
-from vilenkin.errors import InvalidParamsError
-from vilenkin.group import make_group
+from vilenkin.errors import InvalidParamsError, RangeError
+from vilenkin.group import MAX_GRID_POINTS, check_grid_points, make_group
 from vilenkin.hardy import counterexample
 from vilenkin.spectral import random_grid_function
 
@@ -278,3 +279,54 @@ def test_malformed_grid_file(tmp_path, capsys, text):
         vio.load_grid(src)
     assert run_cli("transform", "--m", "2", "--res", "2", "--input", str(src)) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def _martingale_obj(walsh) -> dict:
+    return vio.martingale_to_dict(counterexample(walsh, "strong-partial-sums", [1, 2], rank=4))
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda obj: json.dumps(obj)[:-7],
+    lambda obj: json.dumps({k: v for k, v in obj.items() if k != "entries"}),
+    lambda obj: json.dumps({**obj, "entries": [{"m": [2], "resolution": 1}] * 4}),
+    lambda obj: json.dumps({**obj, "entries": "grids"}),
+    lambda obj: json.dumps({**obj, "levels": [1, "two", 3, 4]}),
+    lambda obj: json.dumps({**obj, "levels": [1, 2, 3]}),
+    lambda obj: json.dumps([obj]),
+], ids=["invalid-json", "no-entries", "entry-without-values", "entries-not-a-list",
+        "non-integer-level", "levels-entries-misaligned", "top-level-list"])
+def test_malformed_martingale_file(tmp_path, walsh, mangle):
+    src = tmp_path / "mart.json"
+    src.write_text(mangle(_martingale_obj(walsh)))
+    with pytest.raises(InvalidParamsError, match="mart.json"):
+        vio.load_martingale(src)
+
+
+def test_missing_martingale_file(tmp_path):
+    with pytest.raises(InvalidParamsError, match="absent.json"):
+        vio.load_martingale(tmp_path / "absent.json")
+
+
+def test_grid_cap_admits_the_largest_suite_grid():
+    assert check_grid_points(make_group([7], 8), 8) == 7 ** 8 <= MAX_GRID_POINTS
+
+
+@pytest.mark.parametrize("build", [
+    lambda g: random_grid_function(g, 8, seed=0),
+    lambda g: counterexample(g, "hp-blocks", [1, 2, 3], rank=8, p=0.4),
+    lambda g: verify.run_divergence_suite(g),
+], ids=["random", "counterexample", "divergence-suite"])
+def test_oversized_grids_are_refused_before_allocation(build):
+    with pytest.raises(RangeError, match="points"):
+        build(make_group([17], 8))
+
+
+def test_cli_verify_refuses_an_oversized_grid_at_once():
+    # the divergence suite would build 17^8 (about 7e9) points
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, "-m", "vilenkin.cli", "verify", "--m", "17"],
+                          env=env, capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "points" in proc.stderr

@@ -1,3 +1,4 @@
+import math
 from collections import OrderedDict
 
 import numpy as np
@@ -139,6 +140,20 @@ def test_harmonic_number():
     assert wts.harmonic_number(4) == pytest.approx(11 / 6)
 
 
+def test_harmonic_table_is_the_fsum_bit_for_bit(monkeypatch):
+    cap = wts._HARMONIC_CAP
+    terms = [1.0 / k for k in range(1, 3 * cap + 7)]
+    # a cold table, filled out of order: first a large n, then every n below
+    monkeypatch.setattr(wts, "_HARMONIC", [0.0, 0.0])
+    monkeypatch.setattr(wts, "_HARMONIC_PARTIALS", [])
+    assert wts.harmonic_number(5000) == math.fsum(terms[:4999])
+    for n in range(-3, 1 << 13):
+        assert wts.harmonic_number(n) == math.fsum(terms[:max(n - 1, 0)]), n
+    for n in (cap - 1, cap, cap + 1, 3 * cap + 7):
+        assert wts.harmonic_number(n) == math.fsum(terms[:n - 1]), n
+    assert len(wts._HARMONIC) <= cap
+
+
 def test_lebesgue_values(walsh):
     assert lebesgue_constant(walsh, 1) == pytest.approx(1.0, abs=1e-14)
     assert lebesgue_constant(walsh, 3) == pytest.approx(1.5, abs=1e-14)
@@ -215,7 +230,7 @@ def test_mean_kernel_convolves_to_the_mean(kind, pattern, levels):
     mean = _mean_by_kind(kind, **params)
     for n in range(first_order(kind), g.M[levels]):
         K = mean_kernel(g, kind, n, N=levels, **params)
-        assert np.abs(convolve(f, K).values - mean(f, n, None).values).max() < 1e-12
+        assert np.abs(convolve(f, K).values - mean(f, n).values).max() < 1e-12
 
 
 BAD_MEANS = [(kind, first_order(kind) - 1, _kind_params(kind)) for kind in sorted(_KINDS)] + [
@@ -233,7 +248,7 @@ def test_mean_kernel_fails_like_the_mean(kind, n, params):
     g = make_group([2], 5)
     f = random_grid_function(g, 4, seed=5)
     try:
-        expected = _mean_by_kind(kind, **params)(f, n, None)
+        expected = _mean_by_kind(kind, **params)(f, n)
     except VilenkinError as exc:
         with pytest.raises(type(exc)):
             mean_kernel(g, kind, n, N=4, **params)

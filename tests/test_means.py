@@ -22,7 +22,6 @@ from vilenkin.spectral import (
     constant,
     partial_sum,
     random_grid_function,
-    transform_forward,
     weighted_sum_combination,
 )
 
@@ -33,8 +32,7 @@ def f6(walsh):
 
 
 def test_fejer_mean_direct_sum(f6):
-    s = transform_forward(f6)
-    direct = sum(partial_sum(f6, k, s).values for k in range(1, 6)) / 5
+    direct = sum(partial_sum(f6, k).values for k in range(1, 6)) / 5
     assert np.abs(fejer_mean(f6, 5).values - direct).max() < 1e-12
 
 
@@ -94,15 +92,14 @@ def test_u_mean_first_order_vanishes(f6):
 
 
 def test_u_and_v_match_direct_sums(f6):
-    s = transform_forward(f6)
     alpha = 0.5
     n = 4
     A = cesaro_coeffs(alpha, n)
     Am1 = cesaro_coeffs(alpha - 1.0, n)
-    direct = sum(Am1.a(k) * partial_sum(f6, k, s).values for k in range(n)) / A.a(n)
+    direct = sum(Am1.a(k) * partial_sum(f6, k).values for k in range(n)) / A.a(n)
     assert np.abs(u_mean(f6, n, alpha).values - direct).max() < 1e-12
     q = wts.power_weights(alpha, n + 1)
-    direct = sum(q.q(k) * partial_sum(f6, k, s).values for k in range(1, n)) / q.Q(n)
+    direct = sum(q.q(k) * partial_sum(f6, k).values for k in range(1, n)) / q.Q(n)
     assert np.abs(v_mean(f6, n, alpha).values - direct).max() < 1e-12
 
 
@@ -124,7 +121,6 @@ def test_norlund_first_order(f6):
 
 
 def test_t_mean_weights_bit_identical_to_per_k_loop(f6):
-    s = transform_forward(f6)
     explicit = wts.from_values([3.0, 2.0, 1.0] * 22)
     for q in (wts.power_weights(0.5, 4), wts.log_weights(1.0, 4), explicit):
         for n in (3, 7, 33, 64):
@@ -132,12 +128,11 @@ def test_t_mean_weights_bit_identical_to_per_k_loop(f6):
             w = np.zeros(n)
             for k in range(1, n):
                 w[k] = q.q(k) / Qn
-            expect = weighted_sum_combination(f6, w, s)
-            assert np.array_equal(t_mean(f6, n, q, s).values, expect.values)
+            expect = weighted_sum_combination(f6, w)
+            assert np.array_equal(t_mean(f6, n, q).values, expect.values)
 
 
 def test_t_mean_abel_identity(f6):
-    s = transform_forward(f6)
     qs = [
         wts.from_function(lambda k: np.log(k + 1.0), 64, "nondecreasing"),
         wts.power_weights(0.5, 64),
@@ -145,8 +140,8 @@ def test_t_mean_abel_identity(f6):
     ]
     for q in qs:
         for n in (2, 6, 17, 33):
-            direct = t_mean(f6, n, q, s)
-            abel = t_mean_abel(f6, n, q, s)
+            direct = t_mean(f6, n, q)
+            abel = t_mean_abel(f6, n, q)
             assert np.abs(direct.values - abel.values).max() < 1e-10
 
 
@@ -168,10 +163,9 @@ def test_regularity_report_log_class():
 
 
 def test_weighted_maximal_matches_brute_force(f6):
-    s = transform_forward(f6)
     w = power_log_weight(0.4, with_log=False)
     mx = weighted_maximal(f6, "fejer", range(1, 9), weight=w)
-    brute = np.max([np.abs(fejer_mean(f6, n, s).values) / w(n) for n in range(1, 9)], axis=0)
+    brute = np.max([np.abs(fejer_mean(f6, n).values) / w(n) for n in range(1, 9)], axis=0)
     assert np.abs(mx.values.real - brute).max() == 0.0
 
 

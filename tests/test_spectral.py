@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from vilenkin.hardy import project_to_level
 from vilenkin.spectral import (
     _BLOCK,
     _blocks,
+    _stage_pass,
     GridFunction,
     character_function,
     constant,
@@ -154,11 +158,10 @@ def test_weak_lp_below_lp(any_group):
 
 def test_weighted_sum_combination_matches_direct(walsh):
     f = random_grid_function(walsh, 4, seed=33)
-    s = transform_forward(f)
     w = np.zeros(9)
     w[1:] = np.linspace(0.1, 0.9, 8)
-    direct = sum(w[k] * partial_sum(f, k, s).values for k in range(1, 9))
-    combo = weighted_sum_combination(f, w, s)
+    direct = sum(w[k] * partial_sum(f, k).values for k in range(1, 9))
+    combo = weighted_sum_combination(f, w)
     assert np.abs(combo.values - direct).max() < 1e-12
 
 
@@ -177,6 +180,30 @@ def test_values_are_immutable(walsh):
     f = random_grid_function(walsh, 3, seed=0)
     with pytest.raises(ValueError):
         f.values[0] = 1.0
+
+
+@pytest.mark.parametrize("pattern,levels", [([2], 9), ([5, 2], 5), ([2, 3, 4], 5)])
+def test_forward_spectrum_is_memoized_on_the_function(pattern, levels):
+    g = make_group(pattern, levels)
+    f = random_grid_function(g, levels, seed=3)
+    s = transform_forward(f)
+    assert transform_forward(f) is s
+    assert not s.coeffs.flags.writeable
+    fresh = _stage_pass(f.values, g, levels, sign=-1) / g.order(levels)
+    assert np.array_equal(s.coeffs, fresh)
+    # a new function with the same values runs its own pass, to the same bits
+    twin = f.with_values(f.values)
+    assert transform_forward(twin) is not s
+    assert np.array_equal(transform_forward(twin).coeffs, s.coeffs)
+
+
+def test_memoized_spectrum_lives_only_as_long_as_its_function(walsh):
+    f = random_grid_function(walsh, 6, seed=1)
+    spectrum = weakref.ref(transform_forward(f))
+    assert spectrum() is not None
+    del f
+    gc.collect()
+    assert spectrum() is None
 
 
 # Radices 70 and 100 exceed _BLOCK, so they form blocks of their own.

@@ -19,7 +19,7 @@ from vilenkin.cli import main
 from vilenkin.errors import InvalidParamsError, RangeError
 from vilenkin.group import make_group
 from vilenkin.hardy import counterexample, hardy_quasinorm_fn
-from vilenkin.spectral import lp_norm, random_grid_function, transform_forward, weak_lp
+from vilenkin.spectral import lp_norm, random_grid_function, weak_lp
 
 TOL = 1e-12
 
@@ -62,14 +62,13 @@ def test_sweep_matches_full_grid_mean(grid, kind):
     MN = g.order(N)
     params = _params(kind, MN)
     mean = means._mean_by_kind(kind, **params)
-    s = transform_forward(grid)
     orders = range(means.first_order(kind), MN + 1)
     seen = []
     for j, ns, vals in means.mean_blocks(grid, kind, orders, **params):
         assert vals.shape == (len(ns), g.M[j])
         for n, row in zip(ns, vals):
             assert j == _minimal_level(g, n)
-            full = mean(grid, n, s)
+            full = mean(grid, n)
             assert np.abs(np.tile(row, MN // g.M[j]) - full.values).max() <= TOL, n
         seen.extend(ns)
     # every order, so each block edge M_j, M_j + 1 and M_N is among them
@@ -115,8 +114,7 @@ def test_sweep_out_of_range_order_raises_as_oracle(grid):
 
 def _brute_maximal(f, kind, indices, weight, **params):
     mean = means._mean_by_kind(kind, **params)
-    s = transform_forward(f)
-    return np.max([np.abs(mean(f, n, s).values) / (1.0 if weight is None else weight(n))
+    return np.max([np.abs(mean(f, n).values) / (1.0 if weight is None else weight(n))
                    for n in indices], axis=0)
 
 
@@ -169,11 +167,10 @@ def test_strong_sum_matches_full_grid_loop(grid, kind, source):
     rows = verify.strong_sum(grid, kind, p, weight, n_max, cps, norm_source=source, **params)
 
     mean = means._mean_by_kind(kind, **params)
-    s = transform_forward(grid)
     ref = hardy_quasinorm_fn(grid, p) ** p
     acc, expect = 0.0, []
     for n in range(means.first_order(kind), n_max + 1):
-        vals = mean(grid, n, s)
+        vals = mean(grid, n)
         term = hardy_quasinorm_fn(vals, p) ** p if source == "hp" else lp_norm(vals, p) ** p
         acc += weight(n) * term
         if n in cps:
@@ -194,10 +191,9 @@ def test_divergence_probe_matches_full_grid_loop(kind):
     rows = verify.divergence_probe(mart, kind, 0.4, cps, q=q if kind == "tmean" else None,
                                    bound_fn=lambda n: 1.0 / n)
     mean = means._mean_by_kind(kind, **({"q": q} if kind == "tmean" else {}))
-    s = transform_forward(f)
     assert [r["n"] for r in rows] == cps
     for r, n in zip(rows, cps):
-        assert r["weak_lp"] == pytest.approx(weak_lp(mean(f, n, s), 0.4), rel=TOL, abs=0)
+        assert r["weak_lp"] == pytest.approx(weak_lp(mean(f, n), 0.4), rel=TOL, abs=0)
         assert r["bound"] == 1.0 / n
 
 
@@ -217,10 +213,9 @@ def test_cli_mean_matches_full_grid_loop(capsys):
     g = make_group([2, 3, 4], 5)
     f = random_grid_function(g, 5, seed=2024)
     q = wts.power_weights(0.5, 145)
-    s = transform_forward(f)
     assert [r["n"] for r in rows] == list(range(1, 145))
     for r in rows:
-        full = means.t_mean(f, r["n"], q, s)
+        full = means.t_mean(f, r["n"], q)
         expect = lp_norm(f.with_values(full.values - f.values), 1.5)
         assert r["error"] == pytest.approx(expect, rel=TOL, abs=TOL)
 
@@ -281,3 +276,47 @@ def test_maximal_and_strong_sum_work_on_radix5(transform_counts):
     assert len(transform_counts["rows"]) == _chunks(g, range(1, 125)) + _chunks(g, range(2, 125))
     assert max(transform_counts["rows"]) <= 3
     assert transform_counts["inverse"] == 0
+
+
+@pytest.fixture
+def forward_passes(monkeypatch):
+    """Resolutions of the forward stage passes run (inverse passes not counted)."""
+    passes = []
+    stage_pass = spectral._stage_pass
+
+    def counted(vals, g, resolution, sign):
+        if sign == -1:
+            passes.append(resolution)
+        return stage_pass(vals, g, resolution, sign)
+
+    monkeypatch.setattr(spectral, "_stage_pass", counted)
+    return passes
+
+
+def test_maximal_sweep_runs_one_forward_pass(forward_passes):
+    # the three operators of a benchmark maximal-sweep task, on one f
+    g = make_group([5], 6)
+    f = random_grid_function(g, 6, seed=11)
+    orders = range(1, 125)
+    means.weighted_maximal(f, "fejer", orders, weight=means.power_log_weight(0.4, False))
+    means.weighted_maximal(f, "tmean", orders, q=wts.power_weights(0.5, 124))
+    verify.strong_sum(f, "riesz_log", 0.4, lambda k: math.log(k) ** 0.4 * k ** -1.2, 124,
+                      norm_source="hp")
+    assert forward_passes == [6]
+
+
+def test_divergence_suite_runs_one_forward_pass(forward_passes):
+    recs = verify.run_divergence_suite(make_group([5], 8))
+    assert recs and forward_passes == [8]
+
+
+@pytest.mark.parametrize("pattern,levels", [([2], 8), ([3], 5), ([2, 3, 4], 4), ([5, 2], 5)])
+@pytest.mark.parametrize("p", [0.4, 0.75, 1.0, 2.0])
+def test_strong_sum_reference_is_the_regular_martingale_norm(pattern, levels, p):
+    g = make_group(pattern, levels)
+    for N in range(1, levels + 1):
+        f = random_grid_function(g, N, seed=N)
+        n_max = min(g.order(N), 16)
+        row, = verify.strong_sum(f, "fejer", p, lambda k: 1.0, n_max)
+        ref = hardy_quasinorm_fn(f, p) ** p
+        assert row["cumulative"] / row["ratio_to_hp"] == pytest.approx(ref, rel=TOL, abs=0)
