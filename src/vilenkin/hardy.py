@@ -143,7 +143,8 @@ def hardy_quasinorm_rows(g: GroupSpec, resolution: int, values: np.ndarray, p: f
     star = np.zeros(values.shape)
     for Ml in g.M[:resolution + 1]:
         avg = np.abs(values.reshape(B, Mj // Ml, Ml).mean(axis=1))
-        np.maximum(star, np.tile(avg, (1, Mj // Ml)), out=star)
+        rows = star.reshape(B, Mj // Ml, Ml)
+        np.maximum(rows, avg[:, None, :], out=rows)
     return lp_norm_rows(star, p)
 
 

@@ -9,8 +9,9 @@ agreement is exercised by the verification suites.
 
 The weighted kernels (Norlund, T, Riesz- and Norlund-logarithmic, and any
 other kind in ``means._KINDS``) are not written out here: ``mean_kernel``
-takes the mean's own weight vector w and evaluates sum_k w_k D_k as one
-spectral multiplier, the coefficient tails of w.
+takes the mean's own weight vector w, row 0 of the kind's weight builder
+for the one order n, and evaluates sum_k w_k D_k as one spectral
+multiplier, the coefficient tails of w.
 
 Kernel grids are memoized in an LRU cache of at most ``_CACHE_ENTRIES``
 grids, keyed by (group, kind, n, resolution) or, for weighted kernels, by
@@ -240,13 +241,13 @@ def fejer(g: GroupSpec, n: int, N: int | None = None, method: str = "closed") ->
 # ---------------------------------------------------------------------------
 
 def mean_kernel(g: GroupSpec, kind: str, n: int, N: int | None = None, **params) -> GridFunction:
-    """sum_k w_k D_k for the weight vector w = weights(n) of a ``means._KINDS`` kind.
+    """sum_k w_k D_k for the order-n weight vector w of a ``means._KINDS`` kind.
 
     This is the kernel of the order-n mean of that kind: convolving f with
     it gives the mean, up to rounding.  The weights come from the mean's own
     table entry, so its parameter checks and messages apply here too.
     """
-    w = means._method(kind, params)[1](n)
+    w = means._weight_row(means._method(kind, params)[1], n)
     N = _resolve(g, n, N)
     key = (g.key(), "weighted", N, w.tobytes())
     return GridFunction(g, N, _cached(key, lambda: transform_inverse(

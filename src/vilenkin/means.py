@@ -1,13 +1,16 @@
 """Summability means of grid functions and weighted maximal operators.
 
 All means follow the convention sum_{k=1}^{n} with S_0 f = 0.  Each kind of
-mean is one weight vector w on the partial sums S_k, one ``weights(n)`` entry
-of the table ``_KINDS``; the mean is the spectral multiplier sum_k w_k S_k f
-(the coefficient tails of w), and ``kernels.mean_kernel`` builds its kernel
-sum_k w_k D_k from the same entry, so mean_n f = f * kernel_n up to rounding
-and both share the entry's parameter checks.  The per-order functions
-(``fejer_mean``, ``t_mean``, ...) evaluate the multiplier on the full grid
-and serve as the oracle path.
+mean is one weight vector w on the partial sums S_k.  Its entry in the table
+``_KINDS`` holds one builder, ``weights(ns, size)``, which returns the
+vectors of many orders at once as the rows of one matrix: masks on k and
+gathers from coefficient tables built once for max(ns).  The mean is the
+spectral multiplier sum_k w_k S_k f (the coefficient tails of w), and
+``kernels.mean_kernel`` builds its kernel sum_k w_k D_k from the same
+builder, so mean_n f = f * kernel_n up to rounding and both share the
+builder's parameter checks.  The per-order functions (``fejer_mean``,
+``t_mean``, ...) take row 0 of a one-order block, evaluate the multiplier
+on the full grid and serve as the oracle path.
 
 Scans over the order n (maximal operators, strong sums, divergence probes,
 convergence tables) go through ``mean_blocks``, which evaluates every run of
@@ -15,8 +18,9 @@ orders sharing a minimal level j as one (orders, M_j) block.  A mean of
 order n uses only f^(0..n-1), and psi_k with k < M_j is constant on rank-j
 cosets, so for n <= M_j the mean is a rank-j function: the same mean of E_j f
 (the rank-j coset averages), whose spectrum is exactly f^(0..M_j-1).  The
-block's coefficient rows are that spectrum prefix times each order's tail
-sums, and one batched inverse stage pass synthesizes them all.
+block's coefficient rows are that spectrum prefix times the tail sums of
+the block's weight matrix, and one batched inverse stage pass synthesizes
+them all.
 """
 
 from __future__ import annotations
@@ -39,20 +43,64 @@ from .spectral import (
 from .weights import WeightSequence, harmonic_number, power_weights
 
 
-def _partial_sum_weights(n: int) -> np.ndarray:
-    if n < 0:
+def _support(ns: np.ndarray, size: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns k = 0..size-1 and the mask 1 <= k <= n + last of each order's row."""
+    k = np.arange(size)
+    return k, (k >= 1) & (k <= ns[:, None] + last)
+
+
+def _masked(num, den, on: np.ndarray) -> np.ndarray:
+    """num / den where ``on`` holds and 0 elsewhere, as one (len(ns), size) block."""
+    return np.divide(num, den, out=np.zeros(on.shape), where=on)
+
+
+def _gather(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """table[idx] with idx clipped into the table; clipped entries are masked off."""
+    return table[np.clip(idx, 0, len(table) - 1)]
+
+
+def _normalizers(q: WeightSequence, ns: np.ndarray) -> np.ndarray:
+    """Q_n of each order as a column, q extended to max(ns) - 1 if it can grow.
+
+    The first order of ``ns`` that lies past the end of an explicit weight
+    list or has a vanishing Q_n raises its own error from ``q.extend`` or
+    ``q.Q``, as the orders' weights built one at a time would.
+    """
+    if q.generator is not None:
+        q.extend(int(ns.max()) - 1)
+    fits = ns <= q.n_max + 1
+    Qn = q.partials[np.where(fits, ns, 0)]
+    bad = np.flatnonzero(~fits | (Qn <= 0.0))
+    if bad.size:
+        n = int(ns[bad[0]])
+        q.extend(n - 1)
+        q.Q(n)
+    return Qn[:, None]
+
+
+def _harmonic(ns: np.ndarray) -> np.ndarray:
+    """l_n of each order as a column."""
+    return np.array([harmonic_number(n) for n in ns.tolist()])[:, None]
+
+
+def _weight_row(weights: Callable[..., np.ndarray], n: int, *params) -> np.ndarray:
+    """The weight vector w_0..w_n of the order-n mean: row 0 of its (1, n + 1) block."""
+    return weights(np.array([n]), n + 1, *params)[0]
+
+
+def _partial_sum_weights(ns: np.ndarray, size: int) -> np.ndarray:
+    if ns.min() < 0:
         raise RangeError("partial sum requires n >= 0")
-    w = np.zeros(n + 1)
-    w[n] = 1.0
-    return w
+    W = np.zeros((len(ns), size))
+    W[np.arange(len(ns)), ns] = 1.0
+    return W
 
 
-def _fejer_weights(n: int) -> np.ndarray:
-    if n < 1:
+def _fejer_weights(ns: np.ndarray, size: int) -> np.ndarray:
+    if ns.min() < 1:
         raise RangeError("fejer mean requires n >= 1")
-    w = np.zeros(n + 1)
-    w[1:] = 1.0 / n
-    return w
+    _, on = _support(ns, size, 0)
+    return _masked(1.0, ns[:, None], on)
 
 
 def fejer_mean(f: GridFunction, n: int) -> GridFunction:
@@ -60,7 +108,7 @@ def fejer_mean(f: GridFunction, n: int) -> GridFunction:
     MN = f.group.order(f.resolution)
     if not 1 <= n <= MN:
         raise RangeError(f"fejer mean order {n} outside 1..{MN}")
-    return weighted_sum_combination(f, _fejer_weights(n))
+    return weighted_sum_combination(f, _weight_row(_fejer_weights, n))
 
 
 @dataclass(frozen=True)
@@ -89,109 +137,101 @@ def cesaro_coeffs(alpha: float, n_max: int) -> CesaroCoeffs:
     return CesaroCoeffs(alpha=alpha, table=t)
 
 
-def _cesaro_weights(n: int, alpha: float) -> np.ndarray:
+def _cesaro_weights(ns: np.ndarray, size: int, alpha: float) -> np.ndarray:
     if not 0 < alpha <= 1:
         raise DomainError("cesaro mean requires 0 < alpha <= 1")
-    if n < 1:
+    if ns.min() < 1:
         raise RangeError("cesaro mean requires n >= 1")
-    lower = cesaro_coeffs(alpha - 1.0, n)
-    upper = cesaro_coeffs(alpha, n)
-    w = np.zeros(n + 1)
-    w[1:] = lower.table[n - 1::-1] / upper.a(n)
-    return w
+    top = int(ns.max())
+    lower = cesaro_coeffs(alpha - 1.0, top).table
+    upper = cesaro_coeffs(alpha, top).table
+    k, on = _support(ns, size, 0)
+    return _masked(_gather(lower, ns[:, None] - k), upper[ns][:, None], on)
 
 
 def cesaro_mean(f: GridFunction, n: int, alpha: float) -> GridFunction:
     """(C, alpha) mean (1/A_n^alpha) sum_{k=1}^{n} A_{n-k}^{alpha-1} S_k f."""
-    return weighted_sum_combination(f, _cesaro_weights(n, alpha))
+    return weighted_sum_combination(f, _weight_row(_cesaro_weights, n, alpha))
 
 
-def _u_weights(n: int, alpha: float) -> np.ndarray:
+def _u_weights(ns: np.ndarray, size: int, alpha: float) -> np.ndarray:
     if not 0 < alpha < 1:
         raise DomainError("u mean requires 0 < alpha < 1")
-    if n < 1:
+    if ns.min() < 1:
         raise RangeError("u mean requires n >= 1")
-    lower = cesaro_coeffs(alpha - 1.0, max(n - 1, 0))
-    upper = cesaro_coeffs(alpha, n)
-    w = np.zeros(n)
-    w[1:] = lower.table[1:n] / upper.a(n)
-    return w
+    top = int(ns.max())
+    lower = cesaro_coeffs(alpha - 1.0, top).table
+    upper = cesaro_coeffs(alpha, top).table
+    k, on = _support(ns, size, -1)
+    return _masked(_gather(lower, k), upper[ns][:, None], on)
 
 
 def u_mean(f: GridFunction, n: int, alpha: float) -> GridFunction:
     """Inverse-order Cesaro mean (1/A_n^alpha) sum_{k=0}^{n-1} A_k^{alpha-1} S_k f."""
-    return weighted_sum_combination(f, _u_weights(n, alpha))
+    return weighted_sum_combination(f, _weight_row(_u_weights, n, alpha))
 
 
-def _v_weights(n: int, alpha: float) -> np.ndarray:
+def _v_weights(ns: np.ndarray, size: int, alpha: float) -> np.ndarray:
     if not 0 < alpha < 1:
         raise DomainError("v mean requires 0 < alpha < 1")
-    return _t_weights(n, power_weights(alpha, n))
+    return _t_weights(ns, size, power_weights(alpha, int(ns.max())))
 
 
 def v_mean(f: GridFunction, n: int, alpha: float) -> GridFunction:
     """T mean with weights q_0 = 1, q_k = k^(alpha-1): (1/Q_n) sum_{k=1}^{n-1} q_k S_k f."""
-    return weighted_sum_combination(f, _v_weights(n, alpha))
+    return weighted_sum_combination(f, _weight_row(_v_weights, n, alpha))
 
 
-def _riesz_log_weights(n: int) -> np.ndarray:
-    if n < 2:
+def _riesz_log_weights(ns: np.ndarray, size: int) -> np.ndarray:
+    if ns.min() < 2:
         raise RangeError("riesz-log mean requires n >= 2")
-    ln = harmonic_number(n)
-    w = np.zeros(n)
-    w[1:] = 1.0 / (np.arange(1, n) * ln)
-    return w
+    k, on = _support(ns, size, -1)
+    return _masked(1.0, k * _harmonic(ns), on)
 
 
 def riesz_log_mean(f: GridFunction, n: int) -> GridFunction:
     """R_n f = (1/l_n) sum_{k=1}^{n-1} S_k f / k, n >= 2."""
-    return weighted_sum_combination(f, _riesz_log_weights(n))
+    return weighted_sum_combination(f, _weight_row(_riesz_log_weights, n))
 
 
-def _norlund_log_weights(n: int) -> np.ndarray:
-    if n < 2:
+def _norlund_log_weights(ns: np.ndarray, size: int) -> np.ndarray:
+    if ns.min() < 2:
         raise RangeError("norlund-log mean requires n >= 2")
-    ln = harmonic_number(n)
-    w = np.zeros(n)
-    w[1:] = 1.0 / ((n - np.arange(1, n)) * ln)
-    return w
+    k, on = _support(ns, size, -1)
+    return _masked(1.0, (ns[:, None] - k) * _harmonic(ns), on)
 
 
 def norlund_log_mean(f: GridFunction, n: int) -> GridFunction:
     """L_n f = (1/l_n) sum_{k=1}^{n-1} S_k f / (n-k), n >= 2."""
-    return weighted_sum_combination(f, _norlund_log_weights(n))
+    return weighted_sum_combination(f, _weight_row(_norlund_log_weights, n))
 
 
-def _norlund_weights(n: int, q: WeightSequence) -> np.ndarray:
-    if n < 1:
+def _norlund_weights(ns: np.ndarray, size: int, q: WeightSequence) -> np.ndarray:
+    if ns.min() < 1:
         raise RangeError("norlund mean requires n >= 1")
     if q.q(0) <= 0:
         raise DomainError("norlund mean requires q_0 > 0")
-    q.extend(n - 1)
-    Qn = q.Q(n)
-    w = np.zeros(n + 1)
-    w[1:] = q.values[n - 1::-1] / Qn
-    return w
+    Qn = _normalizers(q, ns)
+    k, on = _support(ns, size, 0)
+    return _masked(_gather(q.values, ns[:, None] - k), Qn, on)
 
 
 def norlund_mean(f: GridFunction, n: int, q: WeightSequence) -> GridFunction:
     """t_n f = (1/Q_n) sum_{k=1}^{n} q_{n-k} S_k f (reversed weights)."""
-    return weighted_sum_combination(f, _norlund_weights(n, q))
+    return weighted_sum_combination(f, _weight_row(_norlund_weights, n, q))
 
 
-def _t_weights(n: int, q: WeightSequence) -> np.ndarray:
-    if n < 1:
+def _t_weights(ns: np.ndarray, size: int, q: WeightSequence) -> np.ndarray:
+    if ns.min() < 1:
         raise RangeError("t mean requires n >= 1")
-    q.extend(n - 1)
-    Qn = q.Q(n)
-    w = np.zeros(n)
-    w[1:] = q.values[1:n] / Qn
-    return w
+    Qn = _normalizers(q, ns)
+    k, on = _support(ns, size, -1)
+    return _masked(_gather(q.values, k), Qn, on)
 
 
 def t_mean(f: GridFunction, n: int, q: WeightSequence) -> GridFunction:
     """T_n f = (1/Q_n) sum_{k=1}^{n-1} q_k S_k f (forward weights, S_0 f = 0)."""
-    return weighted_sum_combination(f, _t_weights(n, q))
+    return weighted_sum_combination(f, _weight_row(_t_weights, n, q))
 
 
 def t_mean_abel(f: GridFunction, n: int, q: WeightSequence) -> GridFunction:
@@ -256,7 +296,10 @@ def regularity_report(q: WeightSequence, n_max: int) -> dict:
 
 MeanFn = Callable[[GridFunction, int], GridFunction]
 
-# kind -> (per-order full-grid mean, weights(n, *params), names of the params)
+# kind -> (per-order full-grid mean, weights(ns, size, *params), names of the
+# params).  weights gives the (len(ns), size) block whose row b is w_0..w_n
+# of order n = ns[b], zero-padded (size >= max(ns) + 1); orders may come in
+# any order and repeat.
 _KINDS = {
     "partial_sum": (partial_sum, _partial_sum_weights, ()),
     "fejer": (fejer_mean, _fejer_weights, ()),
@@ -271,17 +314,17 @@ _KINDS = {
 
 
 def param_names(kind: str) -> tuple[str, ...]:
-    """Names of the parameters a kind's mean and weights(n) take."""
+    """Names of the parameters a kind's mean and weights take."""
     if kind not in _KINDS:
         raise DomainError(f"unknown mean kind {kind!r}")
     return _KINDS[kind][2]
 
 
-def _method(kind: str, params: dict) -> tuple[MeanFn, Callable[[int], np.ndarray]]:
-    """The per-order mean and the weights(n) of a kind, bound to its parameters."""
+def _method(kind: str, params: dict) -> tuple[MeanFn, Callable[[np.ndarray, int], np.ndarray]]:
+    """The per-order mean and the weights(ns, size) of a kind, bound to its parameters."""
     args = tuple(params[name] for name in param_names(kind))
     mean, weights, _ = _KINDS[kind]
-    return (lambda f, n: mean(f, n, *args)), (lambda n: weights(n, *args))
+    return (lambda f, n: mean(f, n, *args)), (lambda ns, size: weights(ns, size, *args))
 
 
 def _mean_by_kind(kind: str, **params) -> MeanFn:
@@ -310,11 +353,11 @@ def mean_blocks(
     so every sweep on the same f reads the same one.  Each level's spectrum
     is its prefix f^(0..M_j-1), the exact spectrum of E_j f.  A block's
     coefficient rows are that prefix times the coefficient tails of the
-    orders' weight vectors, synthesized by one batched inverse; no block
-    holds more than ``_BLOCK_ENTRIES`` entries unless a single row does.
-    Orders outside 1..M_N go to the full grid one at a time, where the
-    per-order mean raises its usual error.  Orders may come in any order
-    and repeat.
+    orders' weight vectors, which the kind's weights builder gives as one
+    matrix, synthesized by one batched inverse; no block holds more than
+    ``_BLOCK_ENTRIES`` entries unless a single row does.  Orders outside
+    1..M_N go to the full grid one at a time, where the per-order mean
+    raises its usual error.  Orders may come in any order and repeat.
     """
     mean, weights = _method(kind, params)
     g, N = f.group, f.resolution
@@ -334,10 +377,7 @@ def mean_blocks(
         while stop < len(orders) and levels[stop] == j and stop - start < most:
             stop += 1
         ns = orders[start:stop]
-        W = np.zeros((len(ns), M[j] + 1))
-        for b, n in enumerate(ns):
-            w = weights(n)
-            W[b, :w.size] = w
+        W = weights(np.array(ns), M[j] + 1)
         yield j, ns, inverse_rows(g, j, s.coeffs[:M[j]] * coefficient_tails(W, M[j]))
         start = stop
 
@@ -357,7 +397,9 @@ def weighted_maximal(
     to one rank-j maximum, and since replication commutes with |.|, / and
     max, the running max is kept at the finest level seen so far and
     replicated onto f's grid once at the end, which leaves every value
-    unchanged.
+    unchanged.  A rank-l array replicated onto M_j points is its rows of a
+    (M_j / M_l, M_l) view, so the coarser of the two operands is broadcast
+    over the finer one's rows, and nothing is tiled.
     """
     idx = list(indices)
     if not idx:
@@ -366,13 +408,13 @@ def weighted_maximal(
     for _, ns, vals in mean_blocks(f, kind, idx, **params):
         w = np.ones(len(ns)) if weight is None else np.array([float(weight(n)) for n in ns])
         block = (np.abs(vals) / w[:, None]).max(axis=0)
-        if block.size > out.size:
-            out = np.tile(out, block.size // out.size)
-        elif block.size < out.size:
-            block = np.tile(block, out.size // block.size)
-        np.maximum(out, block, out=out)
-    out = np.tile(out, f.group.order(f.resolution) // out.size)
-    return GridFunction(f.group, f.resolution, out.astype(np.complex128))
+        fine, coarse = (block, out) if block.size >= out.size else (out, block)
+        rows = fine.reshape(-1, coarse.size)
+        np.maximum(rows, coarse, out=rows)
+        out = fine
+    MN = f.group.order(f.resolution)
+    full = np.broadcast_to(out, (MN // out.size, out.size)).astype(np.complex128)
+    return GridFunction(f.group, f.resolution, full.reshape(-1))
 
 
 def power_log_weight(p: float, with_log: bool = True) -> Callable[[int], float]:

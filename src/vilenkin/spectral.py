@@ -72,11 +72,16 @@ class Spectrum:
 
 
 def constant(g: GroupSpec, resolution: int, value: complex = 1.0) -> GridFunction:
-    return GridFunction(g, resolution, np.full(g.order(resolution), value, dtype=np.complex128))
+    MN = check_grid_points(g, resolution)
+    return GridFunction(g, resolution, np.full(MN, value, dtype=np.complex128))
 
 
 def delta(g: GroupSpec, resolution: int, at: int = 0, scale: complex = 1.0) -> GridFunction:
-    vals = np.zeros(g.order(resolution), dtype=np.complex128)
+    """``scale`` at the grid point of flat index ``at`` (0 <= at < M_N), 0 elsewhere."""
+    MN = check_grid_points(g, resolution)
+    if not 0 <= at < MN:
+        raise RangeError(f"point index {at} outside 0..{MN - 1}")
+    vals = np.zeros(MN, dtype=np.complex128)
     vals[at] = scale
     return GridFunction(g, resolution, vals)
 
@@ -259,10 +264,13 @@ def coefficient_tails(weights: np.ndarray, size: int) -> np.ndarray:
     S_k f contains psi_j exactly when j < k, so the multiplier at j is
     sum_{k>j} weights[..., k]; entry 0 of the last axis is vacuous since
     S_0 f = 0.  Leading axes are rows; the dtype of ``weights`` is kept.
+    Zero weights past index size are dropped: they change no tail.
     """
     w = np.asarray(weights)
     if w.shape[-1] > size + 1:
-        raise RangeError("weight list longer than M_N + 1")
+        if w[..., size + 1:].any():
+            raise RangeError("weight list longer than M_N + 1")
+        w = w[..., :size + 1]
     rev = np.cumsum(w[..., ::-1], axis=-1)[..., ::-1]
     tail = np.zeros(w.shape[:-1] + (size,), dtype=rev.dtype)
     tail[..., :w.shape[-1] - 1] = rev[..., 1:]

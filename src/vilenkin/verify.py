@@ -571,6 +571,11 @@ def _coset_averages(g: GroupSpec, kernel_vals: np.ndarray, N: int) -> np.ndarray
     return np.abs(kernel_vals).reshape(-1, MnN).mean(axis=0) / float(MnN)
 
 
+def _empty(orders) -> dict:
+    """Params that mark a supremum over no orders: its 0.0 is not a measured value."""
+    return {} if len(orders) else {"orders": 0}
+
+
 def run_kernel_lemma_suite(g: GroupSpec, n_max: int = 64, tol: float = 1e-12,
                            N: int | None = None) -> list[VerificationRecord]:
     """Pointwise and averaged kernel estimates on the coset cells."""
@@ -638,7 +643,8 @@ def run_kernel_lemma_suite(g: GroupSpec, n_max: int = 64, tol: float = 1e-12,
     # (lemma5)/(lemma5aa): averaged |K_n| on cells
     sup5 = 0.0
     sup5aa = 0.0
-    for n in range(g.M[N], n_max + 1):
+    orders = range(g.M[N], n_max + 1)
+    for n in orders:
         avg = _coset_averages(g, ws.B[n] / n, N)
         for k, l, idx in part.cells:
             peak = float(avg[idx].max())
@@ -647,12 +653,13 @@ def run_kernel_lemma_suite(g: GroupSpec, n_max: int = 64, tol: float = 1e-12,
             else:
                 sup5 = max(sup5, peak * g.M[N] / g.M[k])
             sup5aa = max(sup5aa, peak * g.M[N] ** 2 / (g.M[l] * g.M[k]))
-    rec.report("lemma5", sup5, N=N)
-    rec.report("lemma5aa", sup5aa, N=N)
+    rec.report("lemma5", sup5, N=N, **_empty(orders))
+    rec.report("lemma5aa", sup5aa, N=N, **_empty(orders))
 
     # (l2): averaged tail sums of |K_j|/(j+1)
     tail = np.zeros(ws.MN)
-    for j in range(g.M[N] + 1, n_max + 1):
+    orders = range(g.M[N] + 1, n_max + 1)
+    for j in orders:
         tail = tail + np.abs(ws.B[j] / j) / (j + 1)
     avg = _coset_averages(g, tail, N)
     supl2 = 0.0
@@ -664,8 +671,8 @@ def run_kernel_lemma_suite(g: GroupSpec, n_max: int = 64, tol: float = 1e-12,
             supl2 = max(supl2, peak * g.M[N] ** 2 / (g.M[l] * g.M[k]))
         else:
             supl2_shell = max(supl2_shell, peak * g.M[N] / (g.M[k] * ln))
-    rec.report("l2", supl2, part="cells", N=N)
-    rec.report("l2", supl2_shell, part="shells", N=N)
+    rec.report("l2", supl2, part="cells", N=N, **_empty(orders))
+    rec.report("l2", supl2_shell, part="shells", N=N, **_empty(orders))
 
     # (lemma6kn): lower bound and vanishing of block multiples
     worst_margin = np.inf
@@ -719,9 +726,9 @@ def run_kernel_lemma_suite(g: GroupSpec, n_max: int = 64, tol: float = 1e-12,
         sup_ratio = 0.0
         sup_avg = 0.0
         sup_avg_big = 0.0
-        for n in (g.M[N] + 2, min(2 * g.M[N] + 1, n_max), n_max):
-            if not g.M[N] < n <= n_max:
-                continue
+        orders = [n for n in (g.M[N] + 2, min(2 * g.M[N] + 1, n_max), n_max)
+                  if g.M[N] < n <= n_max]
+        for n in orders:
             Qn = q.Q(n)
             if claim_ratio == "lemma0nnT1":
                 tail_vals = kernels.tmean_kernel(g, q, n, N=res).values
@@ -744,10 +751,10 @@ def run_kernel_lemma_suite(g: GroupSpec, n_max: int = 64, tol: float = 1e-12,
                 else:
                     sup_avg = max(sup_avg, peak * g.M[N] / g.M[k])
                 sup_avg_big = max(sup_avg_big, peak * g.M[N] ** 2 / (g.M[l] * g.M[k]))
-        rec.report(claim_ratio, sup_ratio, N=N)
-        rec.report(claim_avg, sup_avg, N=N)
+        rec.report(claim_ratio, sup_ratio, N=N, **_empty(orders))
+        rec.report(claim_avg, sup_avg, N=N, **_empty(orders))
         if claim_avg_big:
-            rec.report(claim_avg_big, sup_avg_big, N=N)
+            rec.report(claim_avg_big, sup_avg_big, N=N, **_empty(orders))
 
     return rec.records()
 

@@ -13,7 +13,7 @@ from vilenkin.cli import main
 from vilenkin.errors import InvalidParamsError, RangeError
 from vilenkin.group import MAX_GRID_POINTS, check_grid_points, make_group
 from vilenkin.hardy import counterexample
-from vilenkin.spectral import random_grid_function
+from vilenkin.spectral import constant, delta, random_grid_function
 
 
 def run_cli(*argv):
@@ -313,9 +313,11 @@ def test_grid_cap_admits_the_largest_suite_grid():
 
 @pytest.mark.parametrize("build", [
     lambda g: random_grid_function(g, 8, seed=0),
+    lambda g: constant(g, 8),
+    lambda g: delta(g, 8),
     lambda g: counterexample(g, "hp-blocks", [1, 2, 3], rank=8, p=0.4),
     lambda g: verify.run_divergence_suite(g),
-], ids=["random", "counterexample", "divergence-suite"])
+], ids=["random", "constant", "delta", "counterexample", "divergence-suite"])
 def test_oversized_grids_are_refused_before_allocation(build):
     with pytest.raises(RangeError, match="points"):
         build(make_group([17], 8))

@@ -34,6 +34,14 @@ from vilenkin.spectral import (
 )
 
 
+def test_delta_rejects_points_off_the_grid(walsh):
+    MN = walsh.order(3)
+    assert delta(walsh, 3, at=MN - 1, scale=2.0).values[MN - 1] == 2.0
+    for at in (-1, -MN, MN, MN + 5):
+        with pytest.raises(RangeError, match=f"point index {at} outside 0..{MN - 1}"):
+            delta(walsh, 3, at=at)
+
+
 def test_coeff_of_character(walsh):
     f = character_function(walsh, 5, 3)
     for k in range(8):

@@ -69,6 +69,27 @@ def test_kernel_lemma_suite(walsh10):
     assert all(np.isfinite(r.value) for r in ratios)
 
 
+EMPTY_SUPREMA = {("lemma5", None), ("lemma5aa", None), ("l2", "cells"), ("l2", "shells"),
+                 ("lemma0nnT0", None), ("lemma5aaTin", None), ("lemma0nnT", None),
+                 ("lemma5a", None), ("lemma5bT", None), ("lemma0nnT1", None),
+                 ("lemma5aT", None), ("lemma5b", None)}
+
+
+@pytest.mark.parametrize("n_max,empty", [
+    (16, EMPTY_SUPREMA),                                            # no order >= M_N
+    (25, EMPTY_SUPREMA - {("lemma5", None), ("lemma5aa", None)}),   # only n = M_N
+    (64, set()),
+])
+def test_kernel_lemma_empty_suprema_are_marked(n_max, empty):
+    recs = verify.run_kernel_lemma_suite(make_group([5], 8), n_max=n_max)
+    assert {r.params["N"] for r in recs if r.claim == "lemma5"} == {2}     # M_N = 25
+    marked = {(r.claim, r.params.get("part")) for r in recs if "orders" in r.params}
+    assert marked == empty
+    for r in recs:
+        if "orders" in r.params:
+            assert r.params["orders"] == 0 and r.value == 0.0 and r.kind == "report"
+
+
 def test_strong_suite_trends(walsh10):
     recs = verify.run_strong_suite(walsh10, rank=5, n_max=32)
     trends = [r for r in recs if r.kind == "trend"]
