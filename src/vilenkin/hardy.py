@@ -153,13 +153,19 @@ def hardy_quasinorm_rows(g: GroupSpec, resolution: int, values: np.ndarray, p: f
 # ---------------------------------------------------------------------------
 
 def modulus(f: GridFunction, p: float, n: int) -> float:
-    """omega_p(1/M_n, f) = sup over shifts h in I_n of ||f(.-h) - f||_p.
+    """omega_p(1/M_n, f) = sup over shifts h in I_n of ||f(.-h) - f||_p."""
+    return moduli(f, (p,), n)[0]
+
+
+def moduli(f: GridFunction, ps: Sequence[float], n: int) -> tuple[float, ...]:
+    """``modulus(f, p, n)`` for every p in ``ps``, from one gather of f(.-h) - f.
 
     Shifts representable on the grid have zero digits below position n,
     i.e. flat indices h = H * M_n; the supremum runs over all of them at
     once, gathering f through a table of the flat indices of x - h (digits
     at or above n are subtracted mod m_j) in chunks of at most
-    ``_SHIFT_ENTRIES`` entries.
+    ``_SHIFT_ENTRIES`` entries.  Each p reduces the same gathered
+    differences, so every value equals a ``modulus`` call of its own.
     """
     if not 0 <= n <= f.resolution:
         raise RangeError(f"level {n} outside 0..{f.resolution}")
@@ -170,13 +176,14 @@ def modulus(f: GridFunction, p: float, n: int) -> float:
     hd = dm[:, Mn:MN:Mn]                       # digits of every h = H * M_n, H >= 1
     step = max(1, _SHIFT_ENTRIES // MN)
     low = np.arange(MN) % Mn
-    best = 0.0
+    best = [0.0] * len(ps)
     for c in range(0, hd.shape[1], step):
         idx = low
         for j in range(n, N):
             idx = idx + ((dm[j] - hd[j, c:c + step, None]) % g.m[j]) * g.M[j]
-        best = max(best, float(lp_norm_rows(f.values[idx] - f.values, p).max()))
-    return best
+        diff = f.values[idx] - f.values
+        best = [max(b, float(lp_norm_rows(diff, p).max())) for b, p in zip(best, ps)]
+    return tuple(best)
 
 
 def tail_martingale(mart: StepMartingale, n: int) -> StepMartingale:

@@ -13,13 +13,20 @@ takes the mean's own weight vector w, row 0 of the kind's weight builder
 for the one order n, and evaluates sum_k w_k D_k as one spectral
 multiplier, the coefficient tails of w.
 
-Kernel grids are memoized in an LRU cache of at most ``_CACHE_ENTRIES``
-grids, keyed by (group, kind, n, resolution) or, for weighted kernels, by
-(group, resolution, weight vector); lookups and insertions hold a lock.
+Two LRU caches keep what a process has built; lookups and insertions hold
+one lock.  Kernel grids are memoized in at most ``_CACHE_ENTRIES`` entries,
+keyed by (group, kind, n, resolution) or, for weighted kernels, by (group,
+resolution, weight vector).  The block tables the closed forms are made of
+(D_{M_l}, D_{s M_l}, K_{M_l}, K_{s M_l}, the digit terms of the product
+formula and the rotations r_l^s) are read-only arrays in a second cache,
+keyed by (group, builder, level, s, resolution) and bounded by bytes
+(``_BLOCK_BYTES``), so a closed form of any order reuses the tables of
+every order before it.
 """
 
 from __future__ import annotations
 
+import bisect
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -28,16 +35,28 @@ import numpy as np
 
 from . import means
 from .characters import _unit_roots, character_column
-from .errors import DomainError, RangeError, ShapeMismatchError
+from .errors import DomainError, IndexOverflowError, RangeError, ShapeMismatchError
 from .group import GroupSpec, NatDigits, digit_matrix, digits_of, variation_v, variation_vstar
 from .spectral import GridFunction, Spectrum, coefficient_tails, lp_norm, transform_inverse
 from .weights import WeightSequence
 
 # Most kernel grids the cache keeps; the least recently used go first.  One
 # ``vilenkin verify --suite all`` run on [2]^12, [3]^9 or [2,3,4]^9 inserts
-# 343-349 grids (under 0.6 MB), so a whole run stays cached.
+# 343-349 grids (0.41-0.57 MB), so a whole run stays cached.  An entry can be
+# as large as a grid may be (``group.MAX_GRID_POINTS``), so the entry count
+# alone does not bound the bytes held.
 _CACHE_ENTRIES = 512
 _cache: OrderedDict = OrderedDict()
+
+# Most bytes of block tables the block cache keeps (16 MiB at worst); the
+# least recently used go first, and a table larger than the budget is
+# returned but not kept.  One ``vilenkin verify --suite all`` run on [2]^12,
+# [3]^9 or [2,3,4]^9 builds 56-57 tables (0.09-0.36 MB); the radix-5 strong,
+# divergence and inequality suites on [5]^8 build 18 (10.3 MB, mostly the
+# rank-7 tables of the Dnqn pattern index), so a whole run stays cached.
+_BLOCK_BYTES = 16 << 20
+_blocks: OrderedDict = OrderedDict()
+
 _cache_lock = threading.Lock()
 
 
@@ -45,7 +64,9 @@ def min_resolution(g: GroupSpec, n: int) -> int:
     """Smallest resolution on which D_n (hence any index-n kernel) is constant."""
     if n <= 1:
         return 1
-    return digits_of(n, g).hi + 1
+    if n >= g.M[g.levels]:
+        raise IndexOverflowError(f"n={n} outside [0, {g.M[g.levels]})")
+    return bisect.bisect_right(g.M, n)   # the k with M_{k-1} <= n < M_k
 
 
 def _resolve(g: GroupSpec, n: int, N: int | None) -> int:
@@ -59,19 +80,35 @@ def _resolve(g: GroupSpec, n: int, N: int | None) -> int:
     return N
 
 
-def _cached(key, build):
+def _lru(cache: OrderedDict, key, build, full):
+    """``cache[key]``, built on a miss; drops the oldest entries while ``full(cache)``."""
     with _cache_lock:
-        hit = _cache.get(key)
+        hit = cache.get(key)
         if hit is not None:
-            _cache.move_to_end(key)
+            cache.move_to_end(key)
             return hit
     val = build()
     with _cache_lock:
-        val = _cache.setdefault(key, val)
-        _cache.move_to_end(key)
-        while len(_cache) > _CACHE_ENTRIES:
-            _cache.popitem(last=False)
+        val = cache.setdefault(key, val)
+        cache.move_to_end(key)
+        while full(cache):
+            cache.popitem(last=False)
     return val
+
+
+def _cached(key, build):
+    return _lru(_cache, key, build, lambda c: len(c) > _CACHE_ENTRIES)
+
+
+def _block(g: GroupSpec, builder: str, level: int, s: int, resolution: int, build) -> np.ndarray:
+    """The block table ``build()`` returns, built once per key and read-only."""
+    def frozen():
+        val = build()
+        val.flags.writeable = False
+        return val
+
+    return _lru(_blocks, (g.key(), builder, level, s, resolution), frozen,
+                lambda c: sum(v.nbytes for v in c.values()) > _BLOCK_BYTES)
 
 
 # ---------------------------------------------------------------------------
@@ -80,9 +117,24 @@ def _cached(key, build):
 
 def dirichlet_block(g: GroupSpec, level: int, resolution: int) -> np.ndarray:
     """D_{M_level}: equals M_level on I_level and 0 elsewhere."""
-    dm = digit_matrix(g, resolution)
-    mask = np.all(dm[:level] == 0, axis=0)
-    return np.where(mask, float(g.M[level]), 0.0).astype(np.complex128)
+    def build():
+        dm = digit_matrix(g, resolution)
+        mask = np.all(dm[:level] == 0, axis=0)
+        return np.where(mask, float(g.M[level]), 0.0).astype(np.complex128)
+
+    return _block(g, "dirichlet", level, 0, resolution, build)
+
+
+def _dirichlet_term(g: GroupSpec, j: int, d: int, N: int) -> np.ndarray:
+    """D_{M_j} * sum_{k=m_j-d}^{m_j-1} r_j^k: the term of digit d at position j."""
+    def build():
+        mj = g.m[j]
+        roots = _unit_roots(mj)
+        # geometric tail sum_{k=m_j-d}^{m_j-1} r_j(x)^k, tabulated per digit value
+        tail = np.array([roots[(np.arange(mj - d, mj) * v) % mj].sum() for v in range(mj)])
+        return dirichlet_block(g, j, N) * tail[digit_matrix(g, N)[j]]
+
+    return _block(g, "dirichlet_term", j, d, N, build)
 
 
 def _dirichlet_closed(g: GroupSpec, n: int, N: int) -> np.ndarray:
@@ -90,15 +142,9 @@ def _dirichlet_closed(g: GroupSpec, n: int, N: int) -> np.ndarray:
     MN = g.order(N)
     if n == 0:
         return np.zeros(MN, dtype=np.complex128)
-    nd = digits_of(n, g)
-    dm = digit_matrix(g, N)
     acc = np.zeros(MN, dtype=np.complex128)
-    for j, d in nd.nonzero():
-        mj = g.m[j]
-        roots = _unit_roots(mj)
-        # geometric tail sum_{k=m_j-d}^{m_j-1} r_j(x)^k, tabulated per digit value
-        tail = np.array([roots[(np.arange(mj - d, mj) * v) % mj].sum() for v in range(mj)])
-        acc += dirichlet_block(g, j, N) * tail[dm[j]]
+    for j, d in digits_of(n, g).nonzero():
+        acc += _dirichlet_term(g, j, d, N)
     return character_column(g, n, N) * acc
 
 
@@ -128,11 +174,23 @@ def dirichlet_s_block(g: GroupSpec, s: int, level: int, resolution: int) -> np.n
     """D_{s*M_level} = D_{M_level} * sum_{k<s} r_level^k (block identity)."""
     if not 1 <= s <= g.m[level] - 1:
         raise RangeError("block multiplier s must satisfy 1 <= s <= m_level - 1")
-    dm = digit_matrix(g, resolution)
-    mj = g.m[level]
-    roots = _unit_roots(mj)
-    geo = np.array([roots[(np.arange(s) * v) % mj].sum() for v in range(mj)])
-    return dirichlet_block(g, level, resolution) * geo[dm[level]]
+
+    def build():
+        mj = g.m[level]
+        roots = _unit_roots(mj)
+        geo = np.array([roots[(np.arange(s) * v) % mj].sum() for v in range(mj)])
+        return dirichlet_block(g, level, resolution) * geo[digit_matrix(g, resolution)[level]]
+
+    return _block(g, "dirichlet_s", level, s, resolution, build)
+
+
+def _rotation(g: GroupSpec, level: int, s: int, resolution: int) -> np.ndarray:
+    """r_level^s on the rank-``resolution`` grid."""
+    def build():
+        mj = g.m[level]
+        return _unit_roots(mj)[(s * digit_matrix(g, resolution)[level]) % mj]
+
+    return _block(g, "rotation", level, s, resolution, build)
 
 
 # ---------------------------------------------------------------------------
@@ -145,23 +203,25 @@ def fejer_block(g: GroupSpec, level: int, resolution: int) -> np.ndarray:
     (M_level + 1)/2 on I_level; M_t/(1 - r_t(x)) on the sets where the only
     nonzero digit below ``level`` sits at position t; zero elsewhere.
     """
-    n = level
-    dm = digit_matrix(g, resolution)
-    MN = g.order(resolution)
-    out = np.zeros(MN, dtype=np.complex128)
-    in_In = np.all(dm[:n] == 0, axis=0)
-    out[in_In] = (g.M[n] + 1) / 2.0
-    for t in range(n):
-        mask = (
-            np.all(dm[:t] == 0, axis=0)
-            & (dm[t] != 0)
-            & np.all(dm[t + 1:n] == 0, axis=0)
-        )
-        if not mask.any():
-            continue
-        rt = _unit_roots(g.m[t])[dm[t][mask]]
-        out[mask] = g.M[t] / (1.0 - rt)
-    return out
+    def build():
+        n = level
+        dm = digit_matrix(g, resolution)
+        out = np.zeros(g.order(resolution), dtype=np.complex128)
+        in_In = np.all(dm[:n] == 0, axis=0)
+        out[in_In] = (g.M[n] + 1) / 2.0
+        for t in range(n):
+            mask = (
+                np.all(dm[:t] == 0, axis=0)
+                & (dm[t] != 0)
+                & np.all(dm[t + 1:n] == 0, axis=0)
+            )
+            if not mask.any():
+                continue
+            rt = _unit_roots(g.m[t])[dm[t][mask]]
+            out[mask] = g.M[t] / (1.0 - rt)
+        return out
+
+    return _block(g, "fejer", level, 0, resolution, build)
 
 
 def _fejer_s_block(g: GroupSpec, s: int, level: int, resolution: int) -> np.ndarray:
@@ -169,29 +229,28 @@ def _fejer_s_block(g: GroupSpec, s: int, level: int, resolution: int) -> np.ndar
 
     s*M*K_{s*M} = sum_{l<s}(sum_{i<l} r^i) * M * D_M + (sum_{l<s} r^l) * M * K_M.
     """
-    mj = g.m[level]
-    roots = _unit_roots(mj)
-    dm = digit_matrix(g, resolution)
-    rpow = roots[dm[level] % mj]
-    inner = np.zeros(g.order(resolution), dtype=np.complex128)   # sum_{l<s} sum_{i<l} r^i
-    geo = np.zeros(g.order(resolution), dtype=np.complex128)     # sum_{l<s} r^l
-    running = np.zeros_like(geo)
-    term = np.ones_like(geo)
-    for l in range(s):
-        geo += term
-        inner += running
-        running = running + term
-        term = term * rpow
-    M = float(g.M[level])
-    D = dirichlet_block(g, level, resolution)
-    K = fejer_block(g, level, resolution)
-    return (inner * M * D + geo * M * K) / (s * M)
+    def build():
+        rpow = _rotation(g, level, 1, resolution)
+        inner = np.zeros(g.order(resolution), dtype=np.complex128)   # sum_{l<s} sum_{i<l} r^i
+        geo = np.zeros(g.order(resolution), dtype=np.complex128)     # sum_{l<s} r^l
+        running = np.zeros_like(geo)
+        term = np.ones_like(geo)
+        for l in range(s):
+            geo += term
+            inner += running
+            running = running + term
+            term = term * rpow
+        M = float(g.M[level])
+        D = dirichlet_block(g, level, resolution)
+        K = fejer_block(g, level, resolution)
+        return (inner * M * D + geo * M * K) / (s * M)
+
+    return _block(g, "fejer_s", level, s, resolution, build)
 
 
 def _fejer_closed(g: GroupSpec, n: int, N: int) -> np.ndarray:
     """Block decomposition of n*K_n over the nonzero digits of n."""
-    nd = digits_of(n, g)
-    blocks = list(reversed(nd.nonzero()))  # highest digit first
+    blocks = list(reversed(digits_of(n, g).nonzero()))  # highest digit first
     MN = g.order(N)
     acc = np.zeros(MN, dtype=np.complex128)
     prefix = np.ones(MN, dtype=np.complex128)
@@ -202,9 +261,7 @@ def _fejer_closed(g: GroupSpec, n: int, N: int) -> np.ndarray:
         acc += prefix * sM * _fejer_s_block(g, s, level, N)
         if i < len(blocks) - 1:
             acc += prefix * remainder * dirichlet_s_block(g, s, level, N)
-        roots = _unit_roots(g.m[level])
-        dmrow = digit_matrix(g, N)[level]
-        prefix = prefix * roots[(s * dmrow) % g.m[level]]
+            prefix = prefix * _rotation(g, level, s, N)
     return acc / n
 
 

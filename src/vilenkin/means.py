@@ -399,7 +399,7 @@ def weighted_maximal(
     replicated onto f's grid once at the end, which leaves every value
     unchanged.  A rank-l array replicated onto M_j points is its rows of a
     (M_j / M_l, M_l) view, so the coarser of the two operands is broadcast
-    over the finer one's rows, and nothing is tiled.
+    over the finer one's rows, and nothing is tiled before the end.
     """
     idx = list(indices)
     if not idx:
@@ -413,8 +413,7 @@ def weighted_maximal(
         np.maximum(rows, coarse, out=rows)
         out = fine
     MN = f.group.order(f.resolution)
-    full = np.broadcast_to(out, (MN // out.size, out.size)).astype(np.complex128)
-    return GridFunction(f.group, f.resolution, full.reshape(-1))
+    return GridFunction(f.group, f.resolution, np.tile(out.astype(np.complex128), MN // out.size))
 
 
 def power_log_weight(p: float, with_log: bool = True) -> Callable[[int], float]:

@@ -25,7 +25,7 @@ def _kahan_partials(q: np.ndarray) -> np.ndarray:
     out[0] = 0.0
     total = 0.0
     comp = 0.0
-    for i, v in enumerate(q):
+    for i, v in enumerate(q.tolist()):   # Python floats: the same IEEE steps, faster
         y = v - comp
         t = total + y
         comp = (t - total) - y

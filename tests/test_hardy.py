@@ -24,6 +24,7 @@ from vilenkin.hardy import (
     hardy_quasinorm_rows,
     make_atom,
     maximal_function,
+    moduli,
     modulus,
     modulus_hp,
     project_to_level,
@@ -131,6 +132,19 @@ def test_modulus_matches_per_shift_loop(pattern, monkeypatch):
                 for n in range(N + 1):
                     ref = _modulus_per_shift(f, p, n)
                     assert abs(modulus(f, p, n) - ref) <= 1e-12 * max(ref, 1.0)
+
+
+@pytest.mark.parametrize("pattern", [[2], [3], [2, 3, 4], [5, 2]])
+def test_moduli_equal_modulus_for_each_p(pattern, monkeypatch):
+    # one gather reduced for several p gives each p's own modulus, bit for bit
+    g = make_group(pattern, 6)
+    ps = (0.5, 1.0, 2.0, np.inf)
+    for entries in (1 << 16, 3 * g.order(4) + 1):   # one chunk; several, the last one short
+        monkeypatch.setattr(hardy, "_SHIFT_ENTRIES", entries)
+        for N in range(5):
+            f = random_grid_function(g, N, seed=N)
+            for n in range(N + 1):
+                assert moduli(f, ps, n) == tuple(modulus(f, p, n) for p in ps)
 
 
 def test_watari_bracket(any_group):

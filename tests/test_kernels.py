@@ -3,10 +3,17 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from vilenkin import kernels
 from vilenkin import weights as wts
-from vilenkin.errors import DegenerateWeightsError, RangeError, ShapeMismatchError, VilenkinError
+from vilenkin.errors import (
+    DegenerateWeightsError,
+    IndexOverflowError,
+    RangeError,
+    ShapeMismatchError,
+    VilenkinError,
+)
 from vilenkin.group import digits_of, make_group
 from vilenkin.kernels import (
     dirichlet,
@@ -216,6 +223,27 @@ def test_min_resolution(walsh):
     assert min_resolution(walsh, 8) == 4
 
 
+# The deepest groups of each pattern whose M_L stays within the index range.
+_DEEP = [make_group([2], 60), make_group([3], 38), make_group([2, 3, 4], 39),
+         make_group([5, 2], 36)]
+
+
+@given(st.data())
+def test_min_resolution_is_the_top_digit_plus_one(data):
+    g = data.draw(st.sampled_from(_DEEP))
+    n = data.draw(st.integers(min_value=0, max_value=g.M[g.levels] - 1))
+    assert min_resolution(g, n) == digits_of(n, g).hi + 1
+
+
+@pytest.mark.parametrize("g", _DEEP, ids=["m2", "m3", "m234", "m52"])
+def test_min_resolution_at_block_edges(g):
+    for k in range(g.levels):
+        for n in (g.M[k] - 1, g.M[k], g.M[k + 1] - 1):
+            assert min_resolution(g, n) == digits_of(n, g).hi + 1
+    with pytest.raises(IndexOverflowError):
+        min_resolution(g, g.M[g.levels])
+
+
 def _kind_params(kind: str) -> dict:
     values = {"alpha": 0.5, "q": wts.power_weights(0.5, 8)}
     return {name: values[name] for name in param_names(kind)}
@@ -255,6 +283,69 @@ def test_mean_kernel_fails_like_the_mean(kind, n, params):
     else:   # S_0 f = 0: the partial-sum kernel D_0 is 0 as well
         K = mean_kernel(g, kind, n, N=4, **params)
         assert np.abs(convolve(f, K).values - expected.values).max() < 1e-12
+
+
+_BLOCK_GROUPS = [([2], 6), ([3], 4), ([2, 3, 4], 4), ([5, 2], 4)]
+
+
+def _block_tables(g):
+    """Every block table of g, keyed as the block cache keys it (less the group)."""
+    out = {}
+    for N in range(1, g.levels + 1):
+        for lvl in range(N + 1):
+            out["dirichlet", lvl, 0, N] = dirichlet_block(g, lvl, N)
+            out["fejer", lvl, 0, N] = kernels.fejer_block(g, lvl, N)
+        for lvl in range(N):
+            for s in range(1, g.m[lvl]):
+                out["dirichlet_s", lvl, s, N] = kernels.dirichlet_s_block(g, s, lvl, N)
+                out["dirichlet_term", lvl, s, N] = kernels._dirichlet_term(g, lvl, s, N)
+                out["fejer_s", lvl, s, N] = kernels._fejer_s_block(g, s, lvl, N)
+                out["rotation", lvl, s, N] = kernels._rotation(g, lvl, s, N)
+    return out
+
+
+@pytest.mark.parametrize("pattern,levels", _BLOCK_GROUPS)
+def test_cached_block_tables_are_read_only(monkeypatch, pattern, levels):
+    monkeypatch.setattr(kernels, "_blocks", OrderedDict())
+    for key, table in _block_tables(make_group(pattern, levels)).items():
+        assert not table.flags.writeable, key
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
+
+@pytest.mark.parametrize("pattern,levels", _BLOCK_GROUPS)
+def test_cached_block_tables_equal_fresh_builds(monkeypatch, pattern, levels):
+    monkeypatch.setattr(kernels, "_blocks", OrderedDict())
+    g = make_group(pattern, levels)
+    L = g.levels
+    cached = _block_tables(g)
+    assert set(kernels._blocks) == {(g.key(),) + key for key in cached}
+    again = _block_tables(g)
+    assert all(again[key] is table for key, table in cached.items())
+    dirichlets = [kernels._dirichlet_closed(g, n, L) for n in range(g.M[L])]
+    fejers = [kernels._fejer_closed(g, n, L) for n in range(1, g.M[L])]
+    # the same builders and closed forms with the cache bypassed
+    monkeypatch.setattr(kernels, "_block", lambda g, builder, level, s, res, build: build())
+    for key, table in _block_tables(g).items():
+        assert np.array_equal(table, cached[key]), key
+    for n, d in enumerate(dirichlets):
+        assert np.array_equal(kernels._dirichlet_closed(g, n, L), d), n
+    for n, k in enumerate(fejers, start=1):
+        assert np.array_equal(kernels._fejer_closed(g, n, L), k), n
+
+
+def test_block_cache_is_bounded_by_bytes(monkeypatch):
+    monkeypatch.setattr(kernels, "_blocks", OrderedDict())
+    g = make_group([3], 5)
+    nbytes = g.order(5) * 16
+    monkeypatch.setattr(kernels, "_BLOCK_BYTES", 4 * nbytes)
+    tables = [dirichlet_block(g, lvl, 5) for lvl in range(6)]
+    assert [key[2] for key in kernels._blocks] == [2, 3, 4, 5]   # the four most recent
+    assert sum(t.nbytes for t in kernels._blocks.values()) == 4 * nbytes
+    # a table over the budget is returned but not kept
+    monkeypatch.setattr(kernels, "_BLOCK_BYTES", nbytes - 1)
+    assert np.array_equal(dirichlet_block(g, 0, 5), tables[0])
+    assert not kernels._blocks
 
 
 def test_kernel_cache_is_bounded(monkeypatch):
