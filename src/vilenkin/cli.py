@@ -117,6 +117,7 @@ def _weights_from_args(args, n: int) -> weights.WeightSequence:
 
 def cmd_lebesgue(args) -> int:
     pattern = _pattern_from_args(args)
+    make_group(pattern)   # refuses radices below 2 before they are multiplied up
     need = 1
     prod = pattern[0]
     while prod <= args.max_n:

@@ -37,19 +37,8 @@ _SHIFT_ENTRIES = 1 << 16   # index-table entries gathered at once by ``modulus``
 
 
 def conditional_expectation(f: GridFunction, n: int) -> GridFunction:
-    """Average f over each rank-n coset and replicate; equals S_{M_n} f.
-
-    Cosets at level n fix the low digits, so the flat indices of one coset
-    are {low + h*M_n}; averaging is a reshape-and-mean.
-    """
-    if not 0 <= n <= f.resolution:
-        raise RangeError(f"level {n} outside 0..{f.resolution}")
-    g = f.group
-    Mn = g.M[n]
-    MN = g.order(f.resolution)
-    block = f.values.reshape(MN // Mn, Mn)
-    means = block.mean(axis=0)
-    return GridFunction(g, f.resolution, np.tile(means, MN // Mn))
+    """Average f over each rank-n coset and replicate; equals S_{M_n} f."""
+    return embed(project_to_level(f, n), f.resolution)
 
 
 def project_to_level(f: GridFunction, n: int) -> GridFunction:

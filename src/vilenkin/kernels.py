@@ -13,6 +13,11 @@ takes the mean's own weight vector w, row 0 of the kind's weight builder
 for the one order n, and evaluates sum_k w_k D_k as one spectral
 multiplier, the coefficient tails of w.
 
+A kernel table over many orders is a mean sweep of the unit mass
+u = M_N 1_{I_N}: its spectrum is all ones (up to one rounding), so
+``means.mean_blocks(u, kind, orders)`` yields the kernels sum_k w_k D_k of a
+kind as rank-j rows (``fejer_l1_batch``; the ``reisz`` and ``T2`` suprema).
+
 Two LRU caches keep what a process has built; lookups and insertions hold
 one lock.  Kernel grids are memoized in at most ``_CACHE_ENTRIES`` entries,
 keyed by (group, kind, n, resolution) or, for weighted kernels, by (group,
@@ -36,13 +41,15 @@ import numpy as np
 from . import means
 from .characters import _unit_roots, character_column
 from .errors import DomainError, IndexOverflowError, RangeError, ShapeMismatchError
-from .group import GroupSpec, NatDigits, digit_matrix, digits_of, variation_v, variation_vstar
-from .spectral import GridFunction, Spectrum, coefficient_tails, lp_norm, transform_inverse
+from .group import (GroupSpec, NatDigits, check_grid_points, digit_matrix, digits_of,
+                    variation_v, variation_vstar)
+from .spectral import (GridFunction, Spectrum, coefficient_tails, delta, lp_norm, lp_norm_rows,
+                       transform_inverse)
 from .weights import WeightSequence
 
 # Most kernel grids the cache keeps; the least recently used go first.  One
 # ``vilenkin verify --suite all`` run on [2]^12, [3]^9 or [2,3,4]^9 inserts
-# 343-349 grids (0.41-0.57 MB), so a whole run stays cached.  An entry can be
+# 162-163 grids (0.24-0.38 MB), so a whole run stays cached.  An entry can be
 # as large as a grid may be (``group.MAX_GRID_POINTS``), so the entry count
 # alone does not bound the bytes held.
 _CACHE_ENTRIES = 512
@@ -72,11 +79,12 @@ def min_resolution(g: GroupSpec, n: int) -> int:
 def _resolve(g: GroupSpec, n: int, N: int | None) -> int:
     need = min_resolution(g, n)
     if N is None:
-        return need
-    if N < need:
+        N = need
+    elif N < need:
         raise ShapeMismatchError(f"kernel of index {n} needs resolution >= {need}, got {N}")
-    if N > g.levels:
+    elif N > g.levels:
         raise RangeError(f"resolution {N} exceeds group levels {g.levels}")
+    check_grid_points(g, N)
     return N
 
 
@@ -379,8 +387,10 @@ def lebesgue_bounds(nd: NatDigits, variant: str = "literal") -> LebesgueBounds:
 
 def lebesgue_batch(g: GroupSpec, n_max: int) -> np.ndarray:
     """L_n for n = 1..n_max via one incremental character accumulation."""
+    if n_max < 0:
+        raise RangeError(f"table order n_max must be nonnegative, got {n_max}")
     N = min_resolution(g, n_max)
-    MN = g.order(N)
+    MN = check_grid_points(g, N)
     D = np.zeros(MN, dtype=np.complex128)
     out = np.empty(n_max + 1)
     out[0] = 0.0
@@ -391,17 +401,14 @@ def lebesgue_batch(g: GroupSpec, n_max: int) -> np.ndarray:
 
 
 def fejer_l1_batch(g: GroupSpec, n_max: int) -> np.ndarray:
-    """||K_n||_1 for n = 1..n_max via incremental accumulation."""
+    """||K_n||_1 for n = 1..n_max (entry 0 is 0): a Fejer sweep of the unit mass."""
+    if n_max < 0:
+        raise RangeError(f"table order n_max must be nonnegative, got {n_max}")
     N = min_resolution(g, n_max)
-    MN = g.order(N)
-    D = np.zeros(MN, dtype=np.complex128)
-    B = np.zeros(MN, dtype=np.complex128)
-    out = np.empty(n_max + 1)
-    out[0] = 0.0
-    for n in range(1, n_max + 1):
-        D += character_column(g, n - 1, N)
-        B += D
-        out[n] = np.abs(B / n).mean()
+    unit = delta(g, N, scale=g.order(N))
+    out = np.zeros(n_max + 1)
+    for _, ns, rows in means.mean_blocks(unit, "fejer", range(1, n_max + 1)):
+        out[ns] = lp_norm_rows(rows, 1.0)
     return out
 
 

@@ -20,7 +20,8 @@ cosets, so for n <= M_j the mean is a rank-j function: the same mean of E_j f
 (the rank-j coset averages), whose spectrum is exactly f^(0..M_j-1).  The
 block's coefficient rows are that spectrum prefix times the tail sums of
 the block's weight matrix, and one batched inverse stage pass synthesizes
-them all.
+them all.  The unit mass M_N 1_{I_N} has spectrum all ones, so its sweep is
+a table of the kind's kernels sum_k w_k D_k.
 """
 
 from __future__ import annotations
@@ -336,9 +337,9 @@ def first_order(kind: str) -> int:
     return 2 if kind in ("riesz_log", "norlund_log") else 1
 
 
-# Most complex entries one ``mean_blocks`` block holds (1 MiB); longer runs
-# of orders on one level are split into several blocks.
-_BLOCK_ENTRIES = 1 << 16
+# Most complex entries one ``mean_blocks`` block holds (256 KiB; a block's
+# working set is about 5x that); longer runs on one level are split.
+_BLOCK_ENTRIES = 1 << 14
 
 
 def mean_blocks(

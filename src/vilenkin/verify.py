@@ -40,6 +40,7 @@ from .spectral import (
     Spectrum,
     coefficient_tails,
     convolve,
+    delta,
     lp_norm,
     lp_norm_rows,
     partial_sum,
@@ -503,19 +504,18 @@ def run_inequality_suite(g: GroupSpec, n_max: int = 256, tol: float = 1e-10,
     if g.is_dyadic:
         rec.bound("yano", K1[1:].max(), 2.0, tol, n_max=n_max)
 
-    # (reisz) sup ||Y_n||_1
-    sup_y = 0.0
-    for n in range(2, min(n_max, 128) + 1):
-        sup_y = max(sup_y, lp_norm(kernels.riesz_log_kernel(g, n), 1.0))
-    rec.report("reisz", sup_y, n_max=min(n_max, 128))
-
-    # (T2) sup ||F_n||_1 for the two monotone classes
+    # (reisz) sup ||Y_n||_1 and (T2) sup ||F_n||_1 for the two monotone
+    # classes; each kernel table is a mean sweep of the unit mass
+    top = min(n_max, 128)
+    res = kernels.min_resolution(g, top)
+    unit = delta(g, res, scale=g.order(res))
     qs = _weight_families(n_max)
-    for qname in ("power_half", "log1p"):
-        sup_f = 0.0
-        for n in range(2, min(n_max, 128) + 1):
-            sup_f = max(sup_f, lp_norm(kernels.tmean_kernel(g, qs[qname], n), 1.0))
-        rec.report("T2", sup_f, weights=qname, n_max=min(n_max, 128))
+    for claim, kind, qname in (("reisz", "riesz_log", None),
+                               ("T2", "tmean", "power_half"), ("T2", "tmean", "log1p")):
+        params, labels = ({}, {}) if qname is None else ({"q": qs[qname]}, {"weights": qname})
+        sup = max(lp_norm_rows(rows, 1.0).max()
+                  for _, _, rows in means.mean_blocks(unit, kind, range(2, top + 1), **params))
+        rec.report(claim, float(sup), **labels, n_max=top)
 
     # (112) regularity trends
     for qname, q in qs.items():

@@ -62,6 +62,15 @@ def test_conditional_expectation_endpoints(walsh):
     assert np.abs(c.values - f.values.mean()).max() < 1e-13
 
 
+def test_conditional_expectation_is_the_coset_mean_table_bit_for_bit(any_group):
+    g = any_group
+    f = random_grid_function(g, 5, seed=3)
+    MN = g.order(5)
+    for n in range(6):
+        table = f.values.reshape(MN // g.M[n], g.M[n]).mean(axis=0)
+        assert np.array_equal(conditional_expectation(f, n).values, np.tile(table, MN // g.M[n]))
+
+
 def test_coset_means_brute_force(walsh):
     f = random_grid_function(walsh, 3, seed=11)
     ce = conditional_expectation(f, 1)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from vilenkin import io as vio
-from vilenkin import verify
+from vilenkin import kernels, verify
 from vilenkin.cli import main
 from vilenkin.errors import InvalidParamsError, RangeError
 from vilenkin.group import MAX_GRID_POINTS, check_grid_points, make_group
@@ -317,18 +317,45 @@ def test_grid_cap_admits_the_largest_suite_grid():
     lambda g: delta(g, 8),
     lambda g: counterexample(g, "hp-blocks", [1, 2, 3], rank=8, p=0.4),
     lambda g: verify.run_divergence_suite(g),
-], ids=["random", "constant", "delta", "counterexample", "divergence-suite"])
+    lambda g: kernels.dirichlet(g, 5, 8),
+    lambda g: kernels.fejer(g, 5, 8),
+    lambda g: kernels.mean_kernel(g, "fejer", 5, 8),
+    lambda g: kernels.lebesgue_batch(g, g.M[7]),
+    lambda g: kernels.fejer_l1_batch(g, g.M[7]),
+], ids=["random", "constant", "delta", "counterexample", "divergence-suite", "dirichlet",
+        "fejer", "mean-kernel", "lebesgue-batch", "fejer-l1-batch"])
 def test_oversized_grids_are_refused_before_allocation(build):
     with pytest.raises(RangeError, match="points"):
         build(make_group([17], 8))
 
 
-def test_cli_verify_refuses_an_oversized_grid_at_once():
-    # the divergence suite would build 17^8 (about 7e9) points
+def run_cli_process(*argv):
+    """Run the CLI in a child process that is killed after 20 s."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.run([sys.executable, "-m", "vilenkin.cli", "verify", "--m", "17"],
+    return subprocess.run([sys.executable, "-m", "vilenkin.cli", *argv],
                           env=env, capture_output=True, text=True, timeout=20)
+
+
+def test_cli_verify_refuses_an_oversized_grid_at_once():
+    # the divergence suite would build 17^8 (about 7e9) points
+    proc = run_cli_process("verify", "--m", "17")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and "points" in proc.stderr
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("lebesgue", "--m", "1"), "radix 1 < 2"),
+    (("lebesgue", "--m", "0", "--max-n", "4"), "radix 0 < 2"),
+    (("lebesgue", "--m", "2,1,3"), "radix 1 < 2"),
+    (("lebesgue", "--max-n", "-1"), "nonnegative"),
+    (("lebesgue", "--max-n", "5000000000"), "points"),        # 2^33 points, 128 GiB
+    (("kernel", "--kind", "dirichlet", "--n", "5", "--res", "40"), "points"),   # 16 TiB
+], ids=["radix-1", "radix-0", "radix-1-in-pattern", "negative-max-n", "max-n-past-memory",
+        "res-past-memory"])
+def test_cli_bad_sizes_exit_2_at_once(argv, message):
+    # in a child process, so that a hang fails the test instead of the run
+    proc = run_cli_process(*argv)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and message in proc.stderr

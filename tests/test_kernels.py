@@ -31,8 +31,8 @@ from vilenkin.kernels import (
     riesz_log_kernel,
     tmean_kernel,
 )
-from vilenkin.means import _KINDS, _mean_by_kind, first_order, param_names
-from vilenkin.spectral import convolve, random_grid_function
+from vilenkin.means import _KINDS, _mean_by_kind, first_order, mean_blocks, param_names
+from vilenkin.spectral import convolve, delta, lp_norm, random_grid_function, transform_forward
 
 
 def test_dirichlet_block_values(walsh):
@@ -211,6 +211,42 @@ def test_fejer_l1_batch_bounded(walsh):
     assert sup <= 2.0
 
 
+# Groups deep enough for every order n <= 200.
+_TABLE_GROUPS = [make_group([2], 8), make_group([3], 5), make_group([2, 3, 4], 6),
+                 make_group([5, 2], 5)]
+_TABLE_IDS = ["m2", "m3", "m234", "m52"]
+
+
+@pytest.mark.parametrize("g", _TABLE_GROUPS, ids=_TABLE_IDS)
+def test_fejer_l1_batch_matches_the_naive_kernels(g):
+    K1 = fejer_l1_batch(g, 200)
+    assert K1[0] == 0.0
+    for n in range(1, 201):
+        assert K1[n] == pytest.approx(lp_norm(fejer(g, n, method="naive"), 1.0), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("table", [lebesgue_batch, fejer_l1_batch])
+def test_tables_refuse_a_negative_order(walsh, table):
+    with pytest.raises(RangeError, match="nonnegative"):
+        table(walsh, -1)
+    assert table(walsh, 0).tolist() == [0.0]
+
+
+@pytest.mark.parametrize("pattern,levels", [([2], 12), ([3], 9), ([2, 3, 4], 9), ([5], 8),
+                                            ([5, 2], 8)])
+def test_unit_mass_spectrum_is_one(pattern, levels):
+    g = make_group(pattern, levels)
+    for N in range(levels + 1):
+        MN = g.order(N)
+        c = transform_forward(delta(g, N, scale=MN)).coeffs
+        # The stage pass is exact, so the coefficients are one number.  Only
+        # the division by M_N can round it (numpy divides through a rounded
+        # reciprocal: 1 - 2^-53 on [3]^6), and never when M_N is a power of 2.
+        assert np.all(c == c[0]) and abs(c[0] - 1.0) <= np.finfo(float).eps / 2, N
+        if MN & (MN - 1) == 0:
+            assert c[0] == 1.0, N
+
+
 def test_degenerate_weights_rejected(walsh):
     q = wts.from_values([0.0, 0.0, 1.0])
     with pytest.raises(DegenerateWeightsError):
@@ -259,6 +295,22 @@ def test_mean_kernel_convolves_to_the_mean(kind, pattern, levels):
     for n in range(first_order(kind), g.M[levels]):
         K = mean_kernel(g, kind, n, N=levels, **params)
         assert np.abs(convolve(f, K).values - mean(f, n).values).max() < 1e-12
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+@pytest.mark.parametrize("g", _TABLE_GROUPS, ids=_TABLE_IDS)
+def test_unit_mass_sweep_rows_are_the_kernels(kind, g):
+    params = _kind_params(kind)
+    top = 60
+    N = min_resolution(g, top)
+    unit = delta(g, N, scale=g.order(N))
+    seen = []
+    for _, ns, rows in mean_blocks(unit, kind, range(first_order(kind), top + 1), **params):
+        for n, row in zip(ns, rows):
+            K = mean_kernel(g, kind, n, N=N, **params).values
+            assert np.abs(np.tile(row, K.size // row.size) - K).max() <= 1e-12 * np.abs(K).max()
+            seen.append(n)
+    assert seen == list(range(first_order(kind), top + 1))
 
 
 BAD_MEANS = [(kind, first_order(kind) - 1, _kind_params(kind)) for kind in sorted(_KINDS)] + [

@@ -4,10 +4,10 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from vilenkin import verify
+from vilenkin import kernels, verify
 from vilenkin.group import make_group
 from vilenkin.hardy import counterexample
-from vilenkin.spectral import partial_sum
+from vilenkin.spectral import lp_norm, partial_sum
 from vilenkin.weights import ones
 
 
@@ -58,6 +58,27 @@ def test_inequality_suite(walsh10):
     assert yano and yano[0].value <= 2.0
     reports = {r.claim for r in recs if r.kind == "report"}
     assert "Dn" in reports and "knbounded" in reports
+
+
+@pytest.mark.parametrize("pattern,levels,n_max", [
+    ([2], 12, 64), ([3], 9, 64), ([2, 3, 4], 9, 64), ([5], 8, 64), ([2], 12, 200)],
+    ids=["m2", "m3", "m234", "m5", "m2-top128"])
+def test_kernel_suprema_match_the_per_order_kernels(pattern, levels, n_max):
+    g = make_group(pattern, levels)
+    recs = verify.run_inequality_suite(g, n_max=n_max, samples=1)
+    got = {(r.claim, r.params.get("weights")): r for r in recs if r.claim in ("reisz", "T2")}
+    # the per-order loop the unit-mass sweeps replace
+    top = min(n_max, 128)
+    qs = verify._weight_families(n_max)
+    want = {("reisz", None): max(lp_norm(kernels.riesz_log_kernel(g, n), 1.0)
+                                 for n in range(2, top + 1))}
+    for qname in ("power_half", "log1p"):
+        want[("T2", qname)] = max(lp_norm(kernels.tmean_kernel(g, qs[qname], n), 1.0)
+                                  for n in range(2, top + 1))
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert got[key].value == pytest.approx(value, rel=1e-12, abs=0), key
+        assert got[key].params["n_max"] == top
 
 
 def test_kernel_lemma_suite(walsh10):
