@@ -167,9 +167,8 @@ def cmd_transform(args) -> int:
 
 
 # The least values `verify` accepts: the divergence suite builds its
-# martingale on 8 levels; below --max-n 8 the identity suite indexes past its
-# kernel tables and the strong suite normalizes by log 1 = 0.
-VERIFY_MINIMUMS = {"levels": 8, "max_n": 8, "samples": 1}
+# martingale on 8 levels, and the suites refuse n_max below verify.MIN_N_MAX.
+VERIFY_MINIMUMS = {"levels": 8, "max_n": verify.MIN_N_MAX, "samples": 1}
 
 
 def cmd_verify(args) -> int:

@@ -8,17 +8,23 @@ twiddle factors.  Adjacent digit positions are fused into blocks whose
 radix product B is at most 64 (a larger radix is a block of its own), and
 each block is one cached B x B character table applied by a matrix product,
 for a cost of O(M_N * sum over blocks of B).  With little-endian flat
-indexing on both sides no reordering pass is needed.
+indexing on both sides no reordering pass is needed.  Table entries at a
+quarter-turn phase are the exact 1, +-i, -1, so a block of radix-2 digits
+is the real +-1 Walsh table; past the first block a real table is applied
+as a real product on the (re, im) pairs of the data, with half the flops of
+a complex one.
 
 ``transform_forward`` memoizes the spectrum on the grid function: values
 and coefficients are read-only, so every n-sweep, probe and norm of one f
 shares a single forward stage pass, and the spectrum lives only as long as
-f does.
+f does.  The transforms own their outputs: the arrays they allocate are
+marked read-only and kept without the copy the public constructors make of
+a caller's array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -140,7 +146,10 @@ def _block_matrix(radices: tuple[int, ...], sign: int) -> np.ndarray:
     Entry (k, x) is exp(sign * 2*pi*i * sum_j k_j x_j / m_j), i.e.
     kron(F_{m_{j1-1}}, ..., F_{m_j0}) with F_m = exp(sign * 2*pi*i * k x / m).
     The phase is reduced exactly to r/B before one exponential, so every
-    entry depends only on the rational phase.  Read-only: the cache shares it.
+    entry depends only on the rational phase, and a quarter-turn phase
+    (4r = 0 mod B) is the exact 1, +-i or -1.  A table with only real
+    entries (every block of radix-2 digits) is float64.  Read-only: the
+    cache shares it.
     """
     B = int(np.prod(radices))
     k = np.arange(B)
@@ -148,7 +157,26 @@ def _block_matrix(radices: tuple[int, ...], sign: int) -> np.ndarray:
     for m in radices:
         k, d = np.divmod(k, m)
         r += np.outer(d, d) * (B // m)
-    F = np.exp(sign * 2j * np.pi * ((r % B) / B))
+    r %= B
+    F = np.exp(sign * 2j * np.pi * (r / B))
+    quarter, rem = np.divmod(4 * r, B)
+    exact = rem == 0
+    F[exact] = np.array([1, sign * 1j, -1, -sign * 1j])[quarter[exact]]
+    if not F.imag.any():
+        F = F.real.copy()
+    F.flags.writeable = False
+    return F
+
+
+@lru_cache(maxsize=128)
+def _complex_block_matrix(radices: tuple[int, ...], sign: int) -> np.ndarray:
+    """``_block_matrix`` as complex128, and the same array when it is complex.
+
+    The first block multiplies complex rows by the table.  Given a real
+    table there, numpy casts it on every call and leaves BLAS for its own
+    mixed-dtype loop: slower on small grids, and rounded differently.
+    """
+    F = _block_matrix(radices, sign).astype(np.complex128, copy=False)
     F.flags.writeable = False
     return F
 
@@ -159,16 +187,40 @@ def _stage_pass(vals: np.ndarray, g: GroupSpec, resolution: int, sign: int) -> n
     The flat index sum_j x_j M_j splits at each block (j0, j1) into
     (high, block digits, low) with sizes (M_N / M_{j1}, B, M_{j0}); the block
     acts on the middle axis as one matrix product.  Leading axes are a batch.
-    For N = 0 there is no block and the result is a view of ``vals``.
+    A real table after the first block multiplies the float64 view of the
+    (high, B, M_{j0}) array, whose (re, im) pairs make the low axis 2 M_{j0}
+    reals wide: half the flops of a complex product.  The result is always
+    a new array; for N = 0 (no block) it is a copy of ``vals``.
     """
+    blocks = _blocks(g.m[:resolution])
+    if not blocks:
+        return vals.copy()
     a = vals.reshape(-1, g.order(resolution))
-    for j0, j1 in _blocks(g.m[:resolution]):
-        F = _block_matrix(g.m[j0:j1], sign)
+    for j0, j1 in blocks:
         if j0 == 0:   # M_0 = 1: one 2-D product, not a stack of matrix-vector products
+            F = _complex_block_matrix(g.m[:j1], sign)
             a = a.reshape(-1, F.shape[0]) @ F.T
+            continue
+        F = _block_matrix(g.m[j0:j1], sign)
+        x = a.reshape(-1, F.shape[0], g.M[j0])
+        if F.dtype == np.float64:   # x is C-contiguous: the previous block's output
+            a = np.matmul(F, x.view(np.float64)).view(np.complex128)
         else:
-            a = np.matmul(F, a.reshape(-1, F.shape[0], g.M[j0]))
+            a = np.matmul(F, x)
     return a.reshape(vals.shape)
+
+
+def _adopt(cls, g: GroupSpec, resolution: int, arr: np.ndarray):
+    """``cls(g, resolution, arr)`` without the shape check and the copy.
+
+    Only for a complex (M_N,) array this module has just allocated and
+    nothing else references; it is marked read-only here.
+    """
+    arr.flags.writeable = False
+    obj = object.__new__(cls)
+    for field, value in zip(fields(cls), (g, resolution, arr)):
+        object.__setattr__(obj, field.name, value)
+    return obj
 
 
 def transform_forward(f: GridFunction) -> Spectrum:
@@ -179,16 +231,20 @@ def transform_forward(f: GridFunction) -> Spectrum:
     """
     s = f.__dict__.get("_spectrum")
     if s is None:
-        coeffs = _stage_pass(f.values, f.group, f.resolution, sign=-1) / f.group.order(f.resolution)
-        s = Spectrum(f.group, f.resolution, coeffs)
+        coeffs = _stage_pass(f.values, f.group, f.resolution, sign=-1)
+        # true division on the reals: a complex / int quotient goes through
+        # a rounded reciprocal (1 - 2^-53 for M_N / M_N on [3]^6)
+        re_im = coeffs.view(np.float64)
+        np.divide(re_im, f.group.order(f.resolution), out=re_im)
+        s = _adopt(Spectrum, f.group, f.resolution, coeffs)
         object.__setattr__(f, "_spectrum", s)
     return s
 
 
 def transform_inverse(s: Spectrum) -> GridFunction:
     """Synthesize sum_n c_n psi_n from a full coefficient vector."""
-    vals = _stage_pass(s.coeffs, s.group, s.resolution, sign=+1)
-    return GridFunction(s.group, s.resolution, vals)
+    return _adopt(GridFunction, s.group, s.resolution,
+                  _stage_pass(s.coeffs, s.group, s.resolution, sign=+1))
 
 
 def inverse_rows(g: GroupSpec, resolution: int, coeffs: np.ndarray) -> np.ndarray:

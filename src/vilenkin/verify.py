@@ -125,6 +125,16 @@ CLAIMS: dict[str, dict[str, str]] = {
 
 SUITES = tuple(CLAIMS)
 
+# The least n_max a suite takes.  Below it the identity suite indexes past
+# its kernel tables and the strong suite normalizes by log 1 = 0; at 1 the
+# inequality and kernel-lemma suites also take suprema over no orders.
+MIN_N_MAX = 8
+
+
+def _check_n_max(n_max: int) -> None:
+    if n_max < MIN_N_MAX:
+        raise InvalidParamsError(f"verify suites need n_max >= {MIN_N_MAX}, got {n_max}")
+
 
 def all_claim_ids() -> frozenset[str]:
     return frozenset(claim for claims in CLAIMS.values() for claim in claims)
@@ -229,6 +239,7 @@ def _weight_families(n_max: int) -> dict[str, weights.WeightSequence]:
 def run_identity_suite(g: GroupSpec, n_max: int = 64, tol: float = 1e-12,
                        seed: int = 2024) -> list[VerificationRecord]:
     """Kernel, character, Cesaro-table, and martingale construction identities."""
+    _check_n_max(n_max)
     rec = _Records("identities", g)
     ws = _Workspace(g, n_max)
     dm = digit_matrix(g, ws.N)
@@ -450,6 +461,7 @@ def run_identity_suite(g: GroupSpec, n_max: int = 64, tol: float = 1e-12,
 def run_inequality_suite(g: GroupSpec, n_max: int = 256, tol: float = 1e-10,
                          seed: int = 2024, samples: int = 20) -> list[VerificationRecord]:
     """Norm inequalities: variation bounds, kernel L1 bounds, Young, Watari."""
+    _check_n_max(n_max)
     rec = _Records("inequalities", g)
     lam = g.lam
 
@@ -580,6 +592,7 @@ def _empty(orders) -> dict:
 def run_kernel_lemma_suite(g: GroupSpec, n_max: int = 64, tol: float = 1e-12,
                            N: int | None = None) -> list[VerificationRecord]:
     """Pointwise and averaged kernel estimates on the coset cells."""
+    _check_n_max(n_max)
     rec = _Records("kernel-lemmas", g)
     ws = _Workspace(g, n_max)
     N = N if N is not None else max(2, min(3, ws.N - 1))
@@ -873,6 +886,7 @@ def run_strong_suite(g: GroupSpec, rank: int = 5, n_max: int = 64,
                      seed: int = 2024) -> list[VerificationRecord]:
     """Canned strong-convergence claims on a seeded function and the
     sharpness martingales."""
+    _check_n_max(n_max)
     rec = _Records("strong", g)
     rank = min(rank, g.levels)
     f = random_grid_function(g, rank, seed=seed)

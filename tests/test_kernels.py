@@ -239,12 +239,9 @@ def test_unit_mass_spectrum_is_one(pattern, levels):
     for N in range(levels + 1):
         MN = g.order(N)
         c = transform_forward(delta(g, N, scale=MN)).coeffs
-        # The stage pass is exact, so the coefficients are one number.  Only
-        # the division by M_N can round it (numpy divides through a rounded
-        # reciprocal: 1 - 2^-53 on [3]^6), and never when M_N is a power of 2.
-        assert np.all(c == c[0]) and abs(c[0] - 1.0) <= np.finfo(float).eps / 2, N
-        if MN & (MN - 1) == 0:
-            assert c[0] == 1.0, N
+        # The stage pass gives exactly M_N at every n, and the division by
+        # M_N is a true (correctly rounded) division of the real parts.
+        assert np.all(c == 1.0), N
 
 
 def test_degenerate_weights_rejected(walsh):

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from vilenkin.group import digit_matrix, make_group
 from vilenkin.hardy import project_to_level
 from vilenkin.spectral import (
     _BLOCK,
+    _block_matrix,
     _blocks,
     _stage_pass,
     GridFunction,
@@ -197,8 +199,9 @@ def test_forward_spectrum_is_memoized_on_the_function(pattern, levels):
     s = transform_forward(f)
     assert transform_forward(f) is s
     assert not s.coeffs.flags.writeable
-    fresh = _stage_pass(f.values, g, levels, sign=-1) / g.order(levels)
-    assert np.array_equal(s.coeffs, fresh)
+    # the same true division on the real and imaginary parts
+    fresh = _stage_pass(f.values, g, levels, sign=-1).view(np.float64) / g.order(levels)
+    assert np.array_equal(s.coeffs, fresh.view(np.complex128))
     # a new function with the same values runs its own pass, to the same bits
     twin = f.with_values(f.values)
     assert transform_forward(twin) is not s
@@ -218,12 +221,15 @@ def test_memoized_spectrum_lives_only_as_long_as_its_function(walsh):
 FUSED_GROUPS = [([2], 9), ([3], 6), ([5], 4), ([2, 3, 4], 5), ([70, 3], 2), ([2, 100, 3], 3)]
 
 
-@pytest.mark.parametrize("pattern,levels", FUSED_GROUPS)
+# The blocks of [2]^13 are digits 0-5, 6-11 and 12: two real products follow the first.
+@pytest.mark.parametrize("pattern,levels", FUSED_GROUPS + [([2], 13)])
 def test_fused_pass_matches_naive_at_every_resolution(pattern, levels):
     g = make_group(pattern, levels)
     for N in range(levels + 1):
         f = random_grid_function(g, N, seed=N)
-        assert np.abs(transform_forward(f).coeffs - naive_forward(f).coeffs).max() < 1e-12
+        naive = naive_forward(f)
+        assert np.abs(transform_forward(f).coeffs - naive.coeffs).max() < 1e-12
+        assert np.abs(transform_inverse(naive).values - f.values).max() < 1e-12
 
 
 @pytest.mark.parametrize("pattern,levels", FUSED_GROUPS + [([2], 17), ([3], 11)])
@@ -237,6 +243,66 @@ def test_blocks_partition_digits(pattern, levels):
     for (j0, j1), _ in zip(runs, runs[1:]):     # no run could take the next digit
         assert g.M[j1 + 1] // g.M[j0] > _BLOCK
     assert _blocks(()) == ()
+
+
+@pytest.mark.parametrize("radices", [(2,), (4,), (3,), (8, 8), (2, 3, 4), (4, 2, 2, 4), (3, 4, 5),
+                                     (12,), (70,), (100,)])
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_block_matrix_quarter_turns_are_exact(radices, sign):
+    F = _block_matrix(radices, sign)
+    B = F.shape[0]
+    dm = digit_matrix(make_group(list(radices), len(radices)), len(radices)).T.tolist()
+    quarter = [1, sign * 1j, -1, -sign * 1j]
+    for k in range(B):
+        for x in range(B):
+            turns = sum(Fraction(a * b, m) for a, b, m in zip(dm[k], dm[x], radices)) % 1
+            if (4 * turns).denominator == 1:
+                assert F[k, x] == quarter[int(4 * turns)], (k, x)
+            else:
+                assert abs(F[k, x] - np.exp(sign * 2j * np.pi * float(turns))) < 1e-15, (k, x)
+    assert not F.flags.writeable
+
+
+@pytest.mark.parametrize("digits", range(1, 7))
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_radix2_block_is_the_real_walsh_table(digits, sign):
+    F = _block_matrix((2,) * digits, sign)
+    k = np.arange(2 ** digits)
+    parity = np.array([bin(int(v)).count("1") % 2 for v in (k[:, None] & k[None, :]).ravel()])
+    walsh = (1.0 - 2.0 * parity).reshape(F.shape)
+    assert F.dtype == np.float64 and not F.flags.writeable
+    assert np.array_equal(F, walsh)
+
+
+@pytest.mark.parametrize("res", [0, 7, 12])
+def test_inverse_rows_of_a_strided_block_equal_the_contiguous_rows(walsh, res):
+    rng = np.random.default_rng(5)
+    MN = walsh.order(res)
+    base = rng.standard_normal((6, 3 * MN)) + 1j * rng.standard_normal((6, 3 * MN))
+    strided = base[::2, ::3]
+    assert not strided.flags.c_contiguous
+    assert np.array_equal(inverse_rows(walsh, res, strided),
+                          inverse_rows(walsh, res, np.ascontiguousarray(strided)))
+
+
+@pytest.mark.parametrize("res", [0, 1, 5, 8])
+def test_transform_outputs_are_read_only_and_own_their_memory(any_group, res):
+    f = random_grid_function(any_group, res, seed=res)
+    s = transform_forward(f)
+    back = transform_inverse(s)
+    for arr, source in ((s.coeffs, f.values), (back.values, s.coeffs)):
+        assert not arr.flags.writeable
+        assert not np.shares_memory(arr, source)
+
+
+def test_constructors_copy_a_caller_array(mixed):
+    rng = np.random.default_rng(9)
+    MN = mixed.order(3)
+    vals = rng.standard_normal(MN) + 1j * rng.standard_normal(MN)
+    keep = vals.copy()
+    f, s = GridFunction(mixed, 3, vals), Spectrum(mixed, 3, vals)
+    vals[:] = 7.0
+    assert np.array_equal(f.values, keep) and np.array_equal(s.coeffs, keep)
 
 
 def test_rank0_transform_round_trip(mixed):

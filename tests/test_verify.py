@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from vilenkin import kernels, verify
+from vilenkin.errors import InvalidParamsError
 from vilenkin.group import make_group
 from vilenkin.hardy import counterexample
 from vilenkin.spectral import lp_norm, partial_sum
@@ -79,6 +80,15 @@ def test_kernel_suprema_match_the_per_order_kernels(pattern, levels, n_max):
     for key, value in want.items():
         assert got[key].value == pytest.approx(value, rel=1e-12, abs=0), key
         assert got[key].params["n_max"] == top
+
+
+@pytest.mark.parametrize("suite", [verify.run_identity_suite, verify.run_inequality_suite,
+                                   verify.run_kernel_lemma_suite, verify.run_strong_suite],
+                         ids=["identities", "inequalities", "kernel-lemmas", "strong"])
+@pytest.mark.parametrize("n_max", [1, 2, 7])
+def test_suites_refuse_n_max_below_the_minimum(suite, n_max):
+    with pytest.raises(InvalidParamsError, match=f">= {verify.MIN_N_MAX}, got {n_max}"):
+        suite(make_group([2], 8), n_max=n_max)
 
 
 def test_kernel_lemma_suite(walsh10):
@@ -170,7 +180,8 @@ def test_run_all_is_equal_with_cleared_and_warm_caches(monkeypatch, pattern, lev
     monkeypatch.setattr(kernels, "_blocks", OrderedDict())
     monkeypatch.setattr(weights, "_HARMONIC", [0.0, 0.0])
     monkeypatch.setattr(weights, "_HARMONIC_PARTIALS", [])
-    for memo in (characters._unit_roots, spectral._blocks, spectral._block_matrix):
+    for memo in (characters._unit_roots, spectral._blocks, spectral._block_matrix,
+                 spectral._complex_block_matrix):
         memo.cache_clear()
     g = make_group(pattern, levels)
     cleared = io.records_to_json(verify.run_all(g, n_max=16, samples=2))
