@@ -74,13 +74,7 @@ def character_matrix(g: GroupSpec, count: int, resolution: int) -> np.ndarray:
     MN = g.order(resolution)
     if count > MN:
         raise RangeError("cannot evaluate characters above the grid order")
-    dm = digit_matrix(g, resolution)
-    out = np.ones((count, MN), dtype=np.complex128)
-    for k in range(1, count):
-        nd = digits_of(k, g)
-        row = np.ones(MN, dtype=np.complex128)
-        for j, d in nd.nonzero():
-            mj = g.m[j]
-            row *= _unit_roots(mj)[(d * dm[j]) % mj]
-        out[k] = row
+    out = np.empty((count, MN), dtype=np.complex128)
+    for k in range(count):
+        out[k] = character_column(g, k, resolution)
     return out

@@ -255,9 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mean", help="convergence table ||mean_n f - f||_p")
     _add_common(p)
-    p.add_argument("--kind", default="fejer",
-                   choices=("partial_sum", "fejer", "cesaro", "u", "v",
-                            "riesz_log", "norlund_log", "norlund", "tmean"))
+    p.add_argument("--kind", default="fejer", choices=tuple(means._KINDS))
     p.add_argument("--max-n", type=int, default=32)
     p.add_argument("--res", type=int, default=5)
     p.add_argument("--p", type=float, default=2.0)

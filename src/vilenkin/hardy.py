@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -317,23 +317,22 @@ def block_coefficients(
     alphas: Sequence[int],
     rank: int,
     p: float = 0.5,
-    phi: Callable[[int], float] | None = None,
 ) -> np.ndarray:
     """Expected block-constant spectrum of the counterexample martingales.
 
     strong-partial-sums: c_k = phi(2 M_a)^(1/2) / log^(1/2) M_a on
         [M_a, 2M_a); strong-fejer: c_k = M_a * phi(2 M_a) / log M_a on the
         same blocks; hp-blocks: c_k = M_a^(1/p-1)/a on [M_a, M_{a+1}).
+        Here phi(n) = max(1, log log n) (``_default_phi``).
     """
-    phi = phi or _default_phi
     c = np.zeros(g.order(rank), dtype=np.complex128)
     for a in alphas:
         Ma = g.M[a]
         if kind == "strong-partial-sums":
-            lam = math.sqrt(phi(2 * Ma)) / math.sqrt(math.log(Ma))
+            lam = math.sqrt(_default_phi(2 * Ma)) / math.sqrt(math.log(Ma))
             c[Ma:2 * Ma] = lam
         elif kind == "strong-fejer":
-            lam = phi(2 * Ma) / math.log(Ma)
+            lam = _default_phi(2 * Ma) / math.log(Ma)
             c[Ma:2 * Ma] = Ma * lam
         elif kind == "hp-blocks":
             c[Ma:g.M[a + 1]] = Ma ** (1.0 / p - 1.0) / a
@@ -348,7 +347,6 @@ def counterexample(
     alphas: Sequence[int],
     rank: int,
     p: float = 0.5,
-    phi: Callable[[int], float] | None = None,
     levels: Sequence[int] | None = None,
 ) -> StepMartingale:
     """Finite martingale with the designated block-constant spectrum.
@@ -371,7 +369,7 @@ def counterexample(
     if rank > g.levels:
         raise RangeError(f"rank {rank} exceeds group levels {g.levels}")
     check_grid_points(g, rank)
-    coeffs = block_coefficients(g, kind, alphas, rank, p=p, phi=phi)
+    coeffs = block_coefficients(g, kind, alphas, rank, p=p)
     vals = np.zeros(g.order(rank), dtype=np.complex128)
     for a in alphas:
         Ma, c = g.M[a], coeffs[g.M[a]]

@@ -17,16 +17,18 @@ A kernel table over many orders is a mean sweep of the unit mass
 u = M_N 1_{I_N}: its spectrum is all ones (up to one rounding), so
 ``means.mean_blocks(u, kind, orders)`` yields the kernels sum_k w_k D_k of a
 kind as rank-j rows (``fejer_l1_batch``; the ``reisz`` and ``T2`` suprema).
+The naive side has one sweep too: ``dirichlet_sweep`` adds the characters
+psi_0, psi_1, ... into one running array and yields D_1, D_2, ...; the
+naive Dirichlet and Fejer kernels, ``lebesgue_batch`` and the verification
+workspace all read it.
 
-Two LRU caches keep what a process has built; lookups and insertions hold
-one lock.  Kernel grids are memoized in at most ``_CACHE_ENTRIES`` entries,
-keyed by (group, kind, n, resolution) or, for weighted kernels, by (group,
-resolution, weight vector).  The block tables the closed forms are made of
-(D_{M_l}, D_{s M_l}, K_{M_l}, K_{s M_l}, the digit terms of the product
-formula and the rotations r_l^s) are read-only arrays in a second cache,
-keyed by (group, builder, level, s, resolution) and bounded by bytes
-(``_BLOCK_BYTES``), so a closed form of any order reuses the tables of
-every order before it.
+Kernel grids are computed on every call, not kept.  One LRU cache keeps the
+block tables the closed forms are made of (D_{M_l}, D_{s M_l}, K_{M_l},
+K_{s M_l}, the digit terms of the product formula and the rotations
+r_l^s): read-only arrays keyed by (group, builder, level, s, resolution)
+and bounded by bytes (``_BLOCK_BYTES``), so a closed form of any order
+reuses the tables of every order before it.  Lookups and insertions hold
+one lock.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import bisect
 import threading
 from collections import OrderedDict
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,14 +49,6 @@ from .group import (GroupSpec, NatDigits, check_grid_points, digit_matrix, digit
 from .spectral import (GridFunction, Spectrum, coefficient_tails, delta, lp_norm, lp_norm_rows,
                        transform_inverse)
 from .weights import WeightSequence
-
-# Most kernel grids the cache keeps; the least recently used go first.  One
-# ``vilenkin verify --suite all`` run on [2]^12, [3]^9 or [2,3,4]^9 inserts
-# 162-163 grids (0.24-0.38 MB), so a whole run stays cached.  An entry can be
-# as large as a grid may be (``group.MAX_GRID_POINTS``), so the entry count
-# alone does not bound the bytes held.
-_CACHE_ENTRIES = 512
-_cache: OrderedDict = OrderedDict()
 
 # Most bytes of block tables the block cache keeps (16 MiB at worst); the
 # least recently used go first, and a table larger than the budget is
@@ -88,35 +83,22 @@ def _resolve(g: GroupSpec, n: int, N: int | None) -> int:
     return N
 
 
-def _lru(cache: OrderedDict, key, build, full):
-    """``cache[key]``, built on a miss; drops the oldest entries while ``full(cache)``."""
-    with _cache_lock:
-        hit = cache.get(key)
-        if hit is not None:
-            cache.move_to_end(key)
-            return hit
-    val = build()
-    with _cache_lock:
-        val = cache.setdefault(key, val)
-        cache.move_to_end(key)
-        while full(cache):
-            cache.popitem(last=False)
-    return val
-
-
-def _cached(key, build):
-    return _lru(_cache, key, build, lambda c: len(c) > _CACHE_ENTRIES)
-
-
 def _block(g: GroupSpec, builder: str, level: int, s: int, resolution: int, build) -> np.ndarray:
     """The block table ``build()`` returns, built once per key and read-only."""
-    def frozen():
-        val = build()
-        val.flags.writeable = False
-        return val
-
-    return _lru(_blocks, (g.key(), builder, level, s, resolution), frozen,
-                lambda c: sum(v.nbytes for v in c.values()) > _BLOCK_BYTES)
+    key = (g.key(), builder, level, s, resolution)
+    with _cache_lock:
+        hit = _blocks.get(key)
+        if hit is not None:
+            _blocks.move_to_end(key)
+            return hit
+    val = build()
+    val.flags.writeable = False
+    with _cache_lock:
+        val = _blocks.setdefault(key, val)
+        _blocks.move_to_end(key)
+        while sum(v.nbytes for v in _blocks.values()) > _BLOCK_BYTES:
+            _blocks.popitem(last=False)
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +138,23 @@ def _dirichlet_closed(g: GroupSpec, n: int, N: int) -> np.ndarray:
     return character_column(g, n, N) * acc
 
 
-def _dirichlet_naive(g: GroupSpec, n: int, N: int) -> np.ndarray:
-    MN = g.order(N)
-    acc = np.zeros(MN, dtype=np.complex128)
+def dirichlet_sweep(g: GroupSpec, n: int, N: int) -> Iterator[np.ndarray]:
+    """Yield D_1, ..., D_n on the rank-N grid, one character added per step.
+
+    Every yield is the same array, updated in place by the next step, so a
+    caller reads (or copies) each one before it asks for the next.
+    """
+    D = np.zeros(g.order(N), dtype=np.complex128)
     for k in range(n):
-        acc += character_column(g, k, N)
-    return acc
+        D += character_column(g, k, N)
+        yield D
+
+
+def _dirichlet_naive(g: GroupSpec, n: int, N: int) -> np.ndarray:
+    D = np.zeros(g.order(N), dtype=np.complex128)   # D_0, if the sweep yields nothing
+    for D in dirichlet_sweep(g, n, N):
+        pass
+    return D
 
 
 def dirichlet(g: GroupSpec, n: int, N: int | None = None, method: str = "closed") -> GridFunction:
@@ -170,7 +163,7 @@ def dirichlet(g: GroupSpec, n: int, N: int | None = None, method: str = "closed"
         raise RangeError("kernel index must be nonnegative")
     N = _resolve(g, n, N)
     if method == "closed":
-        vals = _cached((g.key(), "dirichlet", n, N), lambda: _dirichlet_closed(g, n, N))
+        vals = _dirichlet_closed(g, n, N)
     elif method == "naive":
         vals = _dirichlet_naive(g, n, N)
     else:
@@ -274,11 +267,8 @@ def _fejer_closed(g: GroupSpec, n: int, N: int) -> np.ndarray:
 
 
 def _fejer_naive(g: GroupSpec, n: int, N: int) -> np.ndarray:
-    MN = g.order(N)
-    D = np.zeros(MN, dtype=np.complex128)
-    acc = np.zeros(MN, dtype=np.complex128)
-    for k in range(1, n + 1):
-        D += character_column(g, k - 1, N)
+    acc = np.zeros(g.order(N), dtype=np.complex128)
+    for D in dirichlet_sweep(g, n, N):
         acc += D
     return acc / n
 
@@ -293,7 +283,7 @@ def fejer(g: GroupSpec, n: int, N: int | None = None, method: str = "closed") ->
         raise RangeError("fejer kernel requires n >= 1")
     N = _resolve(g, n, N)
     if method == "closed":
-        vals = _cached((g.key(), "fejer", n, N), lambda: _fejer_closed(g, n, N))
+        vals = _fejer_closed(g, n, N)
     elif method == "naive":
         vals = _fejer_naive(g, n, N)
     else:
@@ -314,9 +304,7 @@ def mean_kernel(g: GroupSpec, kind: str, n: int, N: int | None = None, **params)
     """
     w = means._weight_row(means._method(kind, params)[1], n)
     N = _resolve(g, n, N)
-    key = (g.key(), "weighted", N, w.tobytes())
-    return GridFunction(g, N, _cached(key, lambda: transform_inverse(
-        Spectrum(g, N, coefficient_tails(w, g.order(N)))).values))
+    return transform_inverse(Spectrum(g, N, coefficient_tails(w, g.order(N))))
 
 
 def norlund_kernel(g: GroupSpec, q: WeightSequence, n: int, N: int | None = None) -> GridFunction:
@@ -386,16 +374,13 @@ def lebesgue_bounds(nd: NatDigits, variant: str = "literal") -> LebesgueBounds:
 
 
 def lebesgue_batch(g: GroupSpec, n_max: int) -> np.ndarray:
-    """L_n for n = 1..n_max via one incremental character accumulation."""
+    """L_n for n = 1..n_max (entry 0 is 0), read off one ``dirichlet_sweep``."""
     if n_max < 0:
         raise RangeError(f"table order n_max must be nonnegative, got {n_max}")
     N = min_resolution(g, n_max)
-    MN = check_grid_points(g, N)
-    D = np.zeros(MN, dtype=np.complex128)
-    out = np.empty(n_max + 1)
-    out[0] = 0.0
-    for n in range(1, n_max + 1):
-        D += character_column(g, n - 1, N)
+    check_grid_points(g, N)
+    out = np.zeros(n_max + 1)
+    for n, D in enumerate(dirichlet_sweep(g, n_max, N), start=1):
         out[n] = np.abs(D).mean()
     return out
 

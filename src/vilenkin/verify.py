@@ -209,14 +209,10 @@ class _Workspace:
         self.g = g
         self.cap = cap
         self.N = kernels.min_resolution(g, cap)
-        MN = g.order(self.N)
-        self.MN = MN
-        self.psi = np.empty((cap + 1, MN), dtype=np.complex128)
-        for k in range(cap + 1):
-            self.psi[k] = character_column(g, k, self.N)
-        self.D = np.zeros((cap + 2, MN), dtype=np.complex128)
-        for n in range(1, cap + 2):
-            self.D[n] = self.D[n - 1] + self.psi[n - 1]
+        self.MN = g.order(self.N)
+        self.D = np.zeros((cap + 2, self.MN), dtype=np.complex128)
+        for n, D in enumerate(kernels.dirichlet_sweep(g, cap + 1, self.N), start=1):
+            self.D[n] = D
         self.B = np.cumsum(self.D, axis=0)  # B[n] = sum_{k<=n} D_k = n K_n
 
     def K(self, n: int) -> np.ndarray:
@@ -300,7 +296,7 @@ def run_identity_suite(g: GroupSpec, n_max: int = 64, tol: float = 1e-12,
         Mn = g.M[lvl]
         if Mn > n_max + 1:
             break
-        psi_last = ws.psi[Mn - 1]
+        psi_last = character_column(g, Mn - 1, ws.N)
         for j in range(0, Mn):
             r = max(r, np.abs(ws.D[Mn - j] - (ws.D[Mn] - psi_last * np.conj(ws.D[j]))).max())
     rec.identity("dn22", r, tol)
@@ -384,7 +380,7 @@ def run_identity_suite(g: GroupSpec, n_max: int = 64, tol: float = 1e-12,
             continue
         P = kernels.norlund_log_kernel(g, Mn, N=ws.N)
         Y = kernels.riesz_log_kernel(g, Mn, N=ws.N)
-        rhs = ws.D[Mn] - ws.psi[Mn - 1] * np.conj(Y.values)
+        rhs = ws.D[Mn] - character_column(g, Mn - 1, ws.N) * np.conj(Y.values)
         r = max(r, np.abs(P.values - rhs).max())
     rec.identity("lemma0nnT121", r, tol)
 
@@ -415,7 +411,7 @@ def run_identity_suite(g: GroupSpec, n_max: int = 64, tol: float = 1e-12,
 
     # (condmart) atomic martingale identity
     lvl = min(2, ws.N - 1)
-    base_fn = GridFunction(g, lvl + 1, ws.psi[g.M[lvl]][: g.order(lvl + 1)]
+    base_fn = GridFunction(g, lvl + 1, character_column(g, g.M[lvl], ws.N)[: g.order(lvl + 1)]
                            * kernels.dirichlet_block(g, lvl, lvl + 1))
     atom = hardy.make_atom(1.0, lvl, 0, base_fn)
     mart, _ = hardy.atom_martingale([(0.7, atom)], levels=list(range(1, lvl + 2)))
@@ -786,14 +782,13 @@ def strong_sum(
     checkpoints: Sequence[int] | None = None,
     normalizer: Callable[[int], float] | None = None,
     norm_source: str = "lp",
-    hp_ref: float | None = None,
     **mean_params,
 ) -> list[dict]:
     """Cumulative weighted sums sum_{k<=n} weight(k) ||mean_k f||_p^p.
 
     Returns one row per checkpoint with the cumulative value, the
     normalized value (divided by ``normalizer(n)``), and its ratio to the
-    reference ||f||_{H_p}^p (``hp_ref``, if supplied, is that p-th power).
+    reference ||f||_{H_p}^p.
     The reference is taken from f's values by ``hardy.hardy_quasinorm_rows``,
     with no regular martingale of grid functions built;
     ``hardy.hardy_quasinorm_fn`` is its oracle.  ``norm_source`` picks
@@ -808,10 +803,7 @@ def strong_sum(
     checkpoints = sorted(set(checkpoints or [n_max]))
     if checkpoints[-1] > n_max:
         raise InvalidParamsError("checkpoint beyond n_max")
-    if hp_ref is not None:
-        ref = hp_ref
-    else:
-        ref = float(hardy.hardy_quasinorm_rows(f.group, f.resolution, f.values[None], p)[0]) ** p
+    ref = float(hardy.hardy_quasinorm_rows(f.group, f.resolution, f.values[None], p)[0]) ** p
     rows = []
     acc = 0.0
     cp = set(checkpoints)
@@ -886,11 +878,11 @@ def run_strong_suite(g: GroupSpec, rank: int = 5, n_max: int = 64,
                      seed: int = 2024) -> list[VerificationRecord]:
     """Canned strong-convergence claims on a seeded function and the
     sharpness martingales."""
-    _check_n_max(n_max)
-    rec = _Records("strong", g)
     rank = min(rank, g.levels)
-    f = random_grid_function(g, rank, seed=seed)
     n_max = min(n_max, g.order(rank))
+    _check_n_max(n_max)   # on the capped order: a small group caps it below the minimum
+    rec = _Records("strong", g)
+    f = random_grid_function(g, rank, seed=seed)
     cps = sorted({n_max // 4, n_max // 2, n_max})
 
     # theorem1: (1/(n log n)) sum ||S_k f||_1 vs ||f||_{H_1}

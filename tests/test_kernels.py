@@ -397,16 +397,36 @@ def test_block_cache_is_bounded_by_bytes(monkeypatch):
     assert not kernels._blocks
 
 
-def test_kernel_cache_is_bounded(monkeypatch):
-    monkeypatch.setattr(kernels, "_cache", OrderedDict())
-    monkeypatch.setattr(kernels, "_CACHE_ENTRIES", 8)
-    g = make_group([3], 5)
-    first = {n: dirichlet(g, n).values for n in range(1, 30)}
-    assert len(kernels._cache) == 8
-    assert all(np.array_equal(dirichlet(g, n).values, v) for n, v in first.items())
-    assert len(kernels._cache) == 8
-    # a hit refreshes an entry, so the least recently used one goes next
-    dirichlet(g, 22)
-    dirichlet(g, 30)
-    keys = [key[2] for key in kernels._cache]
-    assert 22 in keys and 23 not in keys and len(keys) == 8
+@pytest.mark.parametrize("pattern,levels", [([2], 6), ([3], 4), ([2, 3, 4], 4), ([5, 2], 4)])
+def test_dirichlet_sweep_readers_equal_a_literal_accumulation(pattern, levels):
+    from vilenkin.characters import character_column
+    from vilenkin.verify import _Workspace
+
+    g = make_group(pattern, levels)
+    L = g.levels
+    top = g.M[L]
+    psi = [character_column(g, k, L) for k in range(top)]
+    # D_n and n K_n for n < M_L, one character added at a time
+    Ds = [np.zeros(g.order(L), dtype=np.complex128)]
+    nKs = [np.zeros(g.order(L), dtype=np.complex128)]
+    D = Ds[0].copy()
+    acc = nKs[0].copy()
+    for n in range(1, top):
+        D += psi[n - 1]
+        acc += D
+        Ds.append(D.copy())
+        nKs.append(acc.copy())
+    for n in range(top):
+        assert np.array_equal(dirichlet(g, n, N=L, method="naive").values, Ds[n]), n
+    for n in range(1, top):
+        assert np.array_equal(fejer(g, n, N=L, method="naive").values, nKs[n] / n), n
+    expect = np.array([0.0] + [np.abs(Ds[n]).mean() for n in range(1, top)])
+    assert np.array_equal(lebesgue_batch(g, top - 1), expect)
+    # the workspace holds D_0 .. D_{cap+1}, each row the row before plus a character
+    ws = _Workspace(g, top - 1)
+    Dw = np.zeros((top + 1, g.order(L)), dtype=np.complex128)
+    for n in range(1, top + 1):
+        Dw[n] = Dw[n - 1] + psi[n - 1]
+    assert ws.N == L
+    assert np.array_equal(ws.D, Dw)
+    assert np.array_equal(ws.B, np.cumsum(Dw, axis=0))

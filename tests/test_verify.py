@@ -91,6 +91,18 @@ def test_suites_refuse_n_max_below_the_minimum(suite, n_max):
         suite(make_group([2], 8), n_max=n_max)
 
 
+@pytest.mark.parametrize("pattern,levels", [([2], 2), ([5], 1)])
+def test_strong_suite_refuses_groups_below_the_minimum(pattern, levels):
+    # n_max is capped at M_rank = 4 or 5 here, below MIN_N_MAX
+    with pytest.raises(InvalidParamsError, match=f">= {verify.MIN_N_MAX}"):
+        verify.run_strong_suite(make_group(pattern, levels))
+
+
+def test_strong_suite_runs_at_the_minimum():
+    recs = verify.run_strong_suite(make_group([2], 3))   # n_max capped at M_3 = 8
+    assert recs and {r.params["n"] for r in recs if "n" in r.params} == {verify.MIN_N_MAX}
+
+
 def test_kernel_lemma_suite(walsh10):
     recs = verify.run_kernel_lemma_suite(walsh10, n_max=32)
     judged = [r for r in recs if r.passed is not None]
@@ -176,7 +188,6 @@ def test_suites_repeat_exactly_with_warm_memo_and_table(monkeypatch):
 def test_run_all_is_equal_with_cleared_and_warm_caches(monkeypatch, pattern, levels):
     from vilenkin import characters, io, kernels, spectral, weights
 
-    monkeypatch.setattr(kernels, "_cache", OrderedDict())
     monkeypatch.setattr(kernels, "_blocks", OrderedDict())
     monkeypatch.setattr(weights, "_HARMONIC", [0.0, 0.0])
     monkeypatch.setattr(weights, "_HARMONIC_PARTIALS", [])
@@ -185,7 +196,7 @@ def test_run_all_is_equal_with_cleared_and_warm_caches(monkeypatch, pattern, lev
         memo.cache_clear()
     g = make_group(pattern, levels)
     cleared = io.records_to_json(verify.run_all(g, n_max=16, samples=2))
-    assert kernels._cache and kernels._blocks
+    assert kernels._blocks
     assert io.records_to_json(verify.run_all(g, n_max=16, samples=2)) == cleared
 
 
