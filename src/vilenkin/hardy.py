@@ -125,15 +125,24 @@ def hardy_quasinorm_rows(g: GroupSpec, resolution: int, values: np.ndarray, p: f
 
     The maximal function of a row's regular martingale is the max over
     levels l <= j of its |rank-l coset averages|, replicated onto M_j points.
+    The averages form a pyramid, built from fine to coarse: level l is the
+    mean over digit x_l of level l + 1, so every level costs O(M_j) per row
+    in all.  The running maximum starts at level 0 and is widened one level
+    at a time, broadcast over digit x_l of the next level.  The result
+    agrees with ``hardy_quasinorm_fn``, whose direct averages are its
+    oracle, up to rounding.
     """
     B, Mj = values.shape
     if Mj != g.order(resolution):
         raise ShapeMismatchError(f"expected rows of {g.order(resolution)} values, got {Mj}")
-    star = np.zeros(values.shape)
-    for Ml in g.M[:resolution + 1]:
-        avg = np.abs(values.reshape(B, Mj // Ml, Ml).mean(axis=1))
-        rows = star.reshape(B, Mj // Ml, Ml)
-        np.maximum(rows, avg[:, None, :], out=rows)
+    mods = [np.abs(values)]
+    avg = values
+    for l in range(resolution - 1, -1, -1):
+        avg = avg.reshape(B, g.m[l], g.M[l]).mean(axis=1)
+        mods.append(np.abs(avg))
+    star = mods.pop()
+    for l in range(resolution):
+        star = np.maximum(mods.pop().reshape(B, g.m[l], g.M[l]), star[:, None, :]).reshape(B, -1)
     return lp_norm_rows(star, p)
 
 

@@ -338,7 +338,8 @@ def first_order(kind: str) -> int:
 
 
 # Most complex entries one ``mean_blocks`` block holds (256 KiB; a block's
-# working set is about 5x that); longer runs on one level are split.
+# working set is about 5x that); longer runs on one level are split.  It also
+# bounds the coefficient tails of one weight build, shared by a group of blocks.
 _BLOCK_ENTRIES = 1 << 14
 
 
@@ -354,9 +355,13 @@ def mean_blocks(
     so every sweep on the same f reads the same one.  Each level's spectrum
     is its prefix f^(0..M_j-1), the exact spectrum of E_j f.  A block's
     coefficient rows are that prefix times the coefficient tails of the
-    orders' weight vectors, which the kind's weights builder gives as one
-    matrix, synthesized by one batched inverse; no block holds more than
-    ``_BLOCK_ENTRIES`` entries unless a single row does.  Orders outside
+    orders' weight vectors, synthesized by one batched inverse; no block
+    holds more than ``_BLOCK_ENTRIES`` entries unless a single row does.
+    The weights and their tails are built once for a group of consecutive
+    blocks, as many rows as fit in ``_BLOCK_ENTRIES`` at the group's top
+    level M_top, and each block reads its rows' first M_j tails.  That is
+    exact: the weights of order n <= M_j vanish past k = n, and the
+    reverse cumulative sum adds those zeros first.  Orders outside
     1..M_N go to the full grid one at a time, where the per-order mean
     raises its usual error.  Orders may come in any order and repeat.
     """
@@ -368,18 +373,25 @@ def mean_blocks(
     s = transform_forward(f)
     start = 0
     while start < len(orders):
-        j = levels[start]
-        if j is None:
+        if levels[start] is None:
             yield N, [orders[start]], mean(f, orders[start]).values[None]
             start += 1
             continue
-        stop = start + 1
-        most = max(1, _BLOCK_ENTRIES // M[j])
-        while stop < len(orders) and levels[stop] == j and stop - start < most:
-            stop += 1
-        ns = orders[start:stop]
-        W = weights(np.array(ns), M[j] + 1)
-        yield j, ns, inverse_rows(g, j, s.coeffs[:M[j]] * coefficient_tails(W, M[j]))
+        runs, stop, top = [], start, 0
+        while stop < len(orders) and levels[stop] is not None:
+            j = levels[stop]
+            end = stop + 1
+            most = max(1, _BLOCK_ENTRIES // M[j])
+            while end < len(orders) and levels[end] == j and end - stop < most:
+                end += 1
+            if runs and (end - start) * M[max(top, j)] > _BLOCK_ENTRIES:
+                break
+            runs.append((stop, end, j))
+            stop, top = end, max(top, j)
+        tails = coefficient_tails(weights(np.array(orders[start:stop]), M[top] + 1), M[top])
+        for a, b, j in runs:
+            rows = s.coeffs[:M[j]] * tails[a - start:b - start, :M[j]]
+            yield j, orders[a:b], inverse_rows(g, j, rows)
         start = stop
 
 

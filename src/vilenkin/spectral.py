@@ -299,7 +299,7 @@ def partial_sum(f: GridFunction, n: int) -> GridFunction:
     if not 0 <= n <= MN:
         raise RangeError(f"partial-sum order {n} outside 0..{MN}")
     masked = np.where(np.arange(MN) < n, transform_forward(f).coeffs, 0.0)
-    return transform_inverse(Spectrum(f.group, f.resolution, masked))
+    return transform_inverse(_adopt(Spectrum, f.group, f.resolution, masked))
 
 
 def weighted_sum_combination(f: GridFunction, weights: np.ndarray) -> GridFunction:
@@ -310,8 +310,11 @@ def weighted_sum_combination(f: GridFunction, weights: np.ndarray) -> GridFuncti
     ``weights`` is indexed by k from 0 (entry 0 is vacuous since S_0 f = 0).
     """
     w = np.asarray(weights, dtype=np.complex128)
+    if w.ndim != 1:
+        raise ShapeMismatchError("weights must be one vector w_0, w_1, ...")
     tail = coefficient_tails(w, f.group.order(f.resolution))
-    return transform_inverse(Spectrum(f.group, f.resolution, transform_forward(f).coeffs * tail))
+    coeffs = transform_forward(f).coeffs * tail
+    return transform_inverse(_adopt(Spectrum, f.group, f.resolution, coeffs))
 
 
 def coefficient_tails(weights: np.ndarray, size: int) -> np.ndarray:
@@ -339,7 +342,7 @@ def convolve(f: GridFunction, h: GridFunction) -> GridFunction:
         raise ShapeMismatchError("convolution operands must match")
     sf = transform_forward(f)
     sh = transform_forward(h)
-    return transform_inverse(Spectrum(f.group, f.resolution, sf.coeffs * sh.coeffs))
+    return transform_inverse(_adopt(Spectrum, f.group, f.resolution, sf.coeffs * sh.coeffs))
 
 
 def convolve_naive(f: GridFunction, h: GridFunction) -> GridFunction:

@@ -879,8 +879,12 @@ def run_strong_suite(g: GroupSpec, rank: int = 5, n_max: int = 64,
     """Canned strong-convergence claims on a seeded function and the
     sharpness martingales."""
     rank = min(rank, g.levels)
-    n_max = min(n_max, g.order(rank))
-    _check_n_max(n_max)   # on the capped order: a small group caps it below the minimum
+    _check_n_max(n_max)
+    cap = g.order(rank)
+    if cap < MIN_N_MAX:   # a small group caps n_max below the minimum
+        raise InvalidParamsError(f"the strong suite caps n_max = {n_max} at M_{rank} = {cap}; "
+                                 f"verify suites need n_max >= {MIN_N_MAX}")
+    n_max = min(n_max, cap)
     rec = _Records("strong", g)
     f = random_grid_function(g, rank, seed=seed)
     cps = sorted({n_max // 4, n_max // 2, n_max})

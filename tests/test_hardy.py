@@ -323,9 +323,11 @@ def test_single_atom_normalized_quasinorm(walsh):
     assert hardy_quasinorm(mart, p) / bound <= 1 + 1e-10
 
 
-@pytest.mark.parametrize("res", [0, 1, 3])
+@pytest.mark.parametrize("res", [0, 1, 3, "top"])
 def test_hardy_quasinorm_rows_matches_regular_martingale(any_group, res):
     g = any_group
+    if res == "top":
+        res = g.levels
     rng = np.random.default_rng(12)
     rows = rng.standard_normal((6, g.order(res))) + 1j * rng.standard_normal((6, g.order(res)))
     for p in (0.4, 1.0, np.inf):
@@ -334,4 +336,4 @@ def test_hardy_quasinorm_rows_matches_regular_martingale(any_group, res):
             expect = hardy_quasinorm_fn(GridFunction(g, res, row), p)
             assert got[b] == pytest.approx(expect, rel=1e-12, abs=0)
     with pytest.raises(ShapeMismatchError):
-        hardy_quasinorm_rows(g, res + 1, rows, 0.4)
+        hardy_quasinorm_rows(g, res + 1 if res < g.levels else res - 1, rows, 0.4)

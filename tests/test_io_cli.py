@@ -359,3 +359,20 @@ def test_cli_bad_sizes_exit_2_at_once(argv, message):
     proc = run_cli_process(*argv)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and message in proc.stderr
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_exits_quietly_when_the_reader_closes_the_pipe(fmt):
+    # about 200 kB of output: more than the pipe holds, so the writer meets
+    # the closed pipe after the reader takes one line
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    argv = [sys.executable, "-m", "vilenkin.cli", "transform", "--format", fmt,
+            "--m", "2", "--levels", "12", "--res", "12"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=20) == 1
+    assert err == b""

@@ -175,6 +175,29 @@ def test_weighted_sum_combination_matches_direct(walsh):
     assert np.abs(combo.values - direct).max() < 1e-12
 
 
+def test_multiplier_paths_adopt_their_coefficients(mixed):
+    # partial_sum, weighted_sum_combination and convolve hand their fresh
+    # coefficient arrays to the inverse without a copy; the grid is the
+    # one a copied Spectrum gives, and it is read-only
+    f = random_grid_function(mixed, 4, seed=21)
+    h = random_grid_function(mixed, 4, seed=22)
+    c, ch = transform_forward(f).coeffs, transform_forward(h).coeffs
+    MN = mixed.order(4)
+    w = np.linspace(0.0, 1.0, MN + 1)
+    k = np.arange(MN)
+    tails = np.cumsum(w.astype(np.complex128)[::-1])[::-1][1:]
+    cases = [
+        (partial_sum(f, 37), np.where(k < 37, c, 0.0)),
+        (weighted_sum_combination(f, w), c * tails),
+        (convolve(f, h), c * ch),
+    ]
+    for got, coeffs in cases:
+        assert np.array_equal(got.values, transform_inverse(Spectrum(mixed, 4, coeffs)).values)
+        assert not got.values.flags.writeable
+    with pytest.raises(ShapeMismatchError):
+        weighted_sum_combination(f, np.ones((2, MN + 1)))
+
+
 def test_shift_is_group_translation(mixed):
     f = random_grid_function(mixed, 2, seed=8)
     from vilenkin.group import group_sub, point_from_index

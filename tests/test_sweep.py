@@ -6,6 +6,7 @@ per-order functions evaluate one mean on all M_N points.  Every consumer of
 the sweep is compared here with a full-grid reference loop at 1e-12.
 """
 
+import bisect
 import json
 import math
 from collections import Counter
@@ -19,7 +20,15 @@ from vilenkin.cli import main
 from vilenkin.errors import InvalidParamsError, RangeError
 from vilenkin.group import make_group
 from vilenkin.hardy import counterexample, hardy_quasinorm_fn
-from vilenkin.spectral import lp_norm, random_grid_function, weak_lp
+from vilenkin.spectral import (
+    coefficient_tails,
+    delta,
+    inverse_rows,
+    lp_norm,
+    random_grid_function,
+    transform_forward,
+    weak_lp,
+)
 
 TOL = 1e-12
 
@@ -320,3 +329,107 @@ def test_strong_sum_reference_is_the_regular_martingale_norm(pattern, levels, p)
         row, = verify.strong_sum(f, "fejer", p, lambda k: 1.0, n_max)
         ref = hardy_quasinorm_fn(f, p) ** p
         assert row["cumulative"] / row["ratio_to_hp"] == pytest.approx(ref, rel=TOL, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# One weight build per group of blocks against one per block
+# ---------------------------------------------------------------------------
+
+def per_run_blocks(f, kind, orders, **params):
+    """``mean_blocks`` as it was with one weight build per level run."""
+    mean, weights = means._method(kind, params)
+    g, N = f.group, f.resolution
+    M = g.M
+    orders = list(orders)
+    levels = [bisect.bisect_left(M, n, 0, N) if 1 <= n <= M[N] else None for n in orders]
+    s = transform_forward(f)
+    start = 0
+    while start < len(orders):
+        j = levels[start]
+        if j is None:
+            yield N, [orders[start]], mean(f, orders[start]).values[None]
+            start += 1
+            continue
+        stop = start + 1
+        most = max(1, means._BLOCK_ENTRIES // M[j])
+        while stop < len(orders) and levels[stop] == j and stop - start < most:
+            stop += 1
+        ns = orders[start:stop]
+        W = weights(np.array(ns), M[j] + 1)
+        yield j, ns, inverse_rows(g, j, s.coeffs[:M[j]] * coefficient_tails(W, M[j]))
+        start = stop
+
+
+# (radix pattern, levels, resolution of f, f is the unit mass M_N 1_{I_N})
+_M5 = ([5], 6, 6, False)
+_M234 = ([2, 3, 4], 9, 9, False)
+_SCRAMBLED = [7, 300, 3, 3, 1200, 25, 1, 576, 577, 300, 2, 1153, 1201]
+
+GROUP_CASES = [
+    pytest.param(_M5, kind, range(means.first_order(kind), 125), id=f"m5-1..124-{kind}")
+    for kind in ("fejer", "tmean", "riesz_log")
+] + [
+    # the shape of fejer_l1_batch(g, 490)
+    pytest.param(([2], 12, 9, True), "fejer", range(1, 491), id="m2-unit-mass-1..490-fejer"),
+    pytest.param(([2], 15, 15, False), "fejer", [20000, 16385, 3, 20000, 5, 16384],
+                 id="m2-rows-past-the-block-size"),
+    pytest.param(([5], 4, 4, False), "fejer", [625, 3, 24, 626, 4, 1], id="m5-order-past-M_N"),
+    pytest.param(([5], 4, 4, False), "partial_sum", [625, 3, 0, 24, 0, 4],
+                 id="m5-order-0-full-grid"),
+] + [
+    pytest.param(_M234, kind, range(means.first_order(kind), 1201), id=f"m234-1..1200-{kind}")
+    for kind in KINDS
+] + [
+    pytest.param(_M234, kind, [n for n in _SCRAMBLED if n >= means.first_order(kind)],
+                 id=f"m234-scrambled-{kind}")
+    for kind in ("partial_sum", "fejer", "tmean", "riesz_log", "norlund")
+]
+
+
+def _drain(blocks):
+    """The blocks a sweep yields, and the error it ends in (None if it ends)."""
+    out = []
+    try:
+        for block in blocks:
+            out.append(block)
+    except RangeError as exc:
+        return out, str(exc)
+    return out, None
+
+
+@pytest.fixture
+def tail_builds(monkeypatch):
+    """(rows, size) of every coefficient-tail build of ``mean_blocks``."""
+    builds = []
+
+    def counted(weights, size):
+        builds.append((weights.shape[0], size))
+        return coefficient_tails(weights, size)
+
+    monkeypatch.setattr(means, "coefficient_tails", counted)
+    return builds
+
+
+@pytest.mark.parametrize("case,kind,orders", GROUP_CASES)
+def test_grouped_weight_builds_equal_the_per_run_blocks(tail_builds, case, kind, orders):
+    pattern, levels, N, unit_mass = case
+    g = make_group(pattern, levels)
+    f = delta(g, N, scale=g.order(N)) if unit_mass else random_grid_function(g, N, seed=5)
+    params = _params(kind, max(orders))
+    want, want_err = _drain(per_run_blocks(f, kind, orders, **params))
+    got, got_err = _drain(means.mean_blocks(f, kind, orders, **params))
+    assert got_err == want_err
+    assert [(j, ns) for j, ns, _ in got] == [(j, ns) for j, ns, _ in want]
+    for (_, _, a), (_, _, b) in zip(got, want):
+        assert np.array_equal(a, b)
+    # no build holds more than _BLOCK_ENTRIES tails, unless one row alone does
+    assert tail_builds and all(rows * size <= means._BLOCK_ENTRIES or rows == 1
+                               for rows, size in tail_builds)
+
+
+def test_radix5_sweep_builds_its_weights_once(tail_builds):
+    g = make_group([5], 6)
+    f = random_grid_function(g, 6, seed=11)
+    blocks = list(means.mean_blocks(f, "fejer", range(1, 125)))
+    assert [j for j, _, _ in blocks] == [0, 1, 2, 3]
+    assert tail_builds == [(124, 125)]

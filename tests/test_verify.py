@@ -98,6 +98,13 @@ def test_strong_suite_refuses_groups_below_the_minimum(pattern, levels):
         verify.run_strong_suite(make_group(pattern, levels))
 
 
+@pytest.mark.parametrize("pattern,levels,rank,cap", [([2], 2, 2, 4), ([5], 1, 1, 5), ([2], 8, 2, 4)])
+def test_strong_suite_refusal_names_the_passed_n_max_and_the_cap(pattern, levels, rank, cap):
+    with pytest.raises(InvalidParamsError) as err:
+        verify.run_strong_suite(make_group(pattern, levels), rank=rank, n_max=100)
+    assert "n_max = 100" in str(err.value) and f"M_{rank} = {cap}" in str(err.value)
+
+
 def test_strong_suite_runs_at_the_minimum():
     recs = verify.run_strong_suite(make_group([2], 3))   # n_max capped at M_3 = 8
     assert recs and {r.params["n"] for r in recs if "n" in r.params} == {verify.MIN_N_MAX}

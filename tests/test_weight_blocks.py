@@ -286,11 +286,14 @@ def test_degenerate_order_inside_one_sweep_block():
 # ---------------------------------------------------------------------------
 
 def tiled_quasinorm_rows(g, resolution, values, p):
+    # level l is the mean over digit x_l of level l + 1, from fine to coarse
     B, Mj = values.shape
     star = np.zeros(values.shape)
-    for Ml in g.M[:resolution + 1]:
-        avg = np.abs(values.reshape(B, Mj // Ml, Ml).mean(axis=1))
-        np.maximum(star, np.tile(avg, (1, Mj // Ml)), out=star)
+    avg = values
+    for l in range(resolution, -1, -1):
+        np.maximum(star, np.tile(np.abs(avg), (1, Mj // g.M[l])), out=star)
+        if l:
+            avg = avg.reshape(B, g.m[l - 1], g.M[l - 1]).mean(axis=1)
     return lp_norm_rows(star, p)
 
 
