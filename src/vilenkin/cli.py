@@ -2,18 +2,20 @@
 verification suites, and sharpness martingales.
 
 Radices are given as a comma pattern repeated cyclically to --levels
-(`--m 2,3,4 --levels 6`).  Every subcommand accepts --format json|csv and
---tol; random test functions come from a seeded PCG64 generator so repeated
-invocations are byte-identical.
+(`--m 2,3,4 --levels 6`).  Each subcommand takes only the flags it reads:
+every one takes --m, --levels and --out, the table commands --format
+json|csv, the commands that compare against bounds --tol, and the commands
+that draw random test functions --seed (a PCG64 generator, so repeated
+invocations are byte-identical).  CSV is written by one writer with LF line
+ends, to stdout and to files alike.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import contextlib
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -28,15 +30,6 @@ from .spectral import (
     transform_inverse,
     Spectrum,
 )
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m", default="2", help="radix pattern, e.g. 2 or 2,3,4")
-    p.add_argument("--levels", type=int, default=None, help="number of levels (pattern repeats)")
-    p.add_argument("--tol", type=float, default=1e-10, help="comparison tolerance")
-    p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
-    p.add_argument("--out", default="-", help="output path ('-' for stdout)")
-    p.add_argument("--seed", type=int, default=2024, help="PRNG seed for random functions")
 
 
 def _pattern_from_args(args) -> list[int]:
@@ -58,21 +51,35 @@ def _group_from_args(args, min_levels: int = 1) -> GroupSpec:
     return make_group(pattern, max(levels, min_levels))
 
 
-def _emit(args, header, rows, json_obj=None) -> None:
-    if args.format == "json":
-        payload = json_obj if json_obj is not None else [dict(zip(header, r)) for r in rows]
-        text = json.dumps(payload, indent=2, default=io._json_default)
-        if args.out == "-":
-            print(text)
+def _levels_above(args, n: int) -> int:
+    """Least number of levels L >= 1 of the --m pattern with M_L > n."""
+    pattern = _pattern_from_args(args)
+    make_group(pattern)   # refuses radices below 2 before they are multiplied up
+    levels, order = 1, pattern[0]
+    while order <= n:
+        order *= pattern[levels % len(pattern)]
+        levels += 1
+    return levels
+
+
+def _open_out(path: str):
+    """The stream for an output path: stdout for '-', else the file, untranslated."""
+    if path == "-":
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", newline="", encoding="utf-8")
+
+
+def _emit(args, header, rows, json_obj=None, encode=io.to_json) -> None:
+    """Write the table to --out as CSV rows, or as ``encode(json_obj)``.
+
+    ``json_obj`` defaults to the rows as objects keyed by the header.
+    """
+    with _open_out(args.out) as fh:
+        if args.format == "csv":
+            io.write_csv(fh, header, rows)
         else:
-            Path(args.out).write_text(text + "\n", encoding="utf-8")
-        return
-    if args.out == "-":
-        print(",".join(header))
-        for r in rows:
-            print(",".join(io._fmt(x) for x in r))
-    else:
-        io.write_csv(args.out, header, rows)
+            obj = json_obj if json_obj is not None else [dict(zip(header, r)) for r in rows]
+            print(encode(obj), file=fh)
 
 
 def cmd_group(args) -> int:
@@ -84,7 +91,7 @@ def cmd_group(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    g = _group_from_args(args, min_levels=args.res or 1)
+    g = _group_from_args(args, min_levels=max(args.res or 1, _levels_above(args, args.n)))
     n = args.n
     N = args.res
     if args.kind == "dirichlet":
@@ -117,14 +124,7 @@ def _weights_from_args(args, n: int) -> weights.WeightSequence:
 
 
 def cmd_lebesgue(args) -> int:
-    pattern = _pattern_from_args(args)
-    make_group(pattern)   # refuses radices below 2 before they are multiplied up
-    need = 1
-    prod = pattern[0]
-    while prod <= args.max_n:
-        prod *= pattern[need % len(pattern)]
-        need += 1
-    g = _group_from_args(args, min_levels=need + 1)
+    g = _group_from_args(args, min_levels=_levels_above(args, args.max_n) + 1)
     L = kernels.lebesgue_batch(g, args.max_n)
     rows = []
     for n in range(1, args.max_n + 1):
@@ -191,15 +191,7 @@ def cmd_verify(args) -> int:
     for name in names:
         records.extend(verify.run_suite(name, g, n_max=args.max_n, tol=args.tol,
                                         seed=args.seed, samples=args.samples))
-    if args.format == "json":
-        text = io.records_to_json(records)
-        if args.out == "-":
-            print(text)
-        else:
-            Path(args.out).write_text(text + "\n", encoding="utf-8")
-    else:
-        header, rows = io.records_csv_rows(records)
-        _emit(args, header, rows)
+    _emit(args, *io.records_csv_rows(records), records, io.records_to_json)
     hard_failures = [r for r in records if r.passed is False]
     for r in hard_failures:
         print(f"FAIL {r.claim} {r.params}", file=sys.stderr)
@@ -225,7 +217,8 @@ def cmd_counterexample(args) -> int:
     io.save_martingale(mart, f"{out_prefix}.martingale.json")
     rows = verify.tmean_block_probe(mart, args.p, alphas)
     table = [[r["n"], r["weak_lp"], r["bound"]] for r in rows]
-    io.write_csv(f"{out_prefix}.probe.csv", ["n", "weak_lp", "bound"], table)
+    with _open_out(f"{out_prefix}.probe.csv") as fh:
+        io.write_csv(fh, ["n", "weak_lp", "bound"], table)
     print(f"wrote {out_prefix}.martingale.json and {out_prefix}.probe.csv")
     return 0
 
@@ -234,13 +227,25 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="vilenkin",
                                  description="Fourier analysis on bounded Vilenkin groups")
     sub = ap.add_subparsers(dest="command", required=True)
+    # parents: each subcommand takes the flag groups it reads
+    group = argparse.ArgumentParser(add_help=False)
+    group.add_argument("--m", default="2", help="radix pattern, e.g. 2 or 2,3,4")
+    group.add_argument("--levels", type=int, default=None,
+                       help="number of levels (pattern repeats)")
+    group.add_argument("--out", default="-", help="output path ('-' for stdout)")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=1e-10, help="comparison tolerance")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=2024, help="PRNG seed for random functions")
 
-    p = sub.add_parser("group", help="print the number system of a group")
-    _add_common(p)
+    p = sub.add_parser("group", help="print the number system of a group",
+                       parents=[group, fmt])
     p.set_defaults(fn=cmd_group)
 
-    p = sub.add_parser("kernel", help="tabulate a kernel")
-    _add_common(p)
+    p = sub.add_parser("kernel", help="tabulate a kernel",
+                       parents=[group, fmt])
     p.add_argument("--kind", required=True,
                    choices=("dirichlet", "fejer", "norlund", "tmean", "riesz-log", "norlund-log"))
     p.add_argument("--n", type=int, required=True)
@@ -248,14 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", default="ones", help="weights: ones, power:a, log:a, or a comma list")
     p.set_defaults(fn=cmd_kernel)
 
-    p = sub.add_parser("lebesgue", help="Lebesgue constants with variation bounds")
-    _add_common(p)
+    p = sub.add_parser("lebesgue", help="Lebesgue constants with variation bounds",
+                       parents=[group, fmt, tol])
     p.add_argument("--max-n", type=int, default=64)
     p.add_argument("--variant", choices=("literal", "corrected"), default="literal")
     p.set_defaults(fn=cmd_lebesgue)
 
-    p = sub.add_parser("mean", help="convergence table ||mean_n f - f||_p")
-    _add_common(p)
+    p = sub.add_parser("mean", help="convergence table ||mean_n f - f||_p",
+                       parents=[group, fmt, seed])
     p.add_argument("--kind", default="fejer", choices=tuple(means._KINDS))
     p.add_argument("--max-n", type=int, default=32)
     p.add_argument("--res", type=int, default=5)
@@ -265,15 +270,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default=None, help="grid-function JSON input")
     p.set_defaults(fn=cmd_mean)
 
-    p = sub.add_parser("transform", help="forward or inverse transform of a grid file")
-    _add_common(p)
+    p = sub.add_parser("transform", help="forward or inverse transform of a grid file",
+                       parents=[group, fmt, seed])
     p.add_argument("--res", type=int, default=5)
     p.add_argument("--input", default=None)
     p.add_argument("--inverse", action="store_true")
     p.set_defaults(fn=cmd_transform)
 
-    p = sub.add_parser("verify", help="run verification suites")
-    _add_common(p)
+    p = sub.add_parser("verify", help="run verification suites",
+                       parents=[group, fmt, tol, seed])
     p.add_argument("--suite", default="all",
                    help="comma list of suites or 'all' "
                         f"(available: {', '.join(verify.SUITES)})")
@@ -281,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=20)
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("counterexample", help="build a sharpness martingale and probe it")
-    _add_common(p)
+    p = sub.add_parser("counterexample", help="build a sharpness martingale and probe it",
+                       parents=[group])
     p.add_argument("--kind", required=True, choices=hardy.COUNTEREXAMPLE_KINDS)
     p.add_argument("--alpha", default="1,2,3", help="block levels, comma separated")
     p.add_argument("--p", type=float, default=0.4)

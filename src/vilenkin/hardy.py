@@ -84,7 +84,7 @@ class StepMartingale:
     def final(self) -> GridFunction:
         return self.entries[-1]
 
-    def check_consistency(self, tol: float = 1e-12) -> float:
+    def check_consistency(self) -> float:
         """Max deviation of coset averaging between consecutive entries."""
         worst = 0.0
         for i in range(len(self.entries) - 1):
@@ -251,13 +251,7 @@ class Atom:
         return 1.0 / self.values.group.M[self.level]
 
 
-def make_atom(
-    p: float,
-    level: int,
-    base: int,
-    values: GridFunction,
-    tol: float = 1e-12,
-) -> Atom:
+def make_atom(p: float, level: int, base: int, values: GridFunction) -> Atom:
     """Validate and build a p-atom supported on I_level(base).
 
     Raises AtomSupportError / AtomMeanError / AtomBoundError with the
@@ -275,7 +269,7 @@ def make_atom(
     if outside.size and outside.max() > 0.0:
         raise AtomSupportError("atom has mass outside its support interval")
     mean = values.values[mask].sum() / g.order(values.resolution)
-    if abs(mean) > tol:
+    if abs(mean) > 1e-12:
         raise AtomMeanError(f"atom mean over support is {mean}, not 0")
     bound = g.M[level] ** (1.0 / p)
     supnorm = float(np.abs(values.values).max())
@@ -285,28 +279,23 @@ def make_atom(
 
 
 def atom_martingale(
-    coeffs: Sequence[tuple[float, Atom]],
-    levels: Sequence[int],
-    p: float | None = None,
+    coeffs: Sequence[tuple[float, Atom]], levels: Sequence[int]
 ) -> tuple[StepMartingale, float]:
     """Martingale f^(n) = sum_k lam_k S_{M_n} a_k over a finite atom list.
 
-    Returns the martingale and the quasi-norm surrogate sum_k |lam_k|^p
-    (p taken from the first atom unless given).
+    Returns the martingale and the quasi-norm surrogate sum_k |lam_k|^p,
+    p taken from the first atom.
     """
     if not coeffs:
         raise InvalidParamsError("need at least one (coefficient, atom) pair")
     g = coeffs[0][1].values.group
-    pp = p if p is not None else coeffs[0][1].p
+    p = coeffs[0][1].p
     top = max(levels)
     total = np.zeros(g.order(top), dtype=np.complex128)
     for lam, atom in coeffs:
         total += lam * embed(atom.values, top).values
-    full = GridFunction(g, top, total)
-    entries = tuple(project_to_level(full, n) for n in levels)
-    mart = StepMartingale(group=g, levels=tuple(levels), entries=entries)
-    surrogate = float(sum(abs(lam) ** pp for lam, _ in coeffs))
-    return mart, surrogate
+    surrogate = float(sum(abs(lam) ** p for lam, _ in coeffs))
+    return regular_martingale(GridFunction(g, top, total), levels), surrogate
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +376,9 @@ def counterexample(
             vals[::Ma] -= c * Ma
         else:
             vals[::Ma] += c * Ma * character_column(g, Ma, rank)[::Ma]
-    full = GridFunction(g, rank, vals)
     if levels is None:
         levels = list(range(1, rank + 1))
-    entries = tuple(project_to_level(full, n) for n in levels)
-    return StepMartingale(group=g, levels=tuple(levels), entries=entries)
+    return regular_martingale(GridFunction(g, rank, vals), levels)
 
 
 def gap_report(g: GroupSpec, alphas: Sequence[int], p: float) -> dict:

@@ -3,7 +3,9 @@
 Grid file: {"m": [...], "resolution": N, "values": [[re, im], ...]} with
 values.length = M_N and flat index sum_j x_j M_j.  Martingale file:
 {"m": [...], "levels": [...], "entries": [grid, ...]}.  CSV is UTF-8 with a
-header row, comma separator, floats at 17 significant digits.
+header row, comma separator, minimal quoting, LF line ends and floats at 17
+significant digits; ``write_csv`` is its only writer.  JSON reports are
+``to_json`` text: indented by 2, numpy scalars as plain numbers.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -121,20 +123,24 @@ def load_martingale(path: str | Path) -> StepMartingale:
         raise InvalidParamsError(f"martingale file {str(path)!r}: {exc}") from None
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(x) for x in row])
+def write_csv(out: TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header row and the rows to an open text stream, one line each."""
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([_fmt(x) for x in row])
 
 
 def kernel_csv_rows(f: GridFunction) -> list[list]:
     return [[i, v.real, v.imag] for i, v in enumerate(f.values)]
 
 
+def to_json(obj) -> str:
+    return json.dumps(obj, indent=2, default=_json_default)
+
+
 def records_to_json(records: Sequence[VerificationRecord]) -> str:
-    return json.dumps([r.to_dict() for r in records], indent=2, default=_json_default)
+    return to_json([r.to_dict() for r in records])
 
 
 def _json_default(x):

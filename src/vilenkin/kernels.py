@@ -331,11 +331,11 @@ def norlund_log_kernel(g: GroupSpec, n: int, N: int | None = None) -> GridFuncti
 # Lebesgue constants
 # ---------------------------------------------------------------------------
 
-def lebesgue_constant(g: GroupSpec, n: int, method: str = "closed") -> float:
+def lebesgue_constant(g: GroupSpec, n: int) -> float:
     """L_n = ||D_n||_1, computed at the minimal sufficient resolution."""
     if n < 1:
         raise RangeError("lebesgue constant requires n >= 1")
-    return lp_norm(dirichlet(g, n, method=method), 1.0)
+    return lp_norm(dirichlet(g, n), 1.0)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .errors import DomainError, RangeError
+from .errors import DomainError, InvalidParamsError, RangeError
 from .spectral import (
     GridFunction,
     coefficient_tails,
@@ -323,7 +323,11 @@ def param_names(kind: str) -> tuple[str, ...]:
 
 def _method(kind: str, params: dict) -> tuple[MeanFn, Callable[[np.ndarray, int], np.ndarray]]:
     """The per-order mean and the weights(ns, size) of a kind, bound to its parameters."""
-    args = tuple(params[name] for name in param_names(kind))
+    names = param_names(kind)
+    if set(params) != set(names):
+        raise InvalidParamsError(f"{kind} means take parameters {sorted(names)}, "
+                                 f"got {sorted(params)}")
+    args = tuple(params[name] for name in names)
     mean, weights, _ = _KINDS[kind]
     return (lambda f, n: mean(f, n, *args)), (lambda ns, size: weights(ns, size, *args))
 

@@ -96,18 +96,12 @@ def character_function(g: GroupSpec, n: int, resolution: int) -> GridFunction:
     return GridFunction(g, resolution, character_column(g, n, resolution))
 
 
-def random_grid_function(g: GroupSpec, resolution: int, seed: int, kind: str = "complex") -> GridFunction:
-    """Seeded test function: standard-normal values (PCG64 generator)."""
+def random_grid_function(g: GroupSpec, resolution: int, seed: int) -> GridFunction:
+    """Seeded test function: standard-normal real and imaginary parts (PCG64 generator)."""
     MN = check_grid_points(g, resolution)
     rng = np.random.default_rng(seed)
     re = rng.standard_normal(MN)
-    if kind == "real":
-        vals = re.astype(np.complex128)
-    elif kind == "complex":
-        vals = re + 1j * rng.standard_normal(MN)
-    else:
-        raise DomainError(f"unknown kind {kind!r}")
-    return GridFunction(g, resolution, vals)
+    return GridFunction(g, resolution, re + 1j * rng.standard_normal(MN))
 
 
 # ---------------------------------------------------------------------------

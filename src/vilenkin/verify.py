@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import hardy, kernels, means, weights
-from .characters import character_column, _unit_roots
+from .characters import character_column, character_matrix, _unit_roots
 from .errors import DomainError, InvalidParamsError
 from .group import (
     GroupSpec,
@@ -252,9 +252,7 @@ def run_identity_suite(g: GroupSpec, n_max: int = 64, tol: float = 1e-12,
     # (vilenkin) character identities at resolution 3
     res3 = min(3, g.levels)
     M3 = g.order(res3)
-    C = np.empty((M3, M3), dtype=np.complex128)
-    for k in range(M3):
-        C[k] = character_column(g, k, res3)
+    C = character_matrix(g, M3, res3)
     r_mod = np.abs(np.abs(C) - 1).max()
     gram = (C @ C.conj().T) / M3
     r_orth = np.abs(gram - np.eye(M3)).max()
@@ -585,13 +583,13 @@ def _empty(orders) -> dict:
     return {} if len(orders) else {"orders": 0}
 
 
-def run_kernel_lemma_suite(g: GroupSpec, n_max: int = 64, tol: float = 1e-12,
-                           N: int | None = None) -> list[VerificationRecord]:
+def run_kernel_lemma_suite(g: GroupSpec, n_max: int = 64,
+                           tol: float = 1e-12) -> list[VerificationRecord]:
     """Pointwise and averaged kernel estimates on the coset cells."""
     _check_n_max(n_max)
     rec = _Records("kernel-lemmas", g)
     ws = _Workspace(g, n_max)
-    N = N if N is not None else max(2, min(3, ws.N - 1))
+    N = max(2, min(3, ws.N - 1))
     part = coset_partition(g, N)
     res = ws.N
     MN = g.order(N)
@@ -950,21 +948,19 @@ def _divergence_alphas(g: GroupSpec, p: float, max_level: int) -> tuple[int, ...
     return best[1] if best else (1, 2, 3)
 
 
-def run_divergence_suite(g: GroupSpec, p: float = 0.4,
-                         alphas: Sequence[int] | None = None,
-                         rank: int = 8, tol: float = 1e-10) -> list[VerificationRecord]:
-    """Divergence probes on the block-spectrum martingale.
+def run_divergence_suite(g: GroupSpec, rank: int = 8) -> list[VerificationRecord]:
+    """Divergence probes on the block-spectrum martingale at p = 0.4.
 
     The T-mean probe checks the measured weak-L_p norm at M_a + 2 against
     the lower-bound expression M_a^(1/p-2)/(16 a); the bound sequence is
-    also checked for strict growth (a trend, not a limit).  With
-    ``alphas=None`` the block levels are chosen per group so the bound
-    growth is visible at desk scale.
+    also checked for strict growth (a trend, not a limit).  The block
+    levels are chosen per group so the bound growth is visible at desk
+    scale.
     """
+    p, tol = 0.4, 1e-10
     rec = _Records("divergence", g)
     rank = min(rank, g.levels)
-    if alphas is None:
-        alphas = _divergence_alphas(g, p, rank)
+    alphas = _divergence_alphas(g, p, rank)
     rank = max(rank, alphas[-1] + 1)
     if rank > g.levels:
         raise InvalidParamsError(f"group needs {rank} levels for blocks {alphas}")

@@ -192,7 +192,8 @@ def test_best_approx_l2(walsh):
 
 def test_best_approx_bracket_contains_exhaustive_min(walsh):
     # L1 best approximation by rank-1 functions: per-coset medians
-    f = random_grid_function(walsh, 2, seed=31, kind="real")
+    f = random_grid_function(walsh, 2, seed=31)
+    f = f.with_values(f.values.real)
     lo, hi = best_approx_bounds(f, 1.0, walsh.M[1])
     vals = f.values.real
     M1 = walsh.M[1]

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from vilenkin import io as vio
-from vilenkin import kernels, verify
+from vilenkin import kernels, verify, weights
 from vilenkin.cli import main
 from vilenkin.errors import InvalidParamsError, RangeError
 from vilenkin.group import MAX_GRID_POINTS, check_grid_points, make_group
@@ -63,6 +65,31 @@ def test_cli_kernel_fejer_example(capsys):
     assert vals == [1.5, 0.5, 1.5, 0.5]
 
 
+def test_cli_kernel_grows_the_group_to_its_order(capsys):
+    # --m 2,3 alone has M_2 = 6 <= 9: the group takes the levels n needs
+    assert run_cli("kernel", "--kind", "tmean", "--q", "power:0.5", "--n", "9", "--m", "2,3") == 0
+    rows = capsys.readouterr().out.strip().splitlines()
+    g = make_group([2, 3], 3)
+    F = kernels.tmean_kernel(g, weights.power_weights(0.5, 10), 9)
+    assert len(rows) == 1 + g.order(3)
+    assert [float(r.split(",")[1]) for r in rows[1:]] == F.values.real.tolist()
+
+
+@pytest.mark.parametrize("argv", [
+    ("group", "--tol", "1e-9"),
+    ("kernel", "--kind", "fejer", "--n", "2", "--seed", "1"),
+    ("lebesgue", "--seed", "1"),
+    ("mean", "--tol", "1e-9"),
+    ("transform", "--tol", "1e-9"),
+    ("counterexample", "--kind", "hp-blocks", "--format", "json"),
+])
+def test_cli_refuses_flags_the_subcommand_does_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_kernel_dirichlet_one(capsys):
     assert run_cli("kernel", "--kind", "dirichlet", "--n", "1", "--m", "2") == 0
     rows = capsys.readouterr().out.strip().splitlines()
@@ -100,11 +127,17 @@ def test_cli_verify_unknown_suite(capsys):
     assert run_cli("verify", "--suite", "nosuch", "--m", "2") == 2
 
 
-def test_cli_verify_csv_stdout(capsys):
-    code = run_cli("verify", "--suite", "identities", "--m", "2", "--max-n", "8")
-    assert code == 0
-    out = capsys.readouterr().out.splitlines()
-    assert out[0].startswith("suite,claim,params")
+def test_cli_verify_csv_stdout(tmp_path, capsys):
+    argv = ("verify", "--suite", "identities", "--m", "2", "--max-n", "8")
+    assert run_cli(*argv) == 0
+    out = capsys.readouterr().out
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0][:3] == ["suite", "claim", "params"]
+    assert {len(r) for r in rows} == {9}
+    assert json.loads(rows[1][2])["m"] == [2] * 8   # params is one quoted JSON field
+    path = tmp_path / "report.csv"
+    assert run_cli(*argv, "--out", str(path)) == 0
+    assert path.read_bytes() == out.encode("utf-8")   # one writer, LF line ends
 
 
 def test_cli_counterexample(tmp_path, capsys):
@@ -114,7 +147,9 @@ def test_cli_counterexample(tmp_path, capsys):
     assert code == 0
     mart = vio.load_martingale(f"{prefix}.martingale.json")
     assert mart.levels[-1] == 4
-    probe = (tmp_path / "ce.probe.csv").read_text().splitlines()
+    raw = (tmp_path / "ce.probe.csv").read_bytes()
+    assert b"\r" not in raw
+    probe = raw.decode().splitlines()
     assert probe[0] == "n,weak_lp,bound"
     for line in probe[1:]:
         n, w, b = line.split(",")

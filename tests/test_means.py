@@ -1,12 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
 from vilenkin import weights as wts
-from vilenkin.errors import DomainError, RangeError
+from vilenkin.errors import DomainError, InvalidParamsError, RangeError
 from vilenkin.means import (
     cesaro_coeffs,
     cesaro_mean,
     fejer_mean,
+    mean_blocks,
     norlund_log_mean,
     norlund_mean,
     power_log_weight,
@@ -24,6 +27,7 @@ from vilenkin.spectral import (
     random_grid_function,
     weighted_sum_combination,
 )
+from vilenkin.verify import strong_sum
 
 
 @pytest.fixture
@@ -167,6 +171,23 @@ def test_weighted_maximal_matches_brute_force(f6):
     mx = weighted_maximal(f6, "fejer", range(1, 9), weight=w)
     brute = np.max([np.abs(fejer_mean(f6, n).values) / w(n) for n in range(1, 9)], axis=0)
     assert np.abs(mx.values.real - brute).max() == 0.0
+
+
+@pytest.mark.parametrize("run,message", [
+    (lambda f: weighted_maximal(f, "tmean", range(1, 9)),
+     "tmean means take parameters ['q'], got []"),
+    (lambda f: list(mean_blocks(f, "cesaro", [3])),
+     "cesaro means take parameters ['alpha'], got []"),
+    (lambda f: strong_sum(f, "norlund", 0.5, lambda n: 1.0, 8), "['q'], got []"),
+    (lambda f: weighted_maximal(f, "fejer", range(1, 9), alpha=3.0),
+     "fejer means take parameters [], got ['alpha']"),
+    (lambda f: list(mean_blocks(f, "tmean", [3], q=wts.ones(4), alpha=0.5)),
+     "tmean means take parameters ['q'], got ['alpha', 'q']"),
+], ids=["missing-q", "missing-alpha", "strong-sum-missing-q", "unexpected-alpha",
+        "extra-alpha"])
+def test_summation_parameters_must_be_the_kinds_own(f6, run, message):
+    with pytest.raises(InvalidParamsError, match=re.escape(message)):
+        run(f6)
 
 
 def test_restricted_maximal_partial_sums(walsh):
