@@ -66,7 +66,10 @@ def _open_out(path: str):
     """The stream for an output path: stdout for '-', else the file, untranslated."""
     if path == "-":
         return contextlib.nullcontext(sys.stdout)
-    return open(path, "w", newline="", encoding="utf-8")
+    try:
+        return open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise InvalidParamsError(f"cannot write output file {path!r}: {exc.strerror}") from None
 
 
 def _emit(args, header, rows, json_obj=None, encode=io.to_json) -> None:
@@ -235,8 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--out", default="-", help="output path ('-' for stdout)")
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
-    tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=float, default=1e-10, help="comparison tolerance")
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=2024, help="PRNG seed for random functions")
 
@@ -254,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_kernel)
 
     p = sub.add_parser("lebesgue", help="Lebesgue constants with variation bounds",
-                       parents=[group, fmt, tol])
+                       parents=[group, fmt])
+    p.add_argument("--tol", type=float, default=1e-10, help="slack of the bound checks")
     p.add_argument("--max-n", type=int, default=64)
     p.add_argument("--variant", choices=("literal", "corrected"), default="literal")
     p.set_defaults(fn=cmd_lebesgue)
@@ -278,7 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_transform)
 
     p = sub.add_parser("verify", help="run verification suites",
-                       parents=[group, fmt, tol, seed])
+                       parents=[group, fmt, seed])
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="tolerance of the inequalities suite; the identities suite "
+                        "takes tol/100, at least 1e-12 (no other suite reads it)")
     p.add_argument("--suite", default="all",
                    help="comma list of suites or 'all' "
                         f"(available: {', '.join(verify.SUITES)})")

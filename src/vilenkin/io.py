@@ -67,8 +67,15 @@ def grid_from_dict(obj: dict, group: GroupSpec | None = None) -> GridFunction:
     return GridFunction(g, N, vals)
 
 
+def _save_json(obj, path: str | Path, what: str) -> None:
+    try:
+        Path(path).write_text(json.dumps(obj), encoding="utf-8")
+    except OSError as exc:
+        raise InvalidParamsError(f"cannot write {what} file {str(path)!r}: {exc.strerror}") from None
+
+
 def save_grid(f: GridFunction, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(grid_to_dict(f)), encoding="utf-8")
+    _save_json(grid_to_dict(f), path, "grid")
 
 
 def _load_json(path: str | Path, what: str):
@@ -112,7 +119,7 @@ def martingale_from_dict(obj: dict) -> StepMartingale:
 
 
 def save_martingale(mart: StepMartingale, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(martingale_to_dict(mart)), encoding="utf-8")
+    _save_json(martingale_to_dict(mart), path, "martingale")
 
 
 def load_martingale(path: str | Path) -> StepMartingale:

@@ -26,22 +26,20 @@ Kernel grids are computed on every call, not kept.  One LRU cache keeps the
 block tables the closed forms are made of (D_{M_l}, D_{s M_l}, K_{M_l},
 K_{s M_l}, the digit terms of the product formula and the rotations
 r_l^s): read-only arrays keyed by (group, builder, level, s, resolution)
-and bounded by bytes (``_BLOCK_BYTES``), so a closed form of any order
-reuses the tables of every order before it.  Lookups and insertions hold
-one lock.
+and bounded by bytes (``_BLOCK_BYTES``, through ``lru``), so a closed form
+of any order reuses the tables of every order before it.
 """
 
 from __future__ import annotations
 
 import bisect
-import threading
 from collections import OrderedDict
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import means
+from . import lru, means
 from .characters import _unit_roots, character_column
 from .errors import DomainError, IndexOverflowError, RangeError, ShapeMismatchError
 from .group import (GroupSpec, NatDigits, check_grid_points, digit_matrix, digits_of,
@@ -58,8 +56,6 @@ from .weights import WeightSequence
 # rank-7 tables of the Dnqn pattern index), so a whole run stays cached.
 _BLOCK_BYTES = 16 << 20
 _blocks: OrderedDict = OrderedDict()
-
-_cache_lock = threading.Lock()
 
 
 def min_resolution(g: GroupSpec, n: int) -> int:
@@ -86,19 +82,12 @@ def _resolve(g: GroupSpec, n: int, N: int | None) -> int:
 def _block(g: GroupSpec, builder: str, level: int, s: int, resolution: int, build) -> np.ndarray:
     """The block table ``build()`` returns, built once per key and read-only."""
     key = (g.key(), builder, level, s, resolution)
-    with _cache_lock:
-        hit = _blocks.get(key)
-        if hit is not None:
-            _blocks.move_to_end(key)
-            return hit
+    hit = lru.get(_blocks, key)
+    if hit is not None:
+        return hit
     val = build()
     val.flags.writeable = False
-    with _cache_lock:
-        val = _blocks.setdefault(key, val)
-        _blocks.move_to_end(key)
-        while sum(v.nbytes for v in _blocks.values()) > _BLOCK_BYTES:
-            _blocks.popitem(last=False)
-    return val
+    return lru.put(_blocks, key, val, _BLOCK_BYTES)
 
 
 # ---------------------------------------------------------------------------

@@ -20,18 +20,23 @@ cosets, so for n <= M_j the mean is a rank-j function: the same mean of E_j f
 (the rank-j coset averages), whose spectrum is exactly f^(0..M_j-1).  The
 block's coefficient rows are that spectrum prefix times the tail sums of
 the block's weight matrix, and one batched inverse stage pass synthesizes
-them all.  The unit mass M_N 1_{I_N} has spectrum all ones, so its sweep is
-a table of the kind's kernels sum_k w_k D_k.
+them all.  Only that spectrum prefix depends on f: the levels, the runs and
+the tails make the sweep's plan, built once per (radices, kind, parameters,
+orders) and kept in a byte-bounded LRU cache, as FFTW plans a transform
+once and executes it per array.  The unit mass M_N 1_{I_N} has spectrum all
+ones, so its sweep is a table of the kind's kernels sum_k w_k D_k.
 """
 
 from __future__ import annotations
 
 import bisect
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
+from . import lru
 from .errors import DomainError, InvalidParamsError, RangeError
 from .spectral import (
     GridFunction,
@@ -346,6 +351,107 @@ def first_order(kind: str) -> int:
 # bounds the coefficient tails of one weight build, shared by a group of blocks.
 _BLOCK_ENTRIES = 1 << 14
 
+# Most bytes of sweep plans the plan cache keeps (1 MiB); the least recently
+# used go first.  A plan larger than a quarter of the budget is not kept, so
+# one long sweep does not flush the short ones: the three sweeps of orders
+# 1..124 on [5]^6 of a maximal-sweep task plan 0.12 MB each, while the
+# sharpness sums of the [5]^8 strong suite sweep 1..250 in 0.75 MB.
+_PLAN_BYTES = 1 << 20
+_plans: OrderedDict = OrderedDict()
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The groups of one sweep, and their bytes: the tails, 8 per order of the key."""
+
+    groups: tuple
+    nbytes: int
+
+
+def _plan_key(g, N: int, kind: str, params: dict, orders: list) -> tuple | None:
+    """The plan cache key of a sweep, or None if the sweep is not cached.
+
+    Parameters are keyed by type and value, a weight sequence by its values
+    and monotonicity.  A sweep that would extend q through its generator
+    reads weights the key does not hold, so it is neither looked up nor kept.
+    """
+    top = max(orders, default=0)
+    vals = []
+    for name in sorted(params):
+        v = params[name]
+        if isinstance(v, WeightSequence):
+            if v.generator is not None and top > v.n_max + 1:
+                return None
+            vals.append((WeightSequence, v.values.tobytes(), v.monotonicity))
+        else:
+            vals.append((type(v), v))
+    key = (g.m[:N], kind, tuple(vals), tuple(orders))
+    try:
+        hash(key)
+    except TypeError:
+        return None
+    return key
+
+
+def _plan_groups(M: tuple, N: int, orders: list, weights) -> Iterator[tuple]:
+    """The groups of a sweep over ``orders`` on levels up to N, one at a time.
+
+    A group is (start, tails, runs).  An order outside 1..M_N is a group of
+    its own with tails None, for the per-order mean on the full grid.  The
+    other groups hold consecutive runs (a, b, j) of orders[a:b] on level j,
+    as many rows as fit in ``_BLOCK_ENTRIES`` at the group's top level M_top,
+    and the read-only coefficient tails of their weights (one row per order
+    from ``start``, M_top columns).  A failing weight build raises when its
+    group is reached, after the groups before it.
+    """
+    levels = [bisect.bisect_left(M, n, 0, N) if 1 <= n <= M[N] else None for n in orders]
+    start = 0
+    while start < len(orders):
+        if levels[start] is None:
+            yield start, None, ()
+            start += 1
+            continue
+        runs, stop, top = [], start, 0
+        while stop < len(orders) and levels[stop] is not None:
+            j = levels[stop]
+            end = stop + 1
+            most = max(1, _BLOCK_ENTRIES // M[j])
+            while end < len(orders) and levels[end] == j and end - stop < most:
+                end += 1
+            if runs and (end - start) * M[max(top, j)] > _BLOCK_ENTRIES:
+                break
+            runs.append((stop, end, j))
+            stop, top = end, max(top, j)
+        tails = coefficient_tails(weights(np.array(orders[start:stop]), M[top] + 1), M[top])
+        tails.flags.writeable = False
+        yield start, tails, tuple(runs)
+        start = stop
+
+
+def _plan(g, N: int, kind: str, params: dict, orders: list, weights) -> Iterator[tuple]:
+    """The groups of a sweep: from its cached plan, or built as the sweep reads them.
+
+    A new plan is kept once the sweep has read every group: a build that
+    raises, or a sweep that stops early, keeps nothing.  The groups of a
+    plan past a quarter of the budget are let go as soon as the sweep is
+    done with them.
+    """
+    key = _plan_key(g, N, kind, params, orders)
+    plan = None if key is None else lru.get(_plans, key)
+    if plan is not None:
+        yield from plan.groups
+        return
+    groups, nbytes = [], 8 * len(orders)
+    for group in _plan_groups(g.M, N, orders, weights):
+        yield group
+        nbytes += 0 if group[1] is None else group[1].nbytes
+        if nbytes <= _PLAN_BYTES // 4:
+            groups.append(group)
+        else:
+            groups.clear()
+    if key is not None and nbytes <= _PLAN_BYTES // 4:
+        lru.put(_plans, key, _Plan(tuple(groups), nbytes), _PLAN_BYTES)
+
 
 def mean_blocks(
     f: GridFunction, kind: str, orders: Iterable[int], **params
@@ -361,42 +467,31 @@ def mean_blocks(
     coefficient rows are that prefix times the coefficient tails of the
     orders' weight vectors, synthesized by one batched inverse; no block
     holds more than ``_BLOCK_ENTRIES`` entries unless a single row does.
-    The weights and their tails are built once for a group of consecutive
-    blocks, as many rows as fit in ``_BLOCK_ENTRIES`` at the group's top
-    level M_top, and each block reads its rows' first M_j tails.  That is
-    exact: the weights of order n <= M_j vanish past k = n, and the
-    reverse cumulative sum adds those zeros first.  Orders outside
-    1..M_N go to the full grid one at a time, where the per-order mean
-    raises its usual error.  Orders may come in any order and repeat.
+
+    What does not depend on f is the sweep's plan: the level of each order,
+    the runs, and the coefficient tails, built once per group of
+    consecutive blocks at the group's top level M_top; each block reads its
+    rows' first M_j tails.  That is exact: the weights of order n <= M_j
+    vanish past k = n, and the reverse cumulative sum adds those zeros
+    first.  A plan is keyed by (g.m[:N], kind, parameters by value, orders)
+    and kept in a byte-bounded LRU cache (``_PLAN_BYTES``), so a repeated
+    sweep on a new f only multiplies, synthesizes and yields.  A failing
+    weight build yields the blocks of the groups before it, then raises,
+    and keeps nothing.  Orders outside 1..M_N go to the full grid one at a
+    time, where the per-order mean raises its usual error.  Orders may come
+    in any order and repeat.
     """
     mean, weights = _method(kind, params)
     g, N = f.group, f.resolution
     M = g.M
     orders = list(orders)
-    levels = [bisect.bisect_left(M, n, 0, N) if 1 <= n <= M[N] else None for n in orders]
     s = transform_forward(f)
-    start = 0
-    while start < len(orders):
-        if levels[start] is None:
+    for start, tails, runs in _plan(g, N, kind, params, orders, weights):
+        if tails is None:
             yield N, [orders[start]], mean(f, orders[start]).values[None]
-            start += 1
-            continue
-        runs, stop, top = [], start, 0
-        while stop < len(orders) and levels[stop] is not None:
-            j = levels[stop]
-            end = stop + 1
-            most = max(1, _BLOCK_ENTRIES // M[j])
-            while end < len(orders) and levels[end] == j and end - stop < most:
-                end += 1
-            if runs and (end - start) * M[max(top, j)] > _BLOCK_ENTRIES:
-                break
-            runs.append((stop, end, j))
-            stop, top = end, max(top, j)
-        tails = coefficient_tails(weights(np.array(orders[start:stop]), M[top] + 1), M[top])
         for a, b, j in runs:
             rows = s.coeffs[:M[j]] * tails[a - start:b - start, :M[j]]
             yield j, orders[a:b], inverse_rows(g, j, rows)
-        start = stop
 
 
 def weighted_maximal(

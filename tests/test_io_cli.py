@@ -411,3 +411,16 @@ def test_cli_exits_quietly_when_the_reader_closes_the_pipe(fmt):
         err = proc.stderr.read()
         assert proc.wait(timeout=20) == 1
     assert err == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ("group", "--m", "2", "--levels", "3"),
+    ("verify", "--suite", "identities", "--m", "2", "--levels", "8", "--max-n", "8"),
+    ("counterexample", "--kind", "hp-blocks", "--alpha", "1,2", "--m", "5", "--rank", "4"),
+], ids=lambda argv: argv[0])
+def test_cli_unwritable_out_is_an_error_line(tmp_path, capsys, argv):
+    out = tmp_path / "nodir" / "x"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("error: cannot write") and str(out) in err
+    assert not (tmp_path / "nodir").exists()

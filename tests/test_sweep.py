@@ -9,7 +9,9 @@ the sweep is compared here with a full-grid reference loop at 1e-12.
 import bisect
 import json
 import math
-from collections import Counter
+import sys
+import threading
+from collections import Counter, OrderedDict
 
 import numpy as np
 import pytest
@@ -399,8 +401,9 @@ def _drain(blocks):
 
 @pytest.fixture
 def tail_builds(monkeypatch):
-    """(rows, size) of every coefficient-tail build of ``mean_blocks``."""
+    """(rows, size) of every coefficient-tail build of ``mean_blocks``, from an empty plan cache."""
     builds = []
+    monkeypatch.setattr(means, "_plans", OrderedDict())
 
     def counted(weights, size):
         builds.append((weights.shape[0], size))
@@ -433,3 +436,159 @@ def test_radix5_sweep_builds_its_weights_once(tail_builds):
     blocks = list(means.mean_blocks(f, "fejer", range(1, 125)))
     assert [j for j, _, _ in blocks] == [0, 1, 2, 3]
     assert tail_builds == [(124, 125)]
+
+
+# ---------------------------------------------------------------------------
+# Sweep plans: built once per (radices, kind, parameters, orders) and cached
+# ---------------------------------------------------------------------------
+
+PLAN_GROUPS = {"m5": ([5], 6), "m2": ([2], 8), "m234": ([2, 3, 4], 5)}
+
+
+def _sweep(f, kind, orders, **params):
+    return [(j, ns, vals) for j, ns, vals in means.mean_blocks(f, kind, orders, **params)]
+
+
+def _assert_same_blocks(got, want):
+    assert [(j, ns) for j, ns, _ in got] == [(j, ns) for j, ns, _ in want]
+    for (_, _, a), (_, _, b) in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_GROUPS))
+@pytest.mark.parametrize("kind", KINDS)
+def test_warm_plan_equals_cold_build(monkeypatch, name, kind):
+    pattern, levels = PLAN_GROUPS[name]
+    g = make_group(pattern, levels)
+    MN = g.order(levels)
+    orders = range(means.first_order(kind), min(MN, 125) + 1)
+    f = random_grid_function(g, levels, seed=3)
+    monkeypatch.setattr(means, "_plans", OrderedDict())
+    cold = _sweep(f, kind, orders, **_params(kind, MN))
+    assert len(means._plans) == 1
+    # another function builds the plan, and f runs on it
+    monkeypatch.setattr(means, "_plans", OrderedDict())
+    _sweep(random_grid_function(g, levels, seed=4), kind, orders, **_params(kind, MN))
+    plan, = means._plans.values()
+    _assert_same_blocks(_sweep(f, kind, orders, **_params(kind, MN)), cold)
+    assert list(means._plans.values()) == [plan]
+
+
+def test_repeated_sweep_builds_no_tails(tail_builds):
+    g = make_group([5], 6)
+    for seed in (1, 2, 3):
+        f = random_grid_function(g, 6, seed=seed)
+        means.weighted_maximal(f, "fejer", range(1, 125))
+        means.weighted_maximal(f, "tmean", range(1, 125), q=wts.power_weights(0.5, 124))
+        verify.strong_sum(f, "riesz_log", 0.4, lambda k: 1.0, 124, norm_source="hp")
+    assert tail_builds == [(124, 125), (124, 125), (123, 125)]
+    assert len(means._plans) == 3
+
+
+def test_plan_key_holds_radices_kind_and_parameter_values(tail_builds):
+    f = random_grid_function(make_group([5], 6), 6, seed=1)
+    deeper = random_grid_function(make_group([5], 7), 6, seed=1)
+    orders = range(1, 30)
+    for alpha in (0.5, 0.25, 0.5):
+        _sweep(f, "cesaro", orders, alpha=alpha)
+        _sweep(f, "u", orders, alpha=alpha)
+    for a in (0.5, 0.25, 0.5):
+        _sweep(f, "tmean", orders, q=wts.power_weights(a, 40))
+    _sweep(deeper, "tmean", orders, q=wts.power_weights(0.5, 40))   # the same m[:6]
+    _sweep(random_grid_function(make_group([5, 2], 6), 6, seed=1), "fejer", orders)
+    _sweep(f, "fejer", orders)
+    assert len(tail_builds) == 8 == len(means._plans)
+
+
+def test_weights_extended_through_the_generator_are_never_cached(tail_builds):
+    f = random_grid_function(make_group([5], 6), 6, seed=2)
+    orders = range(1, 125)
+    # equal on q_0..q_10 and apart from there: a cached plan of one would be wrong for the other
+    grow = wts.from_function(lambda k: 1.0 / (k + 1), 10, wts.GENERAL)
+    other = wts.from_function(lambda k: 1.0 / (k + 1) if k <= 10 else 2.0, 10, wts.GENERAL)
+    got = _sweep(f, "tmean", orders, q=grow)
+    assert grow.n_max == 123
+    assert not means._plans
+    want_other = _sweep(f, "tmean", orders,
+                        q=wts.from_values(other.values.tolist() + [2.0] * 113, wts.GENERAL))
+    got_other = _sweep(f, "tmean", orders, q=other)
+    _assert_same_blocks(got_other, want_other)
+    assert len(tail_builds) == 3 and len(means._plans) == 1   # only the explicit list's plan
+    assert not np.array_equal(got[-1][2], got_other[-1][2])
+
+
+def test_failing_build_yields_the_same_blocks_then_error_and_caches_nothing(tail_builds):
+    f = random_grid_function(make_group([5], 6), 6, seed=2)
+    orders = list(range(2, 301)) + [1]
+    runs = [_drain(means.mean_blocks(f, "riesz_log", orders)) for _ in range(3)]
+    blocks, err = runs[0]
+    assert blocks and err == "riesz-log mean requires n >= 2"
+    for got, got_err in runs[1:]:
+        _assert_same_blocks(got, blocks)
+        assert got_err == err
+    assert not means._plans
+
+
+def test_sweep_stopped_early_caches_nothing(tail_builds):
+    f = random_grid_function(make_group([5], 6), 6, seed=2)
+    sweep = means.mean_blocks(f, "fejer", range(1, 300))
+    next(sweep)
+    sweep.close()
+    assert not means._plans
+
+
+def test_plan_cache_stays_in_its_budget(tail_builds):
+    f = random_grid_function(make_group([5], 6), 6, seed=2)
+    for top in range(60, 125):
+        _sweep(f, "fejer", range(1, top))
+    assert 1 < len(means._plans) < 65
+    assert sum(plan.nbytes for plan in means._plans.values()) <= means._PLAN_BYTES
+    assert list(means._plans)[-1][3] == tuple(range(1, 124))   # the last plan is kept
+    kept = list(means._plans.items())
+    # a plan past a quarter of the budget is built, used and not kept, and evicts nothing
+    big = _sweep(f, "fejer", range(1, 200))
+    assert list(means._plans.items()) == kept
+    _assert_same_blocks(big, _sweep(f, "fejer", range(1, 200)))
+    assert list(means._plans.items()) == kept
+
+
+def test_cached_plan_tails_are_read_only(tail_builds):
+    f = random_grid_function(make_group([2, 3, 4], 5), 5, seed=2)
+    for kind in KINDS:
+        _sweep(f, kind, range(means.first_order(kind), 49), **_params(kind, 48))
+    assert len(means._plans) == len(KINDS)
+    for plan in means._plans.values():
+        for _, tails, _ in plan.groups:
+            assert not tails.flags.writeable
+            with pytest.raises(ValueError):
+                tails[0, 0] = 1.0
+
+
+def test_plan_cache_under_threads(monkeypatch):
+    # more threads than cores, and a budget that holds about half the plans of the run
+    f = random_grid_function(make_group([5], 6), 6, seed=2)
+    tops = [40, 60, 80, 100, 124, 50, 70, 90, 110, 120]
+    want = {top: _sweep(f, "fejer", range(1, top + 1)) for top in tops}
+    monkeypatch.setattr(means, "_plans", OrderedDict())
+    monkeypatch.setattr(means, "_PLAN_BYTES", 500_000)
+    errors = []
+
+    def work(shift):
+        try:
+            for top in tops[shift:] + tops[:shift]:
+                _assert_same_blocks(_sweep(f, "fejer", range(1, top + 1)), want[top])
+        except Exception as exc:   # reported below: a thread's failure is not raised
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    assert sum(plan.nbytes for plan in means._plans.values()) <= means._PLAN_BYTES
