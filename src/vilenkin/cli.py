@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import os
 import sys
 
@@ -62,22 +63,32 @@ def _levels_above(args, n: int) -> int:
     return levels
 
 
-def _open_out(path: str):
-    """The stream for an output path: stdout for '-', else the file, untranslated."""
+@contextlib.contextmanager
+def _output(path: str):
+    """The stream for an output path: stdout for '-', else the file, untranslated,
+    opened before the work that fills it and removed if that work fails."""
     if path == "-":
-        return contextlib.nullcontext(sys.stdout)
+        yield sys.stdout
+        return
     try:
-        return open(path, "w", newline="", encoding="utf-8")
+        fh = open(path, "w", newline="", encoding="utf-8")
     except OSError as exc:
         raise InvalidParamsError(f"cannot write output file {path!r}: {exc.strerror}") from None
+    with fh:
+        try:
+            yield fh
+        except BaseException:
+            fh.close()
+            os.remove(path)
+            raise
 
 
-def _emit(args, header, rows, json_obj=None, encode=io.to_json) -> None:
-    """Write the table to --out as CSV rows, or as ``encode(json_obj)``.
+def _emit(args, header, rows, json_obj=None, encode=io.to_json, fh=None) -> None:
+    """Write the table to ``fh``, else to --out, as CSV rows or as ``encode(json_obj)``.
 
     ``json_obj`` defaults to the rows as objects keyed by the header.
     """
-    with _open_out(args.out) as fh:
+    with _output(args.out) if fh is None else contextlib.nullcontext(fh) as fh:
         if args.format == "csv":
             io.write_csv(fh, header, rows)
         else:
@@ -139,12 +150,15 @@ def cmd_lebesgue(args) -> int:
     return 0
 
 
-def cmd_mean(args) -> int:
-    g = _group_from_args(args, min_levels=args.res)
+def _input_function(args, g: GroupSpec) -> GridFunction:
+    """The grid file --input, else the seeded random function at --res."""
     if args.input:
-        f = io.load_grid(args.input, g)
-    else:
-        f = random_grid_function(g, args.res, seed=args.seed)
+        return io.load_grid(args.input, g)
+    return random_grid_function(g, args.res, seed=args.seed)
+
+
+def cmd_mean(args) -> int:
+    f = _input_function(args, _group_from_args(args, min_levels=args.res))
     kw = _mean_params(args, args.kind, args.max_n)
     orders = range(means.first_order(args.kind), args.max_n + 1)
     rows = []
@@ -157,11 +171,7 @@ def cmd_mean(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    g = _group_from_args(args, min_levels=args.res or 1)
-    if args.input:
-        f = io.load_grid(args.input, g)
-    else:
-        f = random_grid_function(g, args.res, seed=args.seed)
+    f = _input_function(args, _group_from_args(args, min_levels=args.res or 1))
     if args.inverse:
         out = transform_inverse(Spectrum(f.group, f.resolution, f.values))
     else:
@@ -191,10 +201,11 @@ def cmd_verify(args) -> int:
     if "divergence" in names:
         check_grid_points(g, VERIFY_MINIMUMS["levels"])
     records = []
-    for name in names:
-        records.extend(verify.run_suite(name, g, n_max=args.max_n, tol=args.tol,
-                                        seed=args.seed, samples=args.samples))
-    _emit(args, *io.records_csv_rows(records), records, io.records_to_json)
+    with _output(args.out) as fh:
+        for name in names:
+            records.extend(verify.run_suite(name, g, n_max=args.max_n, tol=args.tol,
+                                            seed=args.seed, samples=args.samples))
+        _emit(args, *io.records_csv_rows(records), records, io.records_to_json, fh)
     hard_failures = [r for r in records if r.passed is False]
     for r in hard_failures:
         print(f"FAIL {r.claim} {r.params}", file=sys.stderr)
@@ -208,20 +219,21 @@ def cmd_counterexample(args) -> int:
         raise InvalidParamsError(
             f"--alpha takes comma-separated integer block levels, got {args.alpha!r}") from None
     g = _group_from_args(args, min_levels=max(args.rank, 1))
-    mart = hardy.counterexample(g, args.kind, alphas, rank=args.rank, p=args.p)
-    if args.kind == "hp-blocks":
-        gaps = hardy.gap_report(g, alphas, args.p)
-        flags = [f"a={row['alpha']}:"
-                 + ("ok" if row.get("separation_ok", True) else "separation-gap-unmet")
-                 for row in gaps["rows"]]
-        print("block gap conditions (reported, not enforced): " + ", ".join(flags),
-              file=sys.stderr)
     out_prefix = args.out if args.out != "-" else "counterexample"
-    io.save_martingale(mart, f"{out_prefix}.martingale.json")
-    rows = verify.tmean_block_probe(mart, args.p, alphas)
-    table = [[r["n"], r["weak_lp"], r["bound"]] for r in rows]
-    with _open_out(f"{out_prefix}.probe.csv") as fh:
-        io.write_csv(fh, ["n", "weak_lp", "bound"], table)
+    with _output(f"{out_prefix}.martingale.json") as mart_fh, \
+            _output(f"{out_prefix}.probe.csv") as probe_fh:
+        mart = hardy.counterexample(g, args.kind, alphas, rank=args.rank, p=args.p)
+        if args.kind == "hp-blocks":
+            gaps = hardy.gap_report(g, alphas, args.p)
+            flags = [f"a={row['alpha']}:"
+                     + ("ok" if row.get("separation_ok", True) else "separation-gap-unmet")
+                     for row in gaps["rows"]]
+            print("block gap conditions (reported, not enforced): " + ", ".join(flags),
+                  file=sys.stderr)
+        mart_fh.write(json.dumps(io.martingale_to_dict(mart)))
+        rows = verify.tmean_block_probe(mart, args.p, alphas)
+        table = [[r["n"], r["weak_lp"], r["bound"]] for r in rows]
+        io.write_csv(probe_fh, ["n", "weak_lp", "bound"], table)
     print(f"wrote {out_prefix}.martingale.json and {out_prefix}.probe.csv")
     return 0
 

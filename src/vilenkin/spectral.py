@@ -4,15 +4,16 @@ A GridFunction holds the M_N values of a function constant on rank-N
 cosets; integration is (1/M_N) * sum(values) under the normalized Haar
 measure.  The forward transform computes all Fourier coefficients
 f^(n) = int f conj(psi_n) dmu as a tensor product of small DFTs with no
-twiddle factors.  Adjacent digit positions are fused into blocks whose
-radix product B is at most 64 (a larger radix is a block of its own), and
-each block is one cached B x B character table applied by a matrix product,
-for a cost of O(M_N * sum over blocks of B).  With little-endian flat
-indexing on both sides no reordering pass is needed.  Table entries at a
+twiddle factors: the characters of prod Z_{m_k} form a Kronecker product of
+m_k-point DFT tables.  Adjacent digit positions are fused into blocks whose
+radix product B is at most 32 (a larger radix is a block of its own), and
+each block is one cached B x B character table applied as one 2-D matrix
+product on the leading axis (the transposed Kronecker form of Pease, 1968),
+for a cost of O(M_N * sum over blocks of B).  Each product rotates the
+axes, and after the last one the coefficients stand in the little-endian
+flat order of the values, with no reordering pass.  Table entries at a
 quarter-turn phase are the exact 1, +-i, -1, so a block of radix-2 digits
-is the real +-1 Walsh table; past the first block a real table is applied
-as a real product on the (re, im) pairs of the data, with half the flops of
-a complex one.
+is the real +-1 Walsh table.
 
 ``transform_forward`` memoizes the spectrum on the grid function: values
 and coefficients are read-only, so every n-sweep, probe and norm of one f
@@ -34,6 +35,16 @@ from .group import GroupSpec, check_grid_points, digit_matrix, index_sub
 from .characters import character_column
 
 
+def _freeze(obj, field: str) -> None:
+    """Set ``field`` of a new grid object to a read-only complex copy of its M_N entries."""
+    arr = np.array(getattr(obj, field), dtype=np.complex128)
+    MN = obj.group.order(obj.resolution)
+    if arr.shape != (MN,):
+        raise ShapeMismatchError(f"expected {MN} {field}, got shape {arr.shape}")
+    arr.flags.writeable = False
+    object.__setattr__(obj, field, arr)
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Function constant on rank-N cosets, stored as M_N complex values."""
@@ -43,14 +54,7 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != (self.group.order(self.resolution),):
-            raise ShapeMismatchError(
-                f"expected {self.group.order(self.resolution)} values, got {vals.shape}"
-            )
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        _freeze(self, "values")
 
     def integral(self) -> complex:
         """int f dmu = (1/M_N) sum of values."""
@@ -69,12 +73,7 @@ class Spectrum:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != (self.group.order(self.resolution),):
-            raise ShapeMismatchError("coefficient count must equal M_N")
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
+        _freeze(self, "coeffs")
 
 
 def constant(g: GroupSpec, resolution: int, value: complex = 1.0) -> GridFunction:
@@ -108,10 +107,11 @@ def random_grid_function(g: GroupSpec, resolution: int, seed: int) -> GridFuncti
 # Fast mixed-radix transform
 # ---------------------------------------------------------------------------
 
-# Largest radix product fused into one block.  In round trips on [2]^17,
-# [3]^11, [5]^7 and [2,3,4]^11, caps of 128 and 256 were about 1.3x and 2x
-# slower than 64; 16, 32 and 64 were within run-to-run noise (about 15%).
-_BLOCK = 64
+# Largest radix product fused into one block.  Per stage pass on [2]^17, [3]^11,
+# [5]^7, [2,3,4]^11 and [5]^3-[5]^6 sweep blocks (2 vCPUs, 1 BLAS thread), cap
+# 16 took 0.99-1.23x the time of 32 (radix-5 blocks fall to B = 5), 64 took
+# 0.98-1.30x ([2,3,4]^11 worst, B = 48) and 128 took 1.34-2.35x.
+_BLOCK = 32
 
 
 @lru_cache(maxsize=64)
@@ -138,12 +138,12 @@ def _block_matrix(radices: tuple[int, ...], sign: int) -> np.ndarray:
     """Character table of Z_{m_j0} x ... x Z_{m_{j1-1}}, little-endian on both axes.
 
     Entry (k, x) is exp(sign * 2*pi*i * sum_j k_j x_j / m_j), i.e.
-    kron(F_{m_{j1-1}}, ..., F_{m_j0}) with F_m = exp(sign * 2*pi*i * k x / m).
-    The phase is reduced exactly to r/B before one exponential, so every
-    entry depends only on the rational phase, and a quarter-turn phase
-    (4r = 0 mod B) is the exact 1, +-i or -1.  A table with only real
-    entries (every block of radix-2 digits) is float64.  Read-only: the
-    cache shares it.
+    kron(F_{m_{j1-1}}, ..., F_{m_j0}) with F_m = exp(sign * 2*pi*i * k x / m);
+    the table is symmetric.  The phase is reduced exactly to r/B before one
+    exponential, so every entry depends only on the rational phase, and a
+    quarter-turn phase (4r = 0 mod B) is the exact 1, +-i or -1: a block of
+    radix-2 digits is the real +-1 Walsh table, stored as complex128 with
+    zero imaginary parts.  Read-only: the cache shares it.
     """
     B = int(np.prod(radices))
     k = np.arange(B)
@@ -156,21 +156,6 @@ def _block_matrix(radices: tuple[int, ...], sign: int) -> np.ndarray:
     quarter, rem = np.divmod(4 * r, B)
     exact = rem == 0
     F[exact] = np.array([1, sign * 1j, -1, -sign * 1j])[quarter[exact]]
-    if not F.imag.any():
-        F = F.real.copy()
-    F.flags.writeable = False
-    return F
-
-
-@lru_cache(maxsize=128)
-def _complex_block_matrix(radices: tuple[int, ...], sign: int) -> np.ndarray:
-    """``_block_matrix`` as complex128, and the same array when it is complex.
-
-    The first block multiplies complex rows by the table.  Given a real
-    table there, numpy casts it on every call and leaves BLAS for its own
-    mixed-dtype loop: slower on small grids, and rounded differently.
-    """
-    F = _block_matrix(radices, sign).astype(np.complex128, copy=False)
     F.flags.writeable = False
     return F
 
@@ -178,30 +163,20 @@ def _complex_block_matrix(radices: tuple[int, ...], sign: int) -> np.ndarray:
 def _stage_pass(vals: np.ndarray, g: GroupSpec, resolution: int, sign: int) -> np.ndarray:
     """Apply the character table of every fused digit block to the last axis.
 
-    The flat index sum_j x_j M_j splits at each block (j0, j1) into
-    (high, block digits, low) with sizes (M_N / M_{j1}, B, M_{j0}); the block
-    acts on the middle axis as one matrix product.  Leading axes are a batch.
-    A real table after the first block multiplies the float64 view of the
-    (high, B, M_{j0}) array, whose (re, im) pairs make the low axis 2 M_{j0}
-    reals wide: half the flops of a complex product.  The result is always
+    The transposed Kronecker form: the batch axis (the leading axes of
+    ``vals``) goes last, and each block from the top digits down is one 2-D
+    product.  With the block's B digits leading, ``a.reshape(B, -1).T @ F``
+    (F is symmetric) contracts them and puts the block's output digits last,
+    so the untouched digits and the batch rotate forward; after the lowest
+    block the array is (batch, M_N) in natural order.  The result is always
     a new array; for N = 0 (no block) it is a copy of ``vals``.
     """
     blocks = _blocks(g.m[:resolution])
-    if not blocks:
-        return vals.copy()
-    a = vals.reshape(-1, g.order(resolution))
-    for j0, j1 in blocks:
-        if j0 == 0:   # M_0 = 1: one 2-D product, not a stack of matrix-vector products
-            F = _complex_block_matrix(g.m[:j1], sign)
-            a = a.reshape(-1, F.shape[0]) @ F.T
-            continue
+    a = vals.reshape(-1, g.order(resolution)).T
+    for j0, j1 in reversed(blocks):
         F = _block_matrix(g.m[j0:j1], sign)
-        x = a.reshape(-1, F.shape[0], g.M[j0])
-        if F.dtype == np.float64:   # x is C-contiguous: the previous block's output
-            a = np.matmul(F, x.view(np.float64)).view(np.complex128)
-        else:
-            a = np.matmul(F, x)
-    return a.reshape(vals.shape)
+        a = a.reshape(F.shape[0], -1).T @ F
+    return a.reshape(vals.shape) if blocks else vals.copy()
 
 
 def _adopt(cls, g: GroupSpec, resolution: int, arr: np.ndarray):

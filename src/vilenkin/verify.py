@@ -134,6 +134,13 @@ MIN_N_MAX = 8
 # ``--tol`` does not reach them.
 KERNEL_LEMMA_TOL = 1e-12
 
+# The strong suite's sharpness sums at p < 1 count entries of a mean at most
+# RESIDUE_EPS * eps * max|f| as 0: they are rounding residue of exact zeros,
+# which the p-th power lifts (1e-16 to 1e-8 at p = 1/2).  The scale is f's:
+# sigma_1 .. sigma_{M_1} of the block martingales are residue throughout.  In
+# units of eps * max|f|, radices 2-11 give residue <= 0.11, other entries >= 9e7.
+RESIDUE_EPS = 64
+
 
 def _check_n_max(n_max: int) -> None:
     if n_max < MIN_N_MAX:
@@ -925,8 +932,10 @@ def run_strong_suite(g: GroupSpec, rank: int = 5, n_max: int = 64,
                                           ("strong-fejer", "fejer", 0.5, "theorem1sigma")):
             mart = hardy.counterexample(g, kind, alphas, rank=rk)
             ends = [2 * g.M[a] for a in alphas]
+            unit = np.finfo(float).eps * np.abs(mart.final.values).max()
+            floor = RESIDUE_EPS * unit if p < 1 else 0.0
             terms = [t for _, _, v in means.mean_blocks(mart.final, mean_kind, range(1, ends[-1] + 1))
-                     for t in (lp_norm_rows(v, p) ** p).tolist()]
+                     for t in (lp_norm_rows(np.where(np.abs(v) > floor, v, 0), p) ** p).tolist()]
             vals = [math.fsum(terms[:n]) / (n * hardy._default_phi(n)) for n in ends]
             rec.trend(claim, vals, probe="sharpness", alphas=alphas)
     return rec.records()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from vilenkin import io as vio
-from vilenkin import kernels, verify, weights
+from vilenkin import hardy, kernels, verify, weights
 from vilenkin.cli import main
 from vilenkin.errors import InvalidParamsError, RangeError
 from vilenkin.group import MAX_GRID_POINTS, check_grid_points, make_group
@@ -424,3 +424,33 @@ def test_cli_unwritable_out_is_an_error_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err.splitlines()[-1]
     assert err.startswith("error: cannot write") and str(out) in err
     assert not (tmp_path / "nodir").exists()
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the work ran before its output was opened")
+
+
+@pytest.mark.parametrize("argv,module,name", [
+    (("verify", "--m", "2", "--levels", "12"), verify, "run_suite"),
+    (("counterexample", "--kind", "hp-blocks", "--m", "5", "--rank", "4"), hardy, "counterexample"),
+], ids=["verify", "counterexample"])
+def test_cli_unwritable_out_fails_before_the_work(monkeypatch, tmp_path, capsys, argv, module, name):
+    monkeypatch.setattr(module, name, _must_not_run)
+    out = tmp_path / "nodir" / "x.json"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: cannot write")
+
+
+@pytest.mark.parametrize("argv,module,name", [
+    (("verify", "--m", "2", "--levels", "8"), verify, "run_suite"),
+    (("counterexample", "--kind", "hp-blocks", "--m", "5", "--rank", "4"), hardy, "counterexample"),
+], ids=["verify", "counterexample"])
+def test_cli_run_that_fails_after_opening_leaves_no_file(monkeypatch, tmp_path, capsys, argv,
+                                                        module, name):
+    def fail(*args, **kwargs):
+        raise InvalidParamsError("refused")
+
+    monkeypatch.setattr(module, name, fail)
+    assert run_cli(*argv, "--out", str(tmp_path / "x")) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "error: refused"
+    assert not list(tmp_path.iterdir())

@@ -4,7 +4,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from vilenkin import kernels, verify
+from vilenkin import kernels, means, verify
 from vilenkin.errors import InvalidParamsError
 from vilenkin.group import make_group
 from vilenkin.hardy import counterexample
@@ -199,8 +199,7 @@ def test_run_all_is_equal_with_cleared_and_warm_caches(monkeypatch, pattern, lev
     monkeypatch.setattr(means, "_plans", OrderedDict())
     monkeypatch.setattr(weights, "_HARMONIC", [0.0, 0.0])
     monkeypatch.setattr(weights, "_HARMONIC_PARTIALS", [])
-    for memo in (characters._unit_roots, spectral._blocks, spectral._block_matrix,
-                 spectral._complex_block_matrix):
+    for memo in (characters._unit_roots, spectral._blocks, spectral._block_matrix):
         memo.cache_clear()
     g = make_group(pattern, levels)
     cleared = io.records_to_json(verify.run_all(g, n_max=16, samples=2))
@@ -255,6 +254,35 @@ def test_block_function_partial_sum_shape(walsh10):
     ln = sum(1.0 / k for k in range(1, n))
     direct = sum(partial_sum(f, k).values / (n - k) for k in range(1, n)) / ln
     assert np.abs(norlund_log_mean(f, n).values - direct).max() < 1e-12
+
+
+def _sigma_sharpness(g):
+    [rec] = [r for r in verify.run_strong_suite(g, seed=11)
+             if r.claim == "theorem1sigma" and r.params.get("probe") == "sharpness"]
+    return rec
+
+
+@pytest.mark.parametrize("pattern", [[2], [3], [2, 3, 4], [5]])
+def test_sigma_sharpness_trend_ignores_eps_noise_on_zero_entries(monkeypatch, pattern):
+    g = make_group(pattern, 8)
+    clean = _sigma_sharpness(g)
+    sweep, rng, zeros = means.mean_blocks, np.random.default_rng(7), []
+
+    def noisy(f, *args, **kwargs):
+        # the exact zeros of the sharpness means compute to at most 0.11 unit,
+        # every other entry to above 1e7 unit
+        unit = np.finfo(float).eps * np.abs(f.values).max()
+        for j, ns, vals in sweep(f, *args, **kwargs):
+            zero = np.abs(vals) <= unit
+            zeros.append(int(zero.sum()))
+            noise = 8 * unit * rng.random(vals.shape) * np.exp(2j * np.pi * rng.random(vals.shape))
+            yield j, ns, np.where(zero, noise, vals)
+
+    monkeypatch.setattr(means, "mean_blocks", noisy)
+    assert _sigma_sharpness(g) == clean
+    assert sum(zeros) > 0
+    monkeypatch.setattr(verify, "RESIDUE_EPS", 0)   # unfloored, the same noise moves the trend
+    assert _sigma_sharpness(g) != clean
 
 
 def test_strong_partial_sum_sharpness_rank8(walsh10):
