@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 
@@ -230,7 +229,7 @@ def cmd_counterexample(args) -> int:
                      for row in gaps["rows"]]
             print("block gap conditions (reported, not enforced): " + ", ".join(flags),
                   file=sys.stderr)
-        mart_fh.write(json.dumps(io.martingale_to_dict(mart)))
+        io.save_martingale(mart, mart_fh)
         rows = verify.tmean_block_probe(mart, args.p, alphas)
         table = [[r["n"], r["weak_lp"], r["bound"]] for r in rows]
         io.write_csv(probe_fh, ["n", "weak_lp", "bound"], table)

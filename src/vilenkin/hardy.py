@@ -268,10 +268,11 @@ def make_atom(p: float, level: int, base: int, values: GridFunction) -> Atom:
     outside = np.abs(values.values[~mask])
     if outside.size and outside.max() > 0.0:
         raise AtomSupportError("atom has mass outside its support interval")
-    mean = values.values[mask].sum() / g.order(values.resolution)
-    if abs(mean) > 1e-12:
-        raise AtomMeanError(f"atom mean over support is {mean}, not 0")
+    # the values, and so the rounding of their mean, scale with mu(I)^(-1/p)
     bound = g.M[level] ** (1.0 / p)
+    mean = values.values[mask].sum() / g.order(values.resolution)
+    if abs(mean) > 1e-12 * bound:
+        raise AtomMeanError(f"atom mean over support is {mean}, not 0")
     supnorm = float(np.abs(values.values).max())
     if supnorm > bound * (1 + 1e-12):
         raise AtomBoundError(f"sup norm {supnorm} exceeds mu(I)^(-1/p) = {bound}")

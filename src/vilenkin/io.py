@@ -5,7 +5,8 @@ values.length = M_N and flat index sum_j x_j M_j.  Martingale file:
 {"m": [...], "levels": [...], "entries": [grid, ...]}.  CSV is UTF-8 with a
 header row, comma separator, minimal quoting, LF line ends and floats at 17
 significant digits; ``write_csv`` is its only writer.  JSON reports are
-``to_json`` text: indented by 2, numpy scalars as plain numbers.
+``to_json`` text: indented by 2, numpy scalars as plain numbers.  The
+writers take open text streams; opening and naming files is the caller's.
 """
 
 from __future__ import annotations
@@ -67,15 +68,9 @@ def grid_from_dict(obj: dict, group: GroupSpec | None = None) -> GridFunction:
     return GridFunction(g, N, vals)
 
 
-def _save_json(obj, path: str | Path, what: str) -> None:
-    try:
-        Path(path).write_text(json.dumps(obj), encoding="utf-8")
-    except OSError as exc:
-        raise InvalidParamsError(f"cannot write {what} file {str(path)!r}: {exc.strerror}") from None
-
-
-def save_grid(f: GridFunction, path: str | Path) -> None:
-    _save_json(grid_to_dict(f), path, "grid")
+def save_grid(f: GridFunction, out: TextIO) -> None:
+    """Write f as a grid file to an open text stream."""
+    out.write(json.dumps(grid_to_dict(f)))
 
 
 def _load_json(path: str | Path, what: str):
@@ -118,8 +113,9 @@ def martingale_from_dict(obj: dict) -> StepMartingale:
     return StepMartingale(group=g, levels=levels, entries=entries)
 
 
-def save_martingale(mart: StepMartingale, path: str | Path) -> None:
-    _save_json(martingale_to_dict(mart), path, "martingale")
+def save_martingale(mart: StepMartingale, out: TextIO) -> None:
+    """Write mart as a martingale file to an open text stream."""
+    out.write(json.dumps(martingale_to_dict(mart)))
 
 
 def load_martingale(path: str | Path) -> StepMartingale:

@@ -337,10 +337,6 @@ def _method(kind: str, params: dict) -> tuple[MeanFn, Callable[[np.ndarray, int]
     return (lambda f, n: mean(f, n, *args)), (lambda ns, size: weights(ns, size, *args))
 
 
-def _mean_by_kind(kind: str, **params) -> MeanFn:
-    return _method(kind, params)[0]
-
-
 def first_order(kind: str) -> int:
     """Least order at which a mean of this kind is defined."""
     return 2 if kind in ("riesz_log", "norlund_log") else 1

@@ -18,6 +18,7 @@ are returned, and all random inputs are seeded.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -239,6 +240,11 @@ def _weight_families(n_max: int) -> dict[str, weights.WeightSequence]:
     }
 
 
+def _worst(pairs: Iterable[tuple]) -> float:
+    """The largest entrywise |a - b| over the pairs (a, b); 0.0 over no pairs."""
+    return functools.reduce(max, (float(np.abs(a - b).max()) for a, b in pairs), 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Identity suite
 # ---------------------------------------------------------------------------
@@ -274,87 +280,57 @@ def run_identity_suite(g: GroupSpec, n_max: int = 64, tol: float = 1e-12,
         dj = dm3[j]
         add_idx += ((dj[:, None] + dj[None, :]) % g.m[j]) * g.M[j]
         neg_idx += ((-dj) % g.m[j]) * g.M[j]
-    r_mult = max(
-        np.abs(C[k][add_idx] - np.outer(C[k], C[k])).max() for k in range(min(M3, n_max + 1))
-    )
+    r_mult = _worst((C[k][add_idx], np.outer(C[k], C[k])) for k in range(min(M3, n_max + 1)))
     r_conj = np.abs(C[:, neg_idx] - C.conj()).max()
     rec.identity("vilenkin", max(r_mod, r_orth, r_mult, r_conj), tol, resolution=res3)
 
     # (3aa) block kernels
-    r = 0.0
-    for lvl in range(ws.N + 1):
-        if g.M[lvl] > n_max + 1:
-            break
-        closed = kernels.dirichlet_block(g, lvl, ws.N)
-        r = max(r, np.abs(closed - ws.D[g.M[lvl]]).max())
-    rec.identity("3aa", r, tol)
+    rec.identity("3aa", _worst((kernels.dirichlet_block(g, lvl, ws.N), ws.D[g.M[lvl]])
+                               for lvl in range(ws.N + 1) if g.M[lvl] <= n_max + 1), tol)
 
     # (dn21) shift identity
-    r = 0.0
-    for lvl in range(ws.N):
-        Mn = g.M[lvl]
-        rad = _unit_roots(g.m[lvl])[dm[lvl]]
-        top = min((g.m[lvl] - 1) * Mn, n_max + 1 - Mn)
-        for j in range(0, top + 1):
-            r = max(r, np.abs(ws.D[j + Mn] - (ws.D[Mn] + rad * ws.D[j])).max())
-    rec.identity("dn21", r, tol)
+    rads = [_unit_roots(g.m[lvl])[dm[lvl]] for lvl in range(ws.N)]
+    rec.identity("dn21", _worst((ws.D[j + Mn], ws.D[Mn] + rads[lvl] * ws.D[j])
+                                for lvl, Mn in enumerate(g.M[:ws.N])
+                                for j in range(min((g.m[lvl] - 1) * Mn, n_max + 1 - Mn) + 1)), tol)
 
-    # (dn22) reflection identity
-    r = 0.0
-    for lvl in range(1, ws.N + 1):
-        Mn = g.M[lvl]
-        if Mn > n_max + 1:
-            break
-        psi_last = character_column(g, Mn - 1, ws.N)
-        for j in range(0, Mn):
-            r = max(r, np.abs(ws.D[Mn - j] - (ws.D[Mn] - psi_last * np.conj(ws.D[j]))).max())
-    rec.identity("dn22", r, tol)
+    # (dn22) reflection identity; psi_{M_n - 1} per level
+    psi_last = {Mn: character_column(g, Mn - 1, ws.N) for Mn in g.M[1:ws.N + 1] if Mn <= n_max + 1}
+    rec.identity("dn22", _worst((ws.D[Mn - j], ws.D[Mn] - psi * np.conj(ws.D[j]))
+                                for Mn, psi in psi_last.items() for j in range(Mn)), tol)
 
     # (9dn) block multiples
-    r = 0.0
-    for lvl in range(ws.N):
-        for s in range(1, g.m[lvl]):
-            if s * g.M[lvl] > n_max:
-                break
-            closed = kernels.dirichlet_s_block(g, s, lvl, ws.N)
-            r = max(r, np.abs(closed - ws.D[s * g.M[lvl]]).max())
-    rec.identity("9dn", r, tol)
+    multiples = [(s, lvl) for lvl in range(ws.N) for s in range(1, g.m[lvl])
+                 if s * g.M[lvl] <= n_max]
+    rec.identity("9dn", _worst((kernels.dirichlet_s_block(g, s, lvl, ws.N), ws.D[s * g.M[lvl]])
+                               for s, lvl in multiples), tol)
 
     # (2dna) digit-product closed form for every n
-    r = 0.0
-    for n in range(0, n_max + 1):
-        closed = kernels.dirichlet(g, n, N=ws.N, method="closed")
-        r = max(r, np.abs(closed.values - ws.D[n]).max())
-    rec.identity("2dna", r, tol)
+    rec.identity("2dna", _worst((kernels.dirichlet(g, n, N=ws.N, method="closed").values, ws.D[n])
+                                for n in range(n_max + 1)), tol)
 
     # (kn8) block Fejer closed form
-    r = 0.0
-    for lvl in range(ws.N + 1):
-        if g.M[lvl] > n_max:
-            break
-        closed = kernels.fejer_block(g, lvl, ws.N)
-        r = max(r, np.abs(closed - ws.K(g.M[lvl])).max())
-    rec.identity("kn8", r, tol)
+    rec.identity("kn8", _worst((kernels.fejer_block(g, lvl, ws.N), ws.K(g.M[lvl]))
+                               for lvl in range(ws.N + 1) if g.M[lvl] <= n_max), tol)
 
     # (mag) block-average identity
-    r = 0.0
-    for lvl in range(ws.N):
-        for s in range(1, g.m[lvl]):
-            if s * g.M[lvl] > n_max:
-                break
-            closed = kernels._fejer_s_block(g, s, lvl, ws.N)
-            r = max(r, np.abs(closed - ws.K(s * g.M[lvl])).max())
-    rec.identity("mag", r, tol)
+    rec.identity("mag", _worst((kernels._fejer_s_block(g, s, lvl, ws.N), ws.K(s * g.M[lvl]))
+                               for s, lvl in multiples), tol)
 
     # (kn10) full closed-form Fejer kernels
-    r = 0.0
-    for n in range(1, n_max + 1):
-        closed = kernels.fejer(g, n, N=ws.N, method="closed")
-        r = max(r, np.abs(closed.values - ws.K(n)).max())
-    rec.identity("kn10", r, tol)
+    rec.identity("kn10", _worst((kernels.fejer(g, n, N=ws.N, method="closed").values, ws.K(n))
+                                for n in range(1, n_max + 1)), tol)
 
     # (T1) Abel identities for three weight families
     f = random_grid_function(g, ws.N, seed=seed)
+
+    def abel_kernel(q, n):
+        """(1/Q_n) (sum_{0<j<n-1} (q_j - q_{j+1}) j K_j + q_{n-1} (n-1) K_{n-1})."""
+        acc = np.zeros(ws.MN, dtype=np.complex128)
+        for j in range(1, n - 1):
+            acc += (q.q(j) - q.q(j + 1)) * ws.B[j]
+        return (acc + q.q(n - 1) * ws.B[n - 1]) / q.Q(n)
+
     for qname, q in _weight_families(n_max).items():
         # part 2b for n = 2..n_max: Q_n - q_0 against the Abel sum
         # sum_{j<n-1} (q_j - q_{j+1}) j + q_{n-1} (n-1), whose running part is
@@ -364,48 +340,32 @@ def run_identity_suite(g: GroupSpec, n_max: int = 64, tol: float = 1e-12,
         running = np.cumsum((qv[:n_max - 1] - qv[1:n_max]) * j[:-1])
         rhs = running + qv[1:n_max] * j[1:]
         r2b = float(np.abs(q.partials[2:n_max + 1] - qv[0] - rhs).max(initial=0.0))
-        r2c = 0.0
-        r2d = 0.0
-        for n in (2, 3, 8, min(17, n_max), min(33, n_max)):
-            Qn = q.Q(n)
-            acc = np.zeros(ws.MN, dtype=np.complex128)
-            for j in range(1, n - 1):
-                acc += (q.q(j) - q.q(j + 1)) * ws.B[j]
-            acc += q.q(n - 1) * ws.B[n - 1]
-            Fn = kernels.tmean_kernel(g, q, n, N=ws.N)
-            r2c = max(r2c, np.abs(Fn.values - acc / Qn).max())
-            direct = means.t_mean(f, n, q)
-            abel = means.t_mean_abel(f, n, q)
-            r2d = max(r2d, np.abs(direct.values - abel.values).max())
+        ns = (2, 3, 8, min(17, n_max), min(33, n_max))
+        r2c = _worst((kernels.tmean_kernel(g, q, n, N=ws.N).values, abel_kernel(q, n)) for n in ns)
+        r2d = _worst((means.t_mean(f, n, q).values, means.t_mean_abel(f, n, q).values) for n in ns)
         rec.identity("T1", r2b, tol, weights=qname, part="2b")
         rec.identity("T1", r2c, tol, weights=qname, part="2c")
         rec.identity("T1", r2d, tol, weights=qname, part="2d")
 
     # (lemma0nnT121) log-mean kernel identity at block indices
-    r = 0.0
-    for lvl in range(1, ws.N + 1):
-        Mn = g.M[lvl]
-        if Mn > n_max or Mn < 2:
-            continue
-        P = kernels.norlund_log_kernel(g, Mn, N=ws.N)
-        Y = kernels.riesz_log_kernel(g, Mn, N=ws.N)
-        rhs = ws.D[Mn] - character_column(g, Mn - 1, ws.N) * np.conj(Y.values)
-        r = max(r, np.abs(P.values - rhs).max())
-    rec.identity("lemma0nnT121", r, tol)
+    rec.identity("lemma0nnT121", _worst(
+        (kernels.norlund_log_kernel(g, Mn, N=ws.N).values,
+         ws.D[Mn] - psi_last[Mn] * np.conj(kernels.riesz_log_kernel(g, Mn, N=ws.N).values))
+        for Mn in psi_last if Mn <= n_max), tol)
 
     # (reiszkernel) the index-shifted Abel form carries a real residual
     # (reported); the exact form is asserted
-    r_shifted = 0.0
-    r_corr = 0.0
-    for n in (4, 8, min(16, n_max), min(40, n_max)):
-        ln = weights.harmonic_number(n)
-        Y = kernels.riesz_log_kernel(g, n, N=ws.N).values
-        shifted = (sum(ws.K(j) / (j + 1) for j in range(1, n)) + ws.K(n)) / ln
-        corrected = (sum(ws.K(j) / (j + 1) for j in range(1, n - 1)) + ws.K(n - 1)) / ln
-        r_shifted = max(r_shifted, np.abs(Y - shifted).max())
-        r_corr = max(r_corr, np.abs(Y - corrected).max())
-    rec.report("reiszkernel", r_shifted, variant="shifted")
-    rec.identity("reiszkernel", r_corr, tol, variant="corrected")
+    Y = {n: kernels.riesz_log_kernel(g, n, N=ws.N).values
+         for n in (4, 8, min(16, n_max), min(40, n_max))}
+
+    def riesz_abel(n, k):
+        """(sum_{0<j<k} K_j/(j+1) + K_k) / l_n: k = n is the shifted form, n - 1 the exact one."""
+        return (sum(ws.K(j) / (j + 1) for j in range(1, k)) + ws.K(k)) / weights.harmonic_number(n)
+
+    rec.report("reiszkernel", _worst((y, riesz_abel(n, n)) for n, y in Y.items()),
+               variant="shifted")
+    rec.identity("reiszkernel", _worst((y, riesz_abel(n, n - 1)) for n, y in Y.items()), tol,
+                 variant="corrected")
 
     # (node0)/(node01) Cesaro coefficient table
     for alpha in (0.25, 0.5, 1.0):
@@ -424,35 +384,26 @@ def run_identity_suite(g: GroupSpec, n_max: int = 64, tol: float = 1e-12,
                            * kernels.dirichlet_block(g, lvl, lvl + 1))
     atom = hardy.make_atom(1.0, lvl, 0, base_fn)
     mart, _ = hardy.atom_martingale([(0.7, atom)], levels=list(range(1, lvl + 2)))
-    r = mart.check_consistency()
-    for i, n in enumerate(mart.levels):
-        direct = hardy.project_to_level(
-            GridFunction(g, lvl + 1, 0.7 * atom.values.values), n)
-        r = max(r, float(np.abs(mart.entries[i].values - direct.values).max()))
-    rec.identity("condmart", r, tol)
+    scaled = GridFunction(g, lvl + 1, 0.7 * atom.values.values)
+    r = _worst((e.values, hardy.project_to_level(scaled, n).values)
+               for e, n in zip(mart.entries, mart.levels))
+    rec.identity("condmart", max(mart.check_consistency(), r), tol)
 
-    # (g100) tail martingale structure
+    # (g100) tail martingale structure: zero through level n0, then f^(n) - S_{M_n0} f
     mart = hardy.regular_martingale(f)
     n0 = min(2, ws.N)
     tail = hardy.tail_martingale(mart, n0)
-    r = 0.0
-    for i, lv in enumerate(tail.levels):
-        if lv <= n0:
-            r = max(r, float(np.abs(tail.entries[i].values).max()))
-        else:
-            expect = mart.entries[i].values - hardy.embed(
-                hardy.project_to_level(mart.final, n0), lv).values
-            r = max(r, float(np.abs(tail.entries[i].values - expect).max()))
-    rec.identity("g100", r, tol)
+    head = hardy.project_to_level(mart.final, n0)
+    rec.identity("g100", _worst(
+        (t.values, 0.0 if lv <= n0 else e.values - hardy.embed(head, lv).values)
+        for t, e, lv in zip(tail.entries, mart.entries, tail.levels)), tol)
 
     # (lemma2.3.4) maximal form of the H_p norm + coefficient preservation
     sup_sm = np.zeros(ws.MN)
     for lv in range(ws.N + 1):
         np.maximum(sup_sm, np.abs(partial_sum(f, g.M[lv]).values), out=sup_sm)
-    r = 0.0
-    for p in (0.5, 1.0, 2.0):
-        direct = float((sup_sm**p).mean() ** (1 / p))
-        r = max(r, abs(hardy.hardy_quasinorm_fn(f, p) - direct))
+    r = _worst((hardy.hardy_quasinorm_fn(f, p), float((sup_sm**p).mean() ** (1 / p)))
+               for p in (0.5, 1.0, 2.0))
     coeff_r = np.abs(transform_forward(hardy.regular_martingale(f).final).coeffs
                      - transform_forward(f).coeffs).max()
     rec.identity("lemma2.3.4", max(r, float(coeff_r)), 1e-10)
@@ -589,6 +540,13 @@ def _coset_averages(g: GroupSpec, kernel_vals: np.ndarray, N: int) -> np.ndarray
     return np.abs(kernel_vals).reshape(-1, MnN).mean(axis=0) / float(MnN)
 
 
+def _tmean_tail(g: GroupSpec, q: weights.WeightSequence, n: int, N: int, res: int) -> np.ndarray:
+    """(1/Q_n) sum_{M_N<=k<n} q_k D_k at resolution res, from its coefficient tails."""
+    coeffs = np.zeros(n)
+    coeffs[g.M[N]:] = q.values[g.M[N]:n] / q.Q(n)
+    return transform_inverse(Spectrum(g, res, coefficient_tails(coeffs, g.order(res)))).values
+
+
 def _empty(orders) -> dict:
     """Params that mark a supremum over no orders: its 0.0 is not a measured value."""
     return {} if len(orders) else {"orders": 0}
@@ -606,6 +564,34 @@ def run_kernel_lemma_suite(g: GroupSpec, n_max: int = 64) -> list[VerificationRe
     dmN = digit_matrix(g, res)
     # |K_{M_l}| for every level below res: the orders checked here are <= n_max < M_res
     absK = [np.abs(kernels.fejer_block(g, lvl, res)) for lvl in range(res)]
+    nds = {n: digits_of(n, g) for n in range(2, n_max + 1)}
+    # per cell I_N^{k,l}: M_k, M_l, and whether l == N
+    Mk = np.array([g.M[k] for k, _, _ in part.cells])
+    MlMk = np.array([g.M[l] for _, l, _ in part.cells]) * Mk
+    top = np.array([l == N for _, l, _ in part.cells])
+
+    def cell_peaks(rows) -> np.ndarray:
+        """Entry (i, c): the largest coset average of |rows[i]| on cell c."""
+        peaks = np.zeros((len(rows), len(part.cells)))
+        for i, vals in enumerate(rows):
+            avg = _coset_averages(g, vals, N)
+            peaks[i] = [avg[idx].max() for _, _, idx in part.cells]
+        return peaks
+
+    def shell_sup(vals) -> float:
+        """The largest coset average of |vals| on a shell I_s \\ I_{s+1}, over M_s/M_N."""
+        avg = _coset_averages(g, vals, N)
+        return max(float(avg[idx].max() * MN / g.M[s]) for s, idx in part.shells)
+
+    def domination(vals, lo, hi) -> float:
+        """sup vals / sum_{lo<=l<=hi} M_l |K_{M_l}|, where the sum is positive.
+
+        Where it vanishes, so must vals up to rounding (1e-10), else inf."""
+        dom = sum(g.M[l] * absK[l] for l in range(lo, hi + 1))
+        if (dom == 0).any() and float(vals[dom == 0].max()) > 1e-10:
+            return math.inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.where(dom > 0, vals / dom, 0.0).max())
 
     # (lemma222): K_{M_n} on cells ((star1) exact zero, (star2) ratio, (star3) integral)
     r_star1 = 0.0
@@ -627,68 +613,33 @@ def run_kernel_lemma_suite(g: GroupSpec, n_max: int = 64) -> list[VerificationRe
     rec.report("lemma222", sup_int, part="star3")
 
     # (lemma7kn) fn5 ratio
-    sup_ratio = 0.0
-    for n in range(2, n_max + 1):
-        nd = digits_of(n, g)
-        dom = sum(g.M[l] * absK[l] for l in range(nd.lo, nd.hi + 1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(dom > 0, n * np.abs(ws.K(n)) / dom, 0.0)
-        sup_ratio = max(sup_ratio, float(ratio.max()))
-        if (dom == 0).any():
-            # both sides vanish on the same cells up to rounding
-            zero_viol = float((n * np.abs(ws.K(n)))[dom == 0].max())
-            if zero_viol > 1e-10:
-                sup_ratio = math.inf
-    rec.report("lemma7kn", sup_ratio, n_max=n_max)
+    rec.report("lemma7kn", max(domination(n * np.abs(ws.K(n)), nds[n].lo, nds[n].hi)
+                               for n in range(2, n_max + 1)), n_max=n_max)
 
     # (dn2.6): averaged |D_n| on shells, vs M_s/M_N
-    sup_c = 0.0
-    for n in range(1, n_max + 1):
-        avg = _coset_averages(g, ws.D[n], N)
-        for s, idx in part.shells:
-            sup_c = max(sup_c, float(avg[idx].max() * g.M[N] / g.M[s]))
-    rec.report("dn2.6", sup_c, N=N, n_max=n_max)
+    rec.report("dn2.6", max(shell_sup(ws.D[n]) for n in range(1, n_max + 1)), N=N, n_max=n_max)
 
     # (dn2.7): same averaged bound for the log-mean kernel P_n
-    sup_c = 0.0
-    for n in (max(2, n_max // 2), n_max):
-        P = kernels.norlund_log_kernel(g, n, N=res)
-        avg = _coset_averages(g, P.values, N)
-        for s, idx in part.shells:
-            sup_c = max(sup_c, float(avg[idx].max() * g.M[N] / g.M[s]))
-    rec.report("dn2.7", sup_c, N=N)
+    rec.report("dn2.7", max(shell_sup(kernels.norlund_log_kernel(g, n, N=res).values)
+                            for n in (max(2, n_max // 2), n_max)), N=N)
 
     # (lemma5)/(lemma5aa): averaged |K_n| on cells
-    sup5 = 0.0
-    sup5aa = 0.0
-    orders = range(g.M[N], n_max + 1)
-    for n in orders:
-        avg = _coset_averages(g, ws.B[n] / n, N)
-        for k, l, idx in part.cells:
-            peak = float(avg[idx].max())
-            if l < N:
-                sup5 = max(sup5, peak * n * g.M[N] / (g.M[l] * g.M[k]))
-            else:
-                sup5 = max(sup5, peak * g.M[N] / g.M[k])
-            sup5aa = max(sup5aa, peak * g.M[N] ** 2 / (g.M[l] * g.M[k]))
-    rec.report("lemma5", sup5, N=N, **_empty(orders))
-    rec.report("lemma5aa", sup5aa, N=N, **_empty(orders))
+    orders = range(MN, n_max + 1)
+    peaks = cell_peaks([ws.B[n] / n for n in orders])
+    ns = np.array(orders)[:, None]
+    sup5 = np.where(top, peaks * MN / Mk, peaks * ns * MN / MlMk)
+    rec.report("lemma5", sup5.max(initial=0.0), N=N, **_empty(orders))
+    rec.report("lemma5aa", (peaks * MN ** 2 / MlMk).max(initial=0.0), N=N, **_empty(orders))
 
     # (l2): averaged tail sums of |K_j|/(j+1)
     tail = np.zeros(ws.MN)
-    orders = range(g.M[N] + 1, n_max + 1)
+    orders = range(MN + 1, n_max + 1)
     for j in orders:
         tail = tail + np.abs(ws.B[j] / j) / (j + 1)
-    avg = _coset_averages(g, tail, N)
-    supl2 = 0.0
-    supl2_shell = 0.0
+    peaks = cell_peaks([tail])[0]
     ln = weights.harmonic_number(n_max)
-    for k, l, idx in part.cells:
-        peak = float(avg[idx].max())
-        if l < N:
-            supl2 = max(supl2, peak * g.M[N] ** 2 / (g.M[l] * g.M[k]))
-        else:
-            supl2_shell = max(supl2_shell, peak * g.M[N] / (g.M[k] * ln))
+    supl2 = (peaks * MN ** 2 / MlMk)[~top].max(initial=0.0)
+    supl2_shell = (peaks * MN / (Mk * ln))[top].max(initial=0.0)
     rec.report("l2", supl2, part="cells", N=N, **_empty(orders))
     rec.report("l2", supl2_shell, part="shells", N=N, **_empty(orders))
 
@@ -696,25 +647,24 @@ def run_kernel_lemma_suite(g: GroupSpec, n_max: int = 64) -> list[VerificationRe
     worst_margin = np.inf
     r_kn1 = 0.0
     for lvl in range(1, res - 1):
+        # vanishing outside: x in I_t \ I_{t+1}, x - x_t e_t not in I_n, n > t
+        masks = [np.all(dmN[:t] == 0, axis=0) & (dmN[t] != 0)
+                 & ~np.all(np.vstack([dmN[:t], dmN[t + 1:lvl]]) == 0, axis=0) for t in range(lvl)]
+        masks = [mask for mask in masks if mask.any()]
         for s in range(1, g.m[lvl]):
             K = kernels._fejer_s_block(g, s, lvl, res)
             idx = coset_indices(g, res, lvl + 1, g.M[lvl - 1] + g.M[lvl])
             low = float(np.abs(K[idx]).min())
             worst_margin = min(worst_margin, low - g.M[lvl] / (2 * math.pi * s))
-            # vanishing outside: x in I_t \ I_{t+1}, x - x_t e_t not in I_n, n > t
-            for t in range(lvl):
-                mask = (np.all(dmN[:t] == 0, axis=0) & (dmN[t] != 0)
-                        & ~np.all(np.vstack([dmN[:t], dmN[t + 1:lvl]]) == 0, axis=0))
-                if mask.any():
-                    r_kn1 = max(r_kn1, float(np.abs(K[mask]).max()))
+            for mask in masks:
+                r_kn1 = max(r_kn1, float(np.abs(K[mask]).max()))
     rec.bound("lemma6kn", -worst_margin, 0.0, 1e-10, part="100kn1")
     rec.identity("lemma6kn", r_kn1, KERNEL_LEMMA_TOL, part="kn1")
 
     # (lemma8ccc): lower bound at I_{<n>+1}(e_{<n>-1} + e_{<n>})
     worst_margin = np.inf
     tested = 0
-    for n in range(2, n_max + 1):
-        nd = digits_of(n, g)
+    for n, nd in nds.items():
         if nd.lo == nd.hi or nd.lo < 1:
             continue
         idx = coset_indices(g, res, nd.lo + 1, g.M[nd.lo - 1] + g.M[nd.lo])
@@ -734,44 +684,27 @@ def run_kernel_lemma_suite(g: GroupSpec, n_max: int = 64) -> list[VerificationRe
         rec.report("lemma3", low / g.M[2 * k] ** 2, k=k, n=qn)
         rec.bound("cor3a", low, g.M[2 * k] ** 2 / 144.0, 1e-10, lower=True, k=k, n=qn)
 
-    # Tail kernel bounds for T means (nonincreasing and nondecreasing classes)
+    # Tail kernel bounds for T means: the nonincreasing class bounds the
+    # tail (1/Q_n) sum_{M_N<=k<n} q_k D_k, the nondecreasing class the whole kernel
     qs = _weight_families(n_max)
-    for claim_ratio, claim_avg, claim_avg_big, q, use_n in (
-        ("lemma0nnT0", "lemma5aaTin", None, qs["power_half"], False),
-        ("lemma0nnT", "lemma5a", "lemma5bT", qs["power_half"], True),
-        ("lemma0nnT1", "lemma5aT", "lemma5b", qs["log1p"], True),
+    orders = [n for n in (MN + 2, min(2 * MN + 1, n_max), n_max) if MN < n <= n_max]
+    tails = {n: _tmean_tail(g, qs["power_half"], n, N, res) for n in orders}
+    whole = {n: kernels.tmean_kernel(g, qs["log1p"], n, N=res).values for n in orders}
+    ns = np.array(orders)[:, None]
+    for claim_ratio, claim_avg, claim_avg_big, kernel, use_n in (
+        ("lemma0nnT0", "lemma5aaTin", None, tails, False),
+        ("lemma0nnT", "lemma5a", "lemma5bT", tails, True),
+        ("lemma0nnT1", "lemma5aT", "lemma5b", whole, True),
     ):
-        sup_ratio = 0.0
-        sup_avg = 0.0
-        sup_avg_big = 0.0
-        orders = [n for n in (g.M[N] + 2, min(2 * g.M[N] + 1, n_max), n_max)
-                  if g.M[N] < n <= n_max]
-        for n in orders:
-            Qn = q.Q(n)
-            if claim_ratio == "lemma0nnT1":
-                tail_vals = kernels.tmean_kernel(g, q, n, N=res).values
-            else:
-                coeffs = np.zeros(n)
-                coeffs[g.M[N]:] = q.values[g.M[N]:n] / Qn
-                tail = coefficient_tails(coeffs, g.order(res))
-                tail_vals = transform_inverse(Spectrum(g, res, tail)).values
-            dom = sum(g.M[lvl] * absK[lvl] for lvl in range(0, digits_of(n, g).hi + 1))
-            scale = (n if use_n else g.M[N])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(dom > 0, scale * np.abs(tail_vals) / dom, 0.0)
-            sup_ratio = max(sup_ratio, float(ratio.max()))
-            avg = _coset_averages(g, tail_vals, N)
-            for k, l, idx in part.cells:
-                peak = float(avg[idx].max())
-                if l < N:
-                    sup_avg = max(sup_avg, peak * scale * g.M[N] / (g.M[l] * g.M[k])
-                                  if use_n else peak * g.M[N] ** 2 / (g.M[l] * g.M[k]))
-                else:
-                    sup_avg = max(sup_avg, peak * g.M[N] / g.M[k])
-                sup_avg_big = max(sup_avg_big, peak * g.M[N] ** 2 / (g.M[l] * g.M[k]))
+        sup_ratio = max((domination((n if use_n else MN) * np.abs(kernel[n]), 0, nds[n].hi)
+                         for n in orders), default=0.0)
+        peaks = cell_peaks([kernel[n] for n in orders])
+        inner = peaks * ns * MN if use_n else peaks * MN ** 2
+        sup_avg = np.where(top, peaks * MN / Mk, inner / MlMk)
         rec.report(claim_ratio, sup_ratio, N=N, **_empty(orders))
-        rec.report(claim_avg, sup_avg, N=N, **_empty(orders))
+        rec.report(claim_avg, sup_avg.max(initial=0.0), N=N, **_empty(orders))
         if claim_avg_big:
+            sup_avg_big = (peaks * MN ** 2 / MlMk).max(initial=0.0)
             rec.report(claim_avg_big, sup_avg_big, N=N, **_empty(orders))
 
     return rec.records()

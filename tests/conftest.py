@@ -1,6 +1,12 @@
 import pytest
 
+from vilenkin import means
 from vilenkin.group import make_group
+
+
+def mean_by_kind(kind: str, **params):
+    """The per-order mean (f, n) -> mean_n f of a summation kind, bound to its parameters."""
+    return means._method(kind, params)[0]
 
 
 @pytest.fixture

@@ -228,6 +228,36 @@ def test_atom_rejections(walsh):
         make_atom(0.5, N, 0, GridFunction(walsh, N + 1, leak))
 
 
+def _block_atom(g, N, p):
+    """M_N^(1/p) (D_{M_{N+1}} - D_{M_N}) / (M_N (m_N - 1)) at resolution N + 1."""
+    block = dirichlet_block(g, N + 1, N + 1) - dirichlet_block(g, N, N + 1)
+    return g.M[N] ** (1 / p) * block / (g.M[N] * (g.m[N] - 1))
+
+
+def test_atom_mean_check_scales_with_the_sup_bound():
+    # sup bound 7.0e8; rounding leaves a support mean of -4.3e-12, which an
+    # absolute 1e-12 check refused
+    g = make_group([2, 3, 4], 9)
+    N, p = 8, 0.4
+    vals = _block_atom(g, N, p)
+    assert np.abs(vals.sum() / g.M[N + 1]) > 1e-12
+    atom = make_atom(p, N, 0, GridFunction(g, N + 1, vals))
+    assert atom.level == N
+
+
+def test_atom_mean_of_a_millionth_of_the_sup_bound_raises():
+    g = make_group([2, 3, 4], 9)
+    N, p = 8, 0.4
+    bound = g.M[N] ** (1 / p)
+    vals = _block_atom(g, N, p)
+    below = vals.real < 0   # lifting the negative entries keeps the sup norm
+    vals = vals + np.where(below, 1e-6 * bound * g.M[N + 1] / below.sum(), 0.0)
+    assert np.abs(vals).max() <= bound * (1 + 1e-12)
+    assert abs(vals.sum() / g.M[N + 1]) == pytest.approx(1e-6 * bound, rel=1e-9)
+    with pytest.raises(AtomMeanError):
+        make_atom(p, N, 0, GridFunction(g, N + 1, vals))
+
+
 def test_atom_martingale_linear(walsh):
     N = 2
     vals = character_function(walsh, walsh.M[N], N + 1).values * dirichlet_block(walsh, N, N + 1)

@@ -25,7 +25,8 @@ def run_cli(*argv):
 def test_grid_round_trip(tmp_path, mixed):
     f = random_grid_function(mixed, 3, seed=4)
     path = tmp_path / "f.json"
-    vio.save_grid(f, path)
+    with open(path, "w", encoding="utf-8") as fh:
+        vio.save_grid(f, fh)
     back = vio.load_grid(path)
     assert back.resolution == 3
     assert np.abs(back.values - f.values).max() == 0.0
@@ -37,7 +38,8 @@ def test_grid_round_trip(tmp_path, mixed):
 def test_martingale_round_trip(tmp_path, walsh):
     mart = counterexample(walsh, "strong-partial-sums", [1, 2], rank=4)
     path = tmp_path / "mart.json"
-    vio.save_martingale(mart, path)
+    with open(path, "w", encoding="utf-8") as fh:
+        vio.save_martingale(mart, fh)
     back = vio.load_martingale(path)
     assert back.levels == mart.levels
     for a, b in zip(back.entries, mart.entries):
@@ -190,7 +192,8 @@ def test_cli_transform_round_trip(tmp_path, capsys):
     g = make_group([2, 3], 4)
     f = random_grid_function(g, 2, seed=1)
     src = tmp_path / "f.json"
-    vio.save_grid(f, src)
+    with open(src, "w", encoding="utf-8") as fh:
+        vio.save_grid(f, fh)
     out = tmp_path / "spec.json"
     code = run_cli("transform", "--m", "2,3", "--res", "2", "--input", str(src),
                    "--format", "json", "--out", str(out))
@@ -204,7 +207,8 @@ def test_cli_transform_round_trip(tmp_path, capsys):
 def test_grid_file_radices_must_match_group(tmp_path, capsys):
     f = random_grid_function(make_group([2, 3], 2), 2, seed=1)
     src = tmp_path / "f.json"
-    vio.save_grid(f, src)
+    with open(src, "w", encoding="utf-8") as fh:
+        vio.save_grid(f, fh)
     with pytest.raises(InvalidParamsError):
         vio.load_grid(src, make_group([3, 2], 2))
     assert run_cli("transform", "--m", "3,2", "--res", "2", "--input", str(src)) == 2

@@ -31,8 +31,10 @@ from vilenkin.kernels import (
     riesz_log_kernel,
     tmean_kernel,
 )
-from vilenkin.means import _KINDS, _mean_by_kind, first_order, mean_blocks, param_names
+from vilenkin.means import _KINDS, first_order, mean_blocks, param_names
 from vilenkin.spectral import convolve, delta, lp_norm, random_grid_function, transform_forward
+
+from conftest import mean_by_kind
 
 
 def test_dirichlet_block_values(walsh):
@@ -288,7 +290,7 @@ def test_mean_kernel_convolves_to_the_mean(kind, pattern, levels):
     g = make_group(pattern, levels + 1)
     f = random_grid_function(g, levels, seed=levels)
     params = _kind_params(kind)
-    mean = _mean_by_kind(kind, **params)
+    mean = mean_by_kind(kind, **params)
     for n in range(first_order(kind), g.M[levels]):
         K = mean_kernel(g, kind, n, N=levels, **params)
         assert np.abs(convolve(f, K).values - mean(f, n).values).max() < 1e-12
@@ -325,7 +327,7 @@ def test_mean_kernel_fails_like_the_mean(kind, n, params):
     g = make_group([2], 5)
     f = random_grid_function(g, 4, seed=5)
     try:
-        expected = _mean_by_kind(kind, **params)(f, n)
+        expected = mean_by_kind(kind, **params)(f, n)
     except VilenkinError as exc:
         with pytest.raises(type(exc)):
             mean_kernel(g, kind, n, N=4, **params)

@@ -32,6 +32,8 @@ from vilenkin.spectral import (
     weak_lp,
 )
 
+from conftest import mean_by_kind
+
 TOL = 1e-12
 
 GROUPS = {"m2": ([2], 8), "m5": ([5], 4), "m234": ([2, 3, 4], 5)}
@@ -72,7 +74,7 @@ def test_sweep_matches_full_grid_mean(grid, kind):
     g, N = grid.group, grid.resolution
     MN = g.order(N)
     params = _params(kind, MN)
-    mean = means._mean_by_kind(kind, **params)
+    mean = mean_by_kind(kind, **params)
     orders = range(means.first_order(kind), MN + 1)
     seen = []
     for j, ns, vals in means.mean_blocks(grid, kind, orders, **params):
@@ -124,7 +126,7 @@ def test_sweep_out_of_range_order_raises_as_oracle(grid):
 
 
 def _brute_maximal(f, kind, indices, weight, **params):
-    mean = means._mean_by_kind(kind, **params)
+    mean = mean_by_kind(kind, **params)
     return np.max([np.abs(mean(f, n).values) / (1.0 if weight is None else weight(n))
                    for n in indices], axis=0)
 
@@ -177,7 +179,7 @@ def test_strong_sum_matches_full_grid_loop(grid, kind, source):
     weight = lambda k: math.log(k + 1) ** p * k ** (2.0 * p - 2.0)
     rows = verify.strong_sum(grid, kind, p, weight, n_max, cps, norm_source=source, **params)
 
-    mean = means._mean_by_kind(kind, **params)
+    mean = mean_by_kind(kind, **params)
     ref = hardy_quasinorm_fn(grid, p) ** p
     acc, expect = 0.0, []
     for n in range(means.first_order(kind), n_max + 1):
@@ -201,7 +203,7 @@ def test_divergence_probe_matches_full_grid_loop(kind):
     q = wts.ones(g.order(5))
     rows = verify.divergence_probe(mart, kind, 0.4, cps, q=q if kind == "tmean" else None,
                                    bound_fn=lambda n: 1.0 / n)
-    mean = means._mean_by_kind(kind, **({"q": q} if kind == "tmean" else {}))
+    mean = mean_by_kind(kind, **({"q": q} if kind == "tmean" else {}))
     assert [r["n"] for r in rows] == cps
     for r, n in zip(rows, cps):
         assert r["weak_lp"] == pytest.approx(weak_lp(mean(f, n), 0.4), rel=TOL, abs=0)

@@ -120,6 +120,24 @@ def test_kernel_lemma_suite(walsh10):
     assert all(np.isfinite(r.value) for r in ratios)
 
 
+@pytest.mark.parametrize("pattern,levels", [([2], 12), ([3], 9), ([2, 3, 4], 9), ([5], 8)])
+def test_tmean_tail_is_the_kernel_less_its_head(pattern, levels):
+    # the T-tail claims bound (1/Q_n) sum_{M_N<=k<n} q_k D_k, which is
+    # F_n - (Q_{M_N}/Q_n) F_{M_N}; at the kernel-lemma suite's N, res and orders
+    g = make_group(pattern, levels)
+    n_max = 64
+    res = kernels.min_resolution(g, n_max)
+    N = max(2, min(3, res - 1))
+    MN = g.M[N]
+    q = verify._weight_families(n_max)["power_half"]
+    orders = [n for n in (MN + 2, min(2 * MN + 1, n_max), n_max) if MN < n <= n_max]
+    assert orders
+    head = kernels.tmean_kernel(g, q, MN, N=res).values
+    for n in orders:
+        expect = kernels.tmean_kernel(g, q, n, N=res).values - q.Q(MN) / q.Q(n) * head
+        assert np.abs(verify._tmean_tail(g, q, n, N, res) - expect).max() <= 1e-12
+
+
 EMPTY_SUPREMA = {("lemma5", None), ("lemma5aa", None), ("l2", "cells"), ("l2", "shells"),
                  ("lemma0nnT0", None), ("lemma5aaTin", None), ("lemma0nnT", None),
                  ("lemma5a", None), ("lemma5bT", None), ("lemma0nnT1", None),

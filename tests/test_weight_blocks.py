@@ -29,6 +29,8 @@ from vilenkin.spectral import (
 )
 from vilenkin.weights import harmonic_number, power_weights
 
+from conftest import mean_by_kind
+
 
 # ---------------------------------------------------------------------------
 # Reference weight vectors, one order at a time
@@ -212,7 +214,7 @@ def test_per_order_means_past_the_grid_match_the_old_path(kind, param):
     g = make_group([2], 5)
     f = random_grid_function(g, 3, seed=1)
     MN = g.order(3)
-    mean = means._mean_by_kind(kind, **dict(zip(means.param_names(kind), _args(kind, param))))
+    mean = mean_by_kind(kind, **dict(zip(means.param_names(kind), _args(kind, param))))
     for n in (MN, MN + 1, MN + 2):
         ref = REFERENCES[kind](n, *_args(kind, param))
         expected = _outcome(lambda: weighted_sum_combination(f, ref).values)
@@ -263,7 +265,7 @@ def test_block_fails_like_its_first_failing_order(kind, make_args, ns):
         f = random_grid_function(g, 4, seed=3)
         params = dict(zip(means.param_names(kind), make_args()))
         sweep = _outcome(lambda: list(means.mean_blocks(f, kind, ns, **params)))
-        mean = means._mean_by_kind(kind, **dict(zip(means.param_names(kind), make_args())))
+        mean = mean_by_kind(kind, **dict(zip(means.param_names(kind), make_args())))
         assert sweep == expected
         assert _outcome(lambda: [mean(f, n) for n in ns]) == expected
 
