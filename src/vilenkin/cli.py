@@ -128,12 +128,17 @@ def _weights_from_args(args, n: int) -> weights.WeightSequence:
     desc = getattr(args, "q", "ones") or "ones"
     if desc == "ones":
         return weights.ones(n + 1)
-    if desc.startswith("power:"):
-        return weights.power_weights(float(desc.split(":", 1)[1]), n + 1)
-    if desc.startswith("log:"):
-        alpha = float(desc.split(":", 1)[1])
-        return weights.log_weights(alpha, n + 1)
-    return weights.from_values([float(t) for t in desc.split(",")])
+    try:
+        if desc.startswith("power:"):
+            return weights.power_weights(float(desc.split(":", 1)[1]), n + 1)
+        if desc.startswith("log:"):
+            return weights.log_weights(float(desc.split(":", 1)[1]), n + 1)
+        return weights.from_values([float(t) for t in desc.split(",")])
+    except VilenkinError:
+        raise
+    except ValueError:   # a token that is not a number
+        raise InvalidParamsError(f"--q takes ones, power:ALPHA, log:ALPHA or comma-separated "
+                                 f"weights, got {desc!r}") from None
 
 
 def cmd_lebesgue(args) -> int:

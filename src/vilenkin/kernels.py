@@ -1,11 +1,13 @@
 """Dirichlet, Fejer and weighted-mean kernels, and Lebesgue constants.
 
 Every kernel of index n is constant on rank-(|n|+1) cosets, so that is the
-default evaluation resolution.  Dirichlet and Fejer kernels carry two
-independent evaluators: the naive character sum, and closed forms built
-from the block identities (Dirichlet: the digit-expansion product formula;
-Fejer: the block decomposition through K at s*M_t indices).  Their
-agreement is exercised by the verification suites.
+default evaluation resolution.  ``dirichlet`` and ``fejer`` evaluate closed
+forms; the naive character sums ``_dirichlet_naive`` and ``_fejer_naive``
+are the oracle the tests and the verification suites check them against.
+D_n is the digit-product formula shell by shell (Paley's lemma): n on
+I_{|n|+1}, and psi_n ((n mod M_s) + M_s t_s(v)) on the shell I_s \\ I_{s+1}
+where x_s = v, with t_s(v) = sum_{k=m_s-n_s}^{m_s-1} r_s^{kv}.  K_n is the
+block decomposition through K at s*M_t indices.
 
 The weighted kernels (Norlund, T, Riesz- and Norlund-logarithmic, and any
 other kind in ``means._KINDS``) are not written out here: ``mean_kernel``
@@ -22,17 +24,18 @@ psi_0, psi_1, ... into one running array and yields D_1, D_2, ...; the
 naive Dirichlet and Fejer kernels, ``lebesgue_batch`` and the verification
 workspace all read it.
 
-Kernel grids are computed on every call, not kept.  One LRU cache keeps the
-block tables the closed forms are made of (D_{M_l}, D_{s M_l}, K_{M_l},
-K_{s M_l}, the digit terms of the product formula and the rotations
-r_l^s): read-only arrays keyed by (group, builder, level, s, resolution)
-and bounded by bytes (``_BLOCK_BYTES``, through ``lru``), so a closed form
-of any order reuses the tables of every order before it.
+Kernel grids are computed on every call, not kept; each closed form is a
+function of a few digits of x, written into reshaped views of the grid.
+The geometric tails t(v) are memoised per (m, k0, k1) (``_geometric``), and
+one LRU cache keeps the block tables (D_{M_l}, D_{s M_l}, K_{M_l}, K_{s M_l}
+and the rotations r_l^s): read-only arrays keyed by (group, builder, level,
+s, resolution) and bounded by bytes (``_BLOCK_BYTES``, through ``lru``).
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 from collections import OrderedDict
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -42,8 +45,8 @@ import numpy as np
 from . import lru, means
 from .characters import _unit_roots, character_column
 from .errors import DomainError, IndexOverflowError, RangeError, ShapeMismatchError
-from .group import (GroupSpec, NatDigits, check_grid_points, digit_matrix, digits_of,
-                    variation_v, variation_vstar)
+from .group import (GroupSpec, NatDigits, check_grid_points, digits_of, variation_v,
+                    variation_vstar)
 from .spectral import (GridFunction, Spectrum, coefficient_tails, delta, lp_norm, lp_norm_rows,
                        transform_inverse)
 from .weights import WeightSequence
@@ -51,9 +54,8 @@ from .weights import WeightSequence
 # Most bytes of block tables the block cache keeps (16 MiB at worst); the
 # least recently used go first, and a table larger than the budget is
 # returned but not kept.  One ``vilenkin verify --suite all`` run on [2]^12,
-# [3]^9 or [2,3,4]^9 builds 56-57 tables (0.09-0.36 MB); the radix-5 strong,
-# divergence and inequality suites on [5]^8 build 18 (10.3 MB, mostly the
-# rank-7 tables of the Dnqn pattern index), so a whole run stays cached.
+# [3]^9 or [2,3,4]^9 builds 32-36 tables (0.04-0.08 MB), so a whole run
+# stays cached.
 _BLOCK_BYTES = 16 << 20
 _blocks: OrderedDict = OrderedDict()
 
@@ -97,33 +99,31 @@ def _block(g: GroupSpec, builder: str, level: int, s: int, resolution: int, buil
 def dirichlet_block(g: GroupSpec, level: int, resolution: int) -> np.ndarray:
     """D_{M_level}: equals M_level on I_level and 0 elsewhere."""
     def build():
-        dm = digit_matrix(g, resolution)
-        mask = np.all(dm[:level] == 0, axis=0)
-        return np.where(mask, float(g.M[level]), 0.0).astype(np.complex128)
+        out = np.zeros(g.order(resolution), dtype=np.complex128)
+        out[::g.M[level]] = g.M[level]
+        return out
 
     return _block(g, "dirichlet", level, 0, resolution, build)
 
 
-def _dirichlet_term(g: GroupSpec, j: int, d: int, N: int) -> np.ndarray:
-    """D_{M_j} * sum_{k=m_j-d}^{m_j-1} r_j^k: the term of digit d at position j."""
-    def build():
-        mj = g.m[j]
-        roots = _unit_roots(mj)
-        # geometric tail sum_{k=m_j-d}^{m_j-1} r_j(x)^k, tabulated per digit value
-        tail = np.array([roots[(np.arange(mj - d, mj) * v) % mj].sum() for v in range(mj)])
-        return dirichlet_block(g, j, N) * tail[digit_matrix(g, N)[j]]
-
-    return _block(g, "dirichlet_term", j, d, N, build)
+@functools.lru_cache(maxsize=256)
+def _geometric(m: int, k0: int, k1: int) -> np.ndarray:
+    """sum_{k0 <= k < k1} r^{k v} for each digit v = 0..m-1 of a radix-m position."""
+    roots = _unit_roots(m)
+    out = np.array([roots[(np.arange(k0, k1) * v) % m].sum() for v in range(m)])
+    out.flags.writeable = False
+    return out
 
 
 def _dirichlet_closed(g: GroupSpec, n: int, N: int) -> np.ndarray:
-    """Digit-product formula: D_n = psi_n * sum_j D_{M_j} * sum_{k=m_j-n_j}^{m_j-1} r_j^k."""
-    MN = g.order(N)
-    if n == 0:
-        return np.zeros(MN, dtype=np.complex128)
-    acc = np.zeros(MN, dtype=np.complex128)
-    for j, d in digits_of(n, g).nonzero():
-        acc += _dirichlet_term(g, j, d, N)
+    """Digit-product formula, shell by shell (see the module docstring)."""
+    nd = digits_of(n, g)
+    acc = np.full(g.order(N), complex(n))   # D_n / psi_n on I_{|n|+1}
+    for s in range(nd.hi + 1):
+        ms, Ms = g.m[s], g.M[s]
+        # the shell I_s \ I_{s+1}: x mod M_s = 0 and x_s = v != 0
+        tail = _geometric(ms, ms - nd.digits[s], ms)[1:]
+        acc.reshape(-1, ms, Ms)[:, 1:, 0] = (n % Ms) + complex(Ms) * tail
     return character_column(g, n, N) * acc
 
 
@@ -146,18 +146,12 @@ def _dirichlet_naive(g: GroupSpec, n: int, N: int) -> np.ndarray:
     return D
 
 
-def dirichlet(g: GroupSpec, n: int, N: int | None = None, method: str = "closed") -> GridFunction:
+def dirichlet(g: GroupSpec, n: int, N: int | None = None) -> GridFunction:
     """Dirichlet kernel D_n = sum_{k<n} psi_k; D_0 = 0."""
     if n < 0:
         raise RangeError("kernel index must be nonnegative")
     N = _resolve(g, n, N)
-    if method == "closed":
-        vals = _dirichlet_closed(g, n, N)
-    elif method == "naive":
-        vals = _dirichlet_naive(g, n, N)
-    else:
-        raise DomainError(f"unknown method {method!r}")
-    return GridFunction(g, N, vals)
+    return GridFunction(g, N, _dirichlet_closed(g, n, N))
 
 
 def dirichlet_s_block(g: GroupSpec, s: int, level: int, resolution: int) -> np.ndarray:
@@ -166,10 +160,10 @@ def dirichlet_s_block(g: GroupSpec, s: int, level: int, resolution: int) -> np.n
         raise RangeError("block multiplier s must satisfy 1 <= s <= m_level - 1")
 
     def build():
-        mj = g.m[level]
-        roots = _unit_roots(mj)
-        geo = np.array([roots[(np.arange(s) * v) % mj].sum() for v in range(mj)])
-        return dirichlet_block(g, level, resolution) * geo[digit_matrix(g, resolution)[level]]
+        ml, Ml = g.m[level], g.M[level]
+        out = np.zeros(g.order(resolution), dtype=np.complex128)
+        out.reshape(-1, ml, Ml)[:, :, 0] = complex(Ml) * _geometric(ml, 0, s)
+        return out
 
     return _block(g, "dirichlet_s", level, s, resolution, build)
 
@@ -177,8 +171,10 @@ def dirichlet_s_block(g: GroupSpec, s: int, level: int, resolution: int) -> np.n
 def _rotation(g: GroupSpec, level: int, s: int, resolution: int) -> np.ndarray:
     """r_level^s on the rank-``resolution`` grid."""
     def build():
-        mj = g.m[level]
-        return _unit_roots(mj)[(s * digit_matrix(g, resolution)[level]) % mj]
+        ml = g.m[level]
+        out = np.empty(g.order(resolution), dtype=np.complex128)
+        out.reshape(-1, ml, g.M[level])[:] = _unit_roots(ml)[(s * np.arange(ml)) % ml, None]
+        return out
 
     return _block(g, "rotation", level, s, resolution, build)
 
@@ -194,21 +190,12 @@ def fejer_block(g: GroupSpec, level: int, resolution: int) -> np.ndarray:
     nonzero digit below ``level`` sits at position t; zero elsewhere.
     """
     def build():
-        n = level
-        dm = digit_matrix(g, resolution)
-        out = np.zeros(g.order(resolution), dtype=np.complex128)
-        in_In = np.all(dm[:n] == 0, axis=0)
-        out[in_In] = (g.M[n] + 1) / 2.0
-        for t in range(n):
-            mask = (
-                np.all(dm[:t] == 0, axis=0)
-                & (dm[t] != 0)
-                & np.all(dm[t + 1:n] == 0, axis=0)
-            )
-            if not mask.any():
-                continue
-            rt = _unit_roots(g.m[t])[dm[t][mask]]
-            out[mask] = g.M[t] / (1.0 - rt)
+        col = np.zeros(g.M[level], dtype=np.complex128)   # K_{M_level} at x mod M_level
+        col[0] = (g.M[level] + 1) / 2.0
+        for t in range(level):
+            col[g.M[t] * np.arange(1, g.m[t])] = g.M[t] / (1.0 - _unit_roots(g.m[t])[1:])
+        out = np.empty(g.order(resolution), dtype=np.complex128)
+        out.reshape(-1, g.M[level])[:] = col
         return out
 
     return _block(g, "fejer", level, 0, resolution, build)
@@ -262,7 +249,7 @@ def _fejer_naive(g: GroupSpec, n: int, N: int) -> np.ndarray:
     return acc / n
 
 
-def fejer(g: GroupSpec, n: int, N: int | None = None, method: str = "closed") -> GridFunction:
+def fejer(g: GroupSpec, n: int, N: int | None = None) -> GridFunction:
     """Fejer kernel K_n = (1/n) sum_{k=1}^{n} D_k.
 
     The summation convention starts at k = 1 and includes k = n, which is
@@ -271,13 +258,7 @@ def fejer(g: GroupSpec, n: int, N: int | None = None, method: str = "closed") ->
     if n < 1:
         raise RangeError("fejer kernel requires n >= 1")
     N = _resolve(g, n, N)
-    if method == "closed":
-        vals = _fejer_closed(g, n, N)
-    elif method == "naive":
-        vals = _fejer_naive(g, n, N)
-    else:
-        raise DomainError(f"unknown method {method!r}")
-    return GridFunction(g, N, vals)
+    return GridFunction(g, N, _fejer_closed(g, n, N))
 
 
 # ---------------------------------------------------------------------------

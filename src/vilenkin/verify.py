@@ -18,7 +18,6 @@ are returned, and all random inputs are seeded.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -27,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import hardy, kernels, means, weights
-from .characters import character_column, character_matrix, _unit_roots
+from .characters import character_column, character_matrix
 from .errors import DomainError, InvalidParamsError
 from .group import (
     GroupSpec,
@@ -241,8 +240,8 @@ def _weight_families(n_max: int) -> dict[str, weights.WeightSequence]:
 
 
 def _worst(pairs: Iterable[tuple]) -> float:
-    """The largest entrywise |a - b| over the pairs (a, b); 0.0 over no pairs."""
-    return functools.reduce(max, (float(np.abs(a - b).max()) for a, b in pairs), 0.0)
+    """The largest entrywise |a - b| over the pairs (a, b), NaN if any is; 0.0 over no pairs."""
+    return float(np.max([np.abs(a - b).max() for a, b in pairs], initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +254,6 @@ def run_identity_suite(g: GroupSpec, n_max: int = 64, tol: float = 1e-12,
     _check_n_max(n_max)
     rec = _Records("identities", g)
     ws = _Workspace(g, n_max)
-    dm = digit_matrix(g, ws.N)
 
     # (1.1) partition of the complement of I_N
     part = coset_partition(g, min(ws.N, 4))
@@ -282,17 +280,17 @@ def run_identity_suite(g: GroupSpec, n_max: int = 64, tol: float = 1e-12,
         neg_idx += ((-dj) % g.m[j]) * g.M[j]
     r_mult = _worst((C[k][add_idx], np.outer(C[k], C[k])) for k in range(min(M3, n_max + 1)))
     r_conj = np.abs(C[:, neg_idx] - C.conj()).max()
-    rec.identity("vilenkin", max(r_mod, r_orth, r_mult, r_conj), tol, resolution=res3)
+    rec.identity("vilenkin", np.max([r_mod, r_orth, r_mult, r_conj]), tol, resolution=res3)
 
     # (3aa) block kernels
     rec.identity("3aa", _worst((kernels.dirichlet_block(g, lvl, ws.N), ws.D[g.M[lvl]])
                                for lvl in range(ws.N + 1) if g.M[lvl] <= n_max + 1), tol)
 
     # (dn21) shift identity
-    rads = [_unit_roots(g.m[lvl])[dm[lvl]] for lvl in range(ws.N)]
-    rec.identity("dn21", _worst((ws.D[j + Mn], ws.D[Mn] + rads[lvl] * ws.D[j])
-                                for lvl, Mn in enumerate(g.M[:ws.N])
-                                for j in range(min((g.m[lvl] - 1) * Mn, n_max + 1 - Mn) + 1)), tol)
+    rec.identity("dn21", _worst(
+        (ws.D[j + Mn], ws.D[Mn] + kernels._rotation(g, lvl, 1, ws.N) * ws.D[j])
+        for lvl, Mn in enumerate(g.M[:ws.N])
+        for j in range(min((g.m[lvl] - 1) * Mn, n_max + 1 - Mn) + 1)), tol)
 
     # (dn22) reflection identity; psi_{M_n - 1} per level
     psi_last = {Mn: character_column(g, Mn - 1, ws.N) for Mn in g.M[1:ws.N + 1] if Mn <= n_max + 1}
@@ -306,7 +304,7 @@ def run_identity_suite(g: GroupSpec, n_max: int = 64, tol: float = 1e-12,
                                for s, lvl in multiples), tol)
 
     # (2dna) digit-product closed form for every n
-    rec.identity("2dna", _worst((kernels.dirichlet(g, n, N=ws.N, method="closed").values, ws.D[n])
+    rec.identity("2dna", _worst((kernels.dirichlet(g, n, N=ws.N).values, ws.D[n])
                                 for n in range(n_max + 1)), tol)
 
     # (kn8) block Fejer closed form
@@ -318,7 +316,7 @@ def run_identity_suite(g: GroupSpec, n_max: int = 64, tol: float = 1e-12,
                                for s, lvl in multiples), tol)
 
     # (kn10) full closed-form Fejer kernels
-    rec.identity("kn10", _worst((kernels.fejer(g, n, N=ws.N, method="closed").values, ws.K(n))
+    rec.identity("kn10", _worst((kernels.fejer(g, n, N=ws.N).values, ws.K(n))
                                 for n in range(1, n_max + 1)), tol)
 
     # (T1) Abel identities for three weight families

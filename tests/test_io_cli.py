@@ -245,6 +245,17 @@ def test_cli_bad_radix_pattern(capsys, argv):
     assert err.startswith("error:") and "--m" in err
 
 
+@pytest.mark.parametrize("q", ["power:abc", "log:", "1,x", "1,,2"])
+@pytest.mark.parametrize("argv", [
+    ("kernel", "--kind", "tmean", "--n", "5"),
+    ("mean", "--kind", "norlund", "--res", "3", "--max-n", "4"),
+], ids=["kernel", "mean"])
+def test_cli_malformed_weights_exit_2(capsys, argv, q):
+    assert run_cli(*argv, "--m", "2", "--q", q) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--q" in err and "Traceback" not in err
+
+
 def test_cli_determinism(capsys):
     run_cli("mean", "--kind", "fejer", "--m", "3", "--res", "3", "--max-n", "9", "--seed", "7")
     first = capsys.readouterr().out

@@ -14,7 +14,8 @@ from vilenkin.errors import (
     ShapeMismatchError,
     VilenkinError,
 )
-from vilenkin.group import digits_of, make_group
+from vilenkin.characters import _unit_roots, character_column
+from vilenkin.group import digit_matrix, digits_of, make_group
 from vilenkin.kernels import (
     dirichlet,
     dirichlet_block,
@@ -32,7 +33,7 @@ from vilenkin.kernels import (
     tmean_kernel,
 )
 from vilenkin.means import _KINDS, first_order, mean_blocks, param_names
-from vilenkin.spectral import convolve, delta, lp_norm, random_grid_function, transform_forward
+from vilenkin.spectral import convolve, delta, lp_norm_rows, random_grid_function, transform_forward
 
 from conftest import mean_by_kind
 
@@ -56,12 +57,19 @@ def test_dirichlet_walsh_d3():
     assert np.abs(D.values - np.array([3, 1, 1, -1])).max() < 1e-13
 
 
+@pytest.fixture(params=[([2], 12), ([3], 8), ([2, 3, 4], 8), ([7], 4), ([13, 2], 4), ([2, 65], 3)],
+                ids=["m2", "m3", "m234", "m7", "m13-2", "m2-65"])
+def closed_group(request):
+    """The ``any_group`` groups and three with radices above 5."""
+    return make_group(*request.param)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 9, 23, 24, 37])
-def test_dirichlet_closed_vs_naive(any_group, n):
-    g = any_group
-    c = dirichlet(g, n, method="closed")
-    nv = dirichlet(g, n, N=c.resolution, method="naive")
-    assert np.abs(c.values - nv.values).max() < 1e-12
+def test_dirichlet_closed_vs_naive(closed_group, n):
+    g = closed_group
+    c = dirichlet(g, n)
+    nv = kernels._dirichlet_naive(g, n, c.resolution)
+    assert np.abs(c.values - nv).max() < 1e-12
 
 
 def test_dirichlet_resolution_guard(walsh):
@@ -81,19 +89,19 @@ def test_fejer_one(any_group):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 11, 24, 40])
-def test_fejer_closed_vs_naive(any_group, n):
-    g = any_group
-    c = fejer(g, n, method="closed")
-    nv = fejer(g, n, N=c.resolution, method="naive")
-    assert np.abs(c.values - nv.values).max() < 1e-12
+def test_fejer_closed_vs_naive(closed_group, n):
+    g = closed_group
+    c = fejer(g, n)
+    nv = kernels._fejer_naive(g, n, c.resolution)
+    assert np.abs(c.values - nv).max() < 1e-12
 
 
 def test_fejer_block_m32():
     # triadic-first group: K_{M_1} matches the closed shell form
     g = make_group([3, 2], 4)
-    K = fejer(g, g.M[1], method="closed")
-    nv = fejer(g, g.M[1], N=K.resolution, method="naive")
-    assert np.abs(K.values - nv.values).max() < 1e-13
+    K = fejer(g, g.M[1])
+    nv = kernels._fejer_naive(g, g.M[1], K.resolution)
+    assert np.abs(K.values - nv).max() < 1e-13
 
 
 def test_norlund_ones_is_fejer(walsh):
@@ -224,7 +232,8 @@ def test_fejer_l1_batch_matches_the_naive_kernels(g):
     K1 = fejer_l1_batch(g, 200)
     assert K1[0] == 0.0
     for n in range(1, 201):
-        assert K1[n] == pytest.approx(lp_norm(fejer(g, n, method="naive"), 1.0), rel=1e-12, abs=0)
+        naive = kernels._fejer_naive(g, n, min_resolution(g, n))
+        assert K1[n] == pytest.approx(lp_norm_rows(naive, 1.0), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("table", [lebesgue_batch, fejer_l1_batch])
@@ -349,7 +358,6 @@ def _block_tables(g):
         for lvl in range(N):
             for s in range(1, g.m[lvl]):
                 out["dirichlet_s", lvl, s, N] = kernels.dirichlet_s_block(g, s, lvl, N)
-                out["dirichlet_term", lvl, s, N] = kernels._dirichlet_term(g, lvl, s, N)
                 out["fejer_s", lvl, s, N] = kernels._fejer_s_block(g, s, lvl, N)
                 out["rotation", lvl, s, N] = kernels._rotation(g, lvl, s, N)
     return out
@@ -385,6 +393,57 @@ def test_cached_block_tables_equal_fresh_builds(monkeypatch, pattern, levels):
         assert np.array_equal(kernels._fejer_closed(g, n, L), k), n
 
 
+def _digit_matrix_tables(g, N):
+    """The block tables of the rank-N grid and D_0 .. D_{M_N - 1}, from its digit matrix.
+
+    These are the digit-by-digit mask formulas that the reshaped-view builders
+    replaced.  K_{s M_l} is made of the other tables, so it is not repeated.
+    """
+    dm = digit_matrix(g, N)
+
+    def low_zero(t):   # the indicator of I_t
+        return np.all(dm[:t] == 0, axis=0)
+
+    def geometric(m, k0, k1):
+        return np.array([_unit_roots(m)[(np.arange(k0, k1) * v) % m].sum() for v in range(m)])
+
+    tables = {}
+    for lvl in range(N + 1):
+        D = np.where(low_zero(lvl), float(g.M[lvl]), 0.0)
+        tables["dirichlet", lvl, 0, N] = D.astype(np.complex128)
+        K = np.zeros(g.order(N), dtype=np.complex128)
+        K[low_zero(lvl)] = (g.M[lvl] + 1) / 2.0
+        for t in range(lvl):
+            mask = low_zero(t) & (dm[t] != 0) & np.all(dm[t + 1:lvl] == 0, axis=0)
+            K[mask] = g.M[t] / (1.0 - _unit_roots(g.m[t])[dm[t][mask]])
+        tables["fejer", lvl, 0, N] = K
+    for lvl in range(N):
+        m = g.m[lvl]
+        for s in range(1, m):
+            D = tables["dirichlet", lvl, 0, N]
+            tables["dirichlet_s", lvl, s, N] = D * geometric(m, 0, s)[dm[lvl]]
+            tables["rotation", lvl, s, N] = _unit_roots(m)[(s * dm[lvl]) % m]
+    dirichlets = []
+    for n in range(g.M[N]):   # the product formula: one full-grid term per nonzero digit
+        acc = np.zeros(g.order(N), dtype=np.complex128)
+        for j, d in digits_of(n, g).nonzero():
+            acc += tables["dirichlet", j, 0, N] * geometric(g.m[j], g.m[j] - d, g.m[j])[dm[j]]
+        dirichlets.append(character_column(g, n, N) * acc)
+    return tables, dirichlets
+
+
+@pytest.mark.parametrize("pattern,levels", _BLOCK_GROUPS)
+def test_block_builders_match_the_digit_matrix_formulas(pattern, levels):
+    g = make_group(pattern, levels)
+    tables = _block_tables(g)
+    for N in range(1, g.levels + 1):
+        refs, dirichlets = _digit_matrix_tables(g, N)
+        for key, ref in refs.items():
+            assert np.array_equal(tables[key], ref), key
+        for n, ref in enumerate(dirichlets):
+            assert np.array_equal(kernels._dirichlet_closed(g, n, N), ref), (n, N)
+
+
 def test_block_cache_is_bounded_by_bytes(monkeypatch):
     monkeypatch.setattr(kernels, "_blocks", OrderedDict())
     g = make_group([3], 5)
@@ -401,7 +460,6 @@ def test_block_cache_is_bounded_by_bytes(monkeypatch):
 
 @pytest.mark.parametrize("pattern,levels", [([2], 6), ([3], 4), ([2, 3, 4], 4), ([5, 2], 4)])
 def test_dirichlet_sweep_readers_equal_a_literal_accumulation(pattern, levels):
-    from vilenkin.characters import character_column
     from vilenkin.verify import _Workspace
 
     g = make_group(pattern, levels)
@@ -419,9 +477,9 @@ def test_dirichlet_sweep_readers_equal_a_literal_accumulation(pattern, levels):
         Ds.append(D.copy())
         nKs.append(acc.copy())
     for n in range(top):
-        assert np.array_equal(dirichlet(g, n, N=L, method="naive").values, Ds[n]), n
+        assert np.array_equal(kernels._dirichlet_naive(g, n, L), Ds[n]), n
     for n in range(1, top):
-        assert np.array_equal(fejer(g, n, N=L, method="naive").values, nKs[n] / n), n
+        assert np.array_equal(kernels._fejer_naive(g, n, L), nKs[n] / n), n
     expect = np.array([0.0] + [np.abs(Ds[n]).mean() for n in range(1, top)])
     assert np.array_equal(lebesgue_batch(g, top - 1), expect)
     # the workspace holds D_0 .. D_{cap+1}, each row the row before plus a character

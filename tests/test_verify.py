@@ -351,5 +351,22 @@ def test_record_builder_refuses_a_claim_of_another_suite(walsh10):
     assert [r.claim for r in rec.records()] == ["1.1"]
 
 
+def test_a_nan_residual_fails_its_record(monkeypatch):
+    # a NaN after a finite residual is kept, not folded away by the maximum
+    pairs = [(np.zeros(2), np.zeros(2)), (np.array([0.0, np.nan]), np.zeros(2))]
+    assert np.isnan(verify._worst(pairs))
+    closed = kernels._dirichlet_closed
+
+    def with_a_nan_at_5(g, n, N):
+        out = closed(g, n, N)
+        if n == 5:
+            out[-1] = np.nan
+        return out
+
+    monkeypatch.setattr(kernels, "_dirichlet_closed", with_a_nan_at_5)
+    records = verify.run_identity_suite(make_group([2], 8))
+    assert [r.claim for r in records if r.passed is False] == ["2dna"]
+
+
 def test_each_claim_has_one_suite():
     assert sum(len(claims) for claims in verify.CLAIMS.values()) == len(verify.all_claim_ids())
