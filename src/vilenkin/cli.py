@@ -199,9 +199,8 @@ def cmd_verify(args) -> int:
     names = verify.SUITES if args.suite == "all" else tuple(args.suite.split(","))
     for name in names:
         if name not in verify.SUITES:
-            print(f"unknown suite {name!r}; choose from {', '.join(verify.SUITES)} or all",
-                  file=sys.stderr)
-            return 2
+            raise InvalidParamsError(
+                f"unknown suite {name!r}; choose from {', '.join(verify.SUITES)} or all")
     if "divergence" in names:
         check_grid_points(g, VERIFY_MINIMUMS["levels"])
     records = []

@@ -24,25 +24,25 @@ psi_0, psi_1, ... into one running array and yields D_1, D_2, ...; the
 naive Dirichlet and Fejer kernels, ``lebesgue_batch`` and the verification
 workspace all read it.
 
-Kernel grids are computed on every call, not kept; each closed form is a
-function of a few digits of x, written into reshaped views of the grid.
-The geometric tails t(v) are memoised per (m, k0, k1) (``_geometric``), and
-one LRU cache keeps the block tables (D_{M_l}, D_{s M_l}, K_{M_l}, K_{s M_l}
-and the rotations r_l^s): read-only arrays keyed by (group, builder, level,
-s, resolution) and bounded by bytes (``_BLOCK_BYTES``, through ``lru``).
+Kernel grids are computed on every call, not kept.  Each block factor of
+the closed forms is a small cell over a few digits of x: K_{M_l} is a
+function of x mod M_l, D_{s M_l} and K_{s M_l} of (x_l, x mod M_l), and the
+rotation r_l^s of x_l.  ``_fejer_closed`` adds prefix * cell into reshaped
+views of its accumulator, and the block tables (``dirichlet_block``,
+``fejer_block``, ...) repeat their cell over the grid.  Only the geometric
+tails t(v) are memoised, per (m, k0, k1) (``_geometric``).
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
-from collections import OrderedDict
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import lru, means
+from . import means
 from .characters import _unit_roots, character_column
 from .errors import DomainError, IndexOverflowError, RangeError, ShapeMismatchError
 from .group import (GroupSpec, NatDigits, check_grid_points, digits_of, variation_v,
@@ -50,14 +50,6 @@ from .group import (GroupSpec, NatDigits, check_grid_points, digits_of, variatio
 from .spectral import (GridFunction, Spectrum, coefficient_tails, delta, lp_norm, lp_norm_rows,
                        transform_inverse)
 from .weights import WeightSequence
-
-# Most bytes of block tables the block cache keeps (16 MiB at worst); the
-# least recently used go first, and a table larger than the budget is
-# returned but not kept.  One ``vilenkin verify --suite all`` run on [2]^12,
-# [3]^9 or [2,3,4]^9 builds 32-36 tables (0.04-0.08 MB), so a whole run
-# stays cached.
-_BLOCK_BYTES = 16 << 20
-_blocks: OrderedDict = OrderedDict()
 
 
 def min_resolution(g: GroupSpec, n: int) -> int:
@@ -81,29 +73,25 @@ def _resolve(g: GroupSpec, n: int, N: int | None) -> int:
     return N
 
 
-def _block(g: GroupSpec, builder: str, level: int, s: int, resolution: int, build) -> np.ndarray:
-    """The block table ``build()`` returns, built once per key and read-only."""
-    key = (g.key(), builder, level, s, resolution)
-    hit = lru.get(_blocks, key)
-    if hit is not None:
-        return hit
-    val = build()
-    val.flags.writeable = False
-    return lru.put(_blocks, key, val, _BLOCK_BYTES)
-
-
 # ---------------------------------------------------------------------------
 # Dirichlet kernels
 # ---------------------------------------------------------------------------
 
+def _on_grid(g: GroupSpec, cell: np.ndarray, resolution: int) -> np.ndarray:
+    """``cell``, a function of the low digits of x, repeated over the rank-``resolution`` grid."""
+    return np.tile(cell.ravel(), g.order(resolution) // cell.size)
+
+
+def _dirichlet_cell(g: GroupSpec, level: int) -> np.ndarray:
+    """D_{M_level} at x mod M_level: M_level at 0, zero elsewhere."""
+    cell = np.zeros(g.M[level], dtype=np.complex128)
+    cell[0] = g.M[level]
+    return cell
+
+
 def dirichlet_block(g: GroupSpec, level: int, resolution: int) -> np.ndarray:
     """D_{M_level}: equals M_level on I_level and 0 elsewhere."""
-    def build():
-        out = np.zeros(g.order(resolution), dtype=np.complex128)
-        out[::g.M[level]] = g.M[level]
-        return out
-
-    return _block(g, "dirichlet", level, 0, resolution, build)
+    return _on_grid(g, _dirichlet_cell(g, level), resolution)
 
 
 @functools.lru_cache(maxsize=256)
@@ -154,34 +142,48 @@ def dirichlet(g: GroupSpec, n: int, N: int | None = None) -> GridFunction:
     return GridFunction(g, N, _dirichlet_closed(g, n, N))
 
 
+def _dirichlet_s_cell(g: GroupSpec, s: int, level: int) -> np.ndarray:
+    """D_{s*M_level} at (x_level, x mod M_level)."""
+    cell = np.zeros((g.m[level], g.M[level]), dtype=np.complex128)
+    cell[:, 0] = complex(g.M[level]) * _geometric(g.m[level], 0, s)
+    return cell
+
+
 def dirichlet_s_block(g: GroupSpec, s: int, level: int, resolution: int) -> np.ndarray:
     """D_{s*M_level} = D_{M_level} * sum_{k<s} r_level^k (block identity)."""
     if not 1 <= s <= g.m[level] - 1:
         raise RangeError("block multiplier s must satisfy 1 <= s <= m_level - 1")
+    return _on_grid(g, _dirichlet_s_cell(g, s, level), resolution)
 
-    def build():
-        ml, Ml = g.m[level], g.M[level]
-        out = np.zeros(g.order(resolution), dtype=np.complex128)
-        out.reshape(-1, ml, Ml)[:, :, 0] = complex(Ml) * _geometric(ml, 0, s)
-        return out
 
-    return _block(g, "dirichlet_s", level, s, resolution, build)
+def _rotation_cell(g: GroupSpec, level: int, s: int) -> np.ndarray:
+    """r_level^s at x_level."""
+    return _unit_roots(g.m[level])[(s * np.arange(g.m[level])) % g.m[level]]
 
 
 def _rotation(g: GroupSpec, level: int, s: int, resolution: int) -> np.ndarray:
     """r_level^s on the rank-``resolution`` grid."""
-    def build():
-        ml = g.m[level]
-        out = np.empty(g.order(resolution), dtype=np.complex128)
-        out.reshape(-1, ml, g.M[level])[:] = _unit_roots(ml)[(s * np.arange(ml)) % ml, None]
-        return out
-
-    return _block(g, "rotation", level, s, resolution, build)
+    return _on_grid(g, np.repeat(_rotation_cell(g, level, s), g.M[level]), resolution)
 
 
 # ---------------------------------------------------------------------------
 # Fejer kernels
 # ---------------------------------------------------------------------------
+
+def _fejer_cell(g: GroupSpec, level: int, shells: np.ndarray | None = None) -> np.ndarray:
+    """K_{M_level} at x mod M_level (see ``fejer_block``).
+
+    Off x = 0 the cell of a higher level agrees with it, so ``shells``, the
+    cell of any level >= ``level``, gives those entries.
+    """
+    if shells is None:
+        shells = np.zeros(g.M[level], dtype=np.complex128)
+        for t in range(level):   # x = v M_t, v != 0
+            shells.reshape(-1, g.m[t], g.M[t])[0, 1:, 0] = g.M[t] / (1.0 - _unit_roots(g.m[t])[1:])
+    cell = shells[:g.M[level]].copy()
+    cell[0] = (g.M[level] + 1) / 2.0
+    return cell
+
 
 def fejer_block(g: GroupSpec, level: int, resolution: int) -> np.ndarray:
     """K_{M_level} in closed form.
@@ -189,16 +191,21 @@ def fejer_block(g: GroupSpec, level: int, resolution: int) -> np.ndarray:
     (M_level + 1)/2 on I_level; M_t/(1 - r_t(x)) on the sets where the only
     nonzero digit below ``level`` sits at position t; zero elsewhere.
     """
-    def build():
-        col = np.zeros(g.M[level], dtype=np.complex128)   # K_{M_level} at x mod M_level
-        col[0] = (g.M[level] + 1) / 2.0
-        for t in range(level):
-            col[g.M[t] * np.arange(1, g.m[t])] = g.M[t] / (1.0 - _unit_roots(g.m[t])[1:])
-        out = np.empty(g.order(resolution), dtype=np.complex128)
-        out.reshape(-1, g.M[level])[:] = col
-        return out
+    return _on_grid(g, _fejer_cell(g, level), resolution)
 
-    return _block(g, "fejer", level, 0, resolution, build)
+
+def _fejer_s_cell(g: GroupSpec, s: int, level: int, K: np.ndarray) -> np.ndarray:
+    """K_{s*M_level} at (x_level, x mod M_level), from the cell K of K_{M_level}."""
+    ml = g.m[level]
+    inner = np.zeros(ml, dtype=np.complex128)   # sum_{l<s} sum_{i<l} r^i
+    geo = np.zeros(ml, dtype=np.complex128)     # sum_{l<s} r^l
+    term = np.ones(ml, dtype=np.complex128)     # r^l, r = r_level at x_level
+    for _ in range(s):
+        inner += geo
+        geo += term
+        term = term * _unit_roots(ml)
+    M = float(g.M[level])
+    return (inner[:, None] * M * _dirichlet_cell(g, level) + geo[:, None] * M * K) / (s * M)
 
 
 def _fejer_s_block(g: GroupSpec, s: int, level: int, resolution: int) -> np.ndarray:
@@ -206,39 +213,32 @@ def _fejer_s_block(g: GroupSpec, s: int, level: int, resolution: int) -> np.ndar
 
     s*M*K_{s*M} = sum_{l<s}(sum_{i<l} r^i) * M * D_M + (sum_{l<s} r^l) * M * K_M.
     """
-    def build():
-        rpow = _rotation(g, level, 1, resolution)
-        inner = np.zeros(g.order(resolution), dtype=np.complex128)   # sum_{l<s} sum_{i<l} r^i
-        geo = np.zeros(g.order(resolution), dtype=np.complex128)     # sum_{l<s} r^l
-        running = np.zeros_like(geo)
-        term = np.ones_like(geo)
-        for l in range(s):
-            geo += term
-            inner += running
-            running = running + term
-            term = term * rpow
-        M = float(g.M[level])
-        D = dirichlet_block(g, level, resolution)
-        K = fejer_block(g, level, resolution)
-        return (inner * M * D + geo * M * K) / (s * M)
-
-    return _block(g, "fejer_s", level, s, resolution, build)
+    return _on_grid(g, _fejer_s_cell(g, s, level, _fejer_cell(g, level)), resolution)
 
 
 def _fejer_closed(g: GroupSpec, n: int, N: int) -> np.ndarray:
-    """Block decomposition of n*K_n over the nonzero digits of n."""
+    """Block decomposition of n*K_n over the nonzero digits of n.
+
+    Each block adds prefix * cell into the grid split as (digits above the
+    last block, digits between, x_level, x mod M_level); the prefix, the
+    product of the rotations passed, depends on the digits above ``level``.
+    """
     blocks = list(reversed(digits_of(n, g).nonzero()))  # highest digit first
-    MN = g.order(N)
-    acc = np.zeros(MN, dtype=np.complex128)
-    prefix = np.ones(MN, dtype=np.complex128)
+    acc = np.zeros(g.order(N), dtype=np.complex128)
+    prefix = np.ones(1, dtype=np.complex128)
+    shells = _fejer_cell(g, blocks[0][0])
     remainder = n
     for i, (level, s) in enumerate(blocks):
-        sM = s * g.M[level]
+        ml, Ml = g.m[level], g.M[level]
+        sM = s * Ml
         remainder -= sM
-        acc += prefix * sM * _fejer_s_block(g, s, level, N)
+        view = acc.reshape(prefix.size, -1, ml, Ml)
+        p = prefix[:, None, None, None]
+        view += p * sM * _fejer_s_cell(g, s, level, _fejer_cell(g, level, shells))
         if i < len(blocks) - 1:
-            acc += prefix * remainder * dirichlet_s_block(g, s, level, N)
-            prefix = prefix * _rotation(g, level, s, N)
+            view += p * remainder * _dirichlet_s_cell(g, s, level)
+            turned = p[:, :, :, 0] * _rotation_cell(g, level, s)
+            prefix = np.repeat(turned, view.shape[1], axis=1).ravel()
     return acc / n
 
 

@@ -30,13 +30,13 @@ ones, so its sweep is a table of the kind's kernels sum_k w_k D_k.
 from __future__ import annotations
 
 import bisect
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from . import lru
 from .errors import DomainError, InvalidParamsError, RangeError
 from .spectral import (
     GridFunction,
@@ -351,9 +351,12 @@ _BLOCK_ENTRIES = 1 << 14
 # used go first.  A plan larger than a quarter of the budget is not kept, so
 # one long sweep does not flush the short ones: the three sweeps of orders
 # 1..124 on [5]^6 of a maximal-sweep task plan 0.12 MB each, while the
-# sharpness sums of the [5]^8 strong suite sweep 1..250 in 0.75 MB.
+# sharpness sums of the [5]^8 strong suite sweep 1..250 in 0.75 MB.  The
+# cache is an ``OrderedDict`` from least to most recently used; one lock
+# guards every lookup, insertion and eviction.
 _PLAN_BYTES = 1 << 20
 _plans: OrderedDict = OrderedDict()
+_plans_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -433,7 +436,10 @@ def _plan(g, N: int, kind: str, params: dict, orders: list, weights) -> Iterator
     done with them.
     """
     key = _plan_key(g, N, kind, params, orders)
-    plan = None if key is None else lru.get(_plans, key)
+    with _plans_lock:
+        plan = None if key is None else _plans.get(key)
+        if plan is not None:
+            _plans.move_to_end(key)
     if plan is not None:
         yield from plan.groups
         return
@@ -446,7 +452,11 @@ def _plan(g, N: int, kind: str, params: dict, orders: list, weights) -> Iterator
         else:
             groups.clear()
     if key is not None and nbytes <= _PLAN_BYTES // 4:
-        lru.put(_plans, key, _Plan(tuple(groups), nbytes), _PLAN_BYTES)
+        with _plans_lock:
+            _plans[key] = _Plan(tuple(groups), nbytes)
+            _plans.move_to_end(key)
+            while sum(p.nbytes for p in _plans.values()) > _PLAN_BYTES:
+                _plans.popitem(last=False)
 
 
 def mean_blocks(

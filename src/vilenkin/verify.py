@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -166,7 +166,8 @@ class VerificationRecord:
     kind: str  # identity | bound | report | trend
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name, in field order; ``params`` is shared, not copied."""
+        return dict(vars(self))
 
 
 class _Records:
@@ -287,8 +288,9 @@ def run_identity_suite(g: GroupSpec, n_max: int = 64, tol: float = 1e-12,
                                for lvl in range(ws.N + 1) if g.M[lvl] <= n_max + 1), tol)
 
     # (dn21) shift identity
+    rotations = [kernels._rotation(g, lvl, 1, ws.N) for lvl in range(ws.N)]
     rec.identity("dn21", _worst(
-        (ws.D[j + Mn], ws.D[Mn] + kernels._rotation(g, lvl, 1, ws.N) * ws.D[j])
+        (ws.D[j + Mn], ws.D[Mn] + rotations[lvl] * ws.D[j])
         for lvl, Mn in enumerate(g.M[:ws.N])
         for j in range(min((g.m[lvl] - 1) * Mn, n_max + 1 - Mn) + 1)), tol)
 

@@ -125,8 +125,15 @@ def test_cli_verify_identities(tmp_path, capsys):
     assert all(r["passed"] in (True, None) for r in records)
 
 
-def test_cli_verify_unknown_suite(capsys):
-    assert run_cli("verify", "--suite", "nosuch", "--m", "2") == 2
+def test_cli_verify_unknown_suite(tmp_path):
+    out = tmp_path / "x.json"
+    proc = run_cli_process("verify", "--suite", "identities,foo", "--m", "2", "--levels", "8",
+                           "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        f"error: unknown suite 'foo'; choose from {', '.join(verify.SUITES)} or all"]
+    assert proc.stdout == ""
+    assert not out.exists()
 
 
 def test_cli_verify_csv_stdout(tmp_path, capsys):

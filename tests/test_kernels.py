@@ -1,5 +1,4 @@
 import math
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -345,11 +344,12 @@ def test_mean_kernel_fails_like_the_mean(kind, n, params):
         assert np.abs(convolve(f, K).values - expected.values).max() < 1e-12
 
 
-_BLOCK_GROUPS = [([2], 6), ([3], 4), ([2, 3, 4], 4), ([5, 2], 4)]
+_BLOCK_GROUPS = [([2], 6), ([3], 4), ([2, 3, 4], 4), ([5, 2], 4),
+                 ([7], 3), ([13, 2], 3), ([2, 65], 2)]
 
 
 def _block_tables(g):
-    """Every block table of g, keyed as the block cache keys it (less the group)."""
+    """Every block table of g, keyed by (builder, level, s, resolution)."""
     out = {}
     for N in range(1, g.levels + 1):
         for lvl in range(N + 1):
@@ -363,41 +363,11 @@ def _block_tables(g):
     return out
 
 
-@pytest.mark.parametrize("pattern,levels", _BLOCK_GROUPS)
-def test_cached_block_tables_are_read_only(monkeypatch, pattern, levels):
-    monkeypatch.setattr(kernels, "_blocks", OrderedDict())
-    for key, table in _block_tables(make_group(pattern, levels)).items():
-        assert not table.flags.writeable, key
-        with pytest.raises(ValueError):
-            table[0] = 1.0
-
-
-@pytest.mark.parametrize("pattern,levels", _BLOCK_GROUPS)
-def test_cached_block_tables_equal_fresh_builds(monkeypatch, pattern, levels):
-    monkeypatch.setattr(kernels, "_blocks", OrderedDict())
-    g = make_group(pattern, levels)
-    L = g.levels
-    cached = _block_tables(g)
-    assert set(kernels._blocks) == {(g.key(),) + key for key in cached}
-    again = _block_tables(g)
-    assert all(again[key] is table for key, table in cached.items())
-    dirichlets = [kernels._dirichlet_closed(g, n, L) for n in range(g.M[L])]
-    fejers = [kernels._fejer_closed(g, n, L) for n in range(1, g.M[L])]
-    # the same builders and closed forms with the cache bypassed
-    monkeypatch.setattr(kernels, "_block", lambda g, builder, level, s, res, build: build())
-    for key, table in _block_tables(g).items():
-        assert np.array_equal(table, cached[key]), key
-    for n, d in enumerate(dirichlets):
-        assert np.array_equal(kernels._dirichlet_closed(g, n, L), d), n
-    for n, k in enumerate(fejers, start=1):
-        assert np.array_equal(kernels._fejer_closed(g, n, L), k), n
-
-
 def _digit_matrix_tables(g, N):
     """The block tables of the rank-N grid and D_0 .. D_{M_N - 1}, from its digit matrix.
 
-    These are the digit-by-digit mask formulas that the reshaped-view builders
-    replaced.  K_{s M_l} is made of the other tables, so it is not repeated.
+    These are the digit-by-digit mask formulas that the per-digit cells
+    replaced.  K_{s M_l} is made of the other tables (``_full_grid_fejer``).
     """
     dm = digit_matrix(g, N)
 
@@ -432,30 +402,59 @@ def _digit_matrix_tables(g, N):
     return tables, dirichlets
 
 
+def _full_grid_fejer(g, N, tables):
+    """Add K_{s M_l} to ``tables`` and return K_1 .. K_{M_N - 1}, all on the rank-N grid.
+
+    These are the full-grid loops of the block-average identity and of the
+    block decomposition of n K_n that the per-digit cells replaced, fed with
+    the rank-N tables D_{M_l}, K_{M_l}, D_{s M_l} and r_l^s of ``tables``.
+    """
+    for lvl in range(N):
+        rpow = tables["rotation", lvl, 1, N]
+        for s in range(1, g.m[lvl]):
+            inner = np.zeros(g.order(N), dtype=np.complex128)   # sum_{l<s} sum_{i<l} r^i
+            geo = np.zeros(g.order(N), dtype=np.complex128)     # sum_{l<s} r^l
+            running = np.zeros_like(geo)
+            term = np.ones_like(geo)
+            for _ in range(s):
+                geo += term
+                inner += running
+                running = running + term
+                term = term * rpow
+            M = float(g.M[lvl])
+            D, K = tables["dirichlet", lvl, 0, N], tables["fejer", lvl, 0, N]
+            tables["fejer_s", lvl, s, N] = (inner * M * D + geo * M * K) / (s * M)
+    fejers = []
+    for n in range(1, g.M[N]):
+        blocks = list(reversed(digits_of(n, g).nonzero()))   # highest digit first
+        acc = np.zeros(g.order(N), dtype=np.complex128)
+        prefix = np.ones(g.order(N), dtype=np.complex128)
+        remainder = n
+        for i, (lvl, s) in enumerate(blocks):
+            sM = s * g.M[lvl]
+            remainder -= sM
+            acc += prefix * sM * tables["fejer_s", lvl, s, N]
+            if i < len(blocks) - 1:
+                acc += prefix * remainder * tables["dirichlet_s", lvl, s, N]
+                prefix = prefix * tables["rotation", lvl, s, N]
+        fejers.append(acc / n)
+    return fejers
+
+
 @pytest.mark.parametrize("pattern,levels", _BLOCK_GROUPS)
 def test_block_builders_match_the_digit_matrix_formulas(pattern, levels):
     g = make_group(pattern, levels)
     tables = _block_tables(g)
     for N in range(1, g.levels + 1):
         refs, dirichlets = _digit_matrix_tables(g, N)
+        fejers = _full_grid_fejer(g, N, refs)
+        assert refs.keys() == {key for key in tables if key[3] == N}
         for key, ref in refs.items():
             assert np.array_equal(tables[key], ref), key
         for n, ref in enumerate(dirichlets):
             assert np.array_equal(kernels._dirichlet_closed(g, n, N), ref), (n, N)
-
-
-def test_block_cache_is_bounded_by_bytes(monkeypatch):
-    monkeypatch.setattr(kernels, "_blocks", OrderedDict())
-    g = make_group([3], 5)
-    nbytes = g.order(5) * 16
-    monkeypatch.setattr(kernels, "_BLOCK_BYTES", 4 * nbytes)
-    tables = [dirichlet_block(g, lvl, 5) for lvl in range(6)]
-    assert [key[2] for key in kernels._blocks] == [2, 3, 4, 5]   # the four most recent
-    assert sum(t.nbytes for t in kernels._blocks.values()) == 4 * nbytes
-    # a table over the budget is returned but not kept
-    monkeypatch.setattr(kernels, "_BLOCK_BYTES", nbytes - 1)
-    assert np.array_equal(dirichlet_block(g, 0, 5), tables[0])
-    assert not kernels._blocks
+        for n, ref in enumerate(fejers, start=1):   # every n with |n| + 1 <= N
+            assert np.array_equal(kernels._fejer_closed(g, n, N), ref), (n, N)
 
 
 @pytest.mark.parametrize("pattern,levels", [([2], 6), ([3], 4), ([2, 3, 4], 4), ([5, 2], 4)])

@@ -213,15 +213,15 @@ def test_suites_repeat_exactly_with_warm_memo_and_table(monkeypatch):
 def test_run_all_is_equal_with_cleared_and_warm_caches(monkeypatch, pattern, levels):
     from vilenkin import characters, io, kernels, means, spectral, weights
 
-    monkeypatch.setattr(kernels, "_blocks", OrderedDict())
     monkeypatch.setattr(means, "_plans", OrderedDict())
     monkeypatch.setattr(weights, "_HARMONIC", [0.0, 0.0])
     monkeypatch.setattr(weights, "_HARMONIC_PARTIALS", [])
-    for memo in (characters._unit_roots, spectral._blocks, spectral._block_matrix):
+    for memo in (characters._unit_roots, kernels._geometric, spectral._blocks,
+                 spectral._block_matrix):
         memo.cache_clear()
     g = make_group(pattern, levels)
     cleared = io.records_to_json(verify.run_all(g, n_max=16, samples=2))
-    assert kernels._blocks and means._plans
+    assert means._plans
     assert io.records_to_json(verify.run_all(g, n_max=16, samples=2)) == cleared
 
 
