@@ -19,12 +19,13 @@ order n uses only f^(0..n-1), and psi_k with k < M_j is constant on rank-j
 cosets, so for n <= M_j the mean is a rank-j function: the same mean of E_j f
 (the rank-j coset averages), whose spectrum is exactly f^(0..M_j-1).  The
 block's coefficient rows are that spectrum prefix times the tail sums of
-the block's weight matrix, and one batched inverse stage pass synthesizes
-them all.  Only that spectrum prefix depends on f: the levels, the runs and
-the tails make the sweep's plan, built once per (radices, kind, parameters,
-orders) and kept in a byte-bounded LRU cache, as FFTW plans a transform
-once and executes it per array.  The unit mass M_N 1_{I_N} has spectrum all
-ones, so its sweep is a table of the kind's kernels sum_k w_k D_k.
+the run's weight matrix, and one batched inverse stage pass synthesizes
+them all.  Only that spectrum prefix depends on f: the runs, each with its
+level and its tails at M_j columns, make the sweep's plan, built once per
+(radices, kind, parameters, orders) and kept in a byte-bounded LRU cache,
+as FFTW plans a transform once and executes it per array.  The unit mass
+M_N 1_{I_N} has spectrum all ones, so its sweep is a table of the kind's
+kernels sum_k w_k D_k.
 """
 
 from __future__ import annotations
@@ -180,6 +181,8 @@ def u_mean(f: GridFunction, n: int, alpha: float) -> GridFunction:
 def _v_weights(ns: np.ndarray, size: int, alpha: float) -> np.ndarray:
     if not 0 < alpha < 1:
         raise DomainError("v mean requires 0 < alpha < 1")
+    if ns.min() < 1:
+        raise RangeError("v mean requires n >= 1")
     return _t_weights(ns, size, power_weights(alpha, int(ns.max())))
 
 
@@ -344,16 +347,16 @@ def first_order(kind: str) -> int:
 
 # Most complex entries one ``mean_blocks`` block holds (256 KiB; a block's
 # working set is about 5x that); longer runs on one level are split.  It also
-# bounds the coefficient tails of one weight build, shared by a group of blocks.
+# bounds the coefficient tails of one run's weight build.
 _BLOCK_ENTRIES = 1 << 14
 
 # Most bytes of sweep plans the plan cache keeps (1 MiB); the least recently
 # used go first.  A plan larger than a quarter of the budget is not kept, so
 # one long sweep does not flush the short ones: the three sweeps of orders
-# 1..124 on [5]^6 of a maximal-sweep task plan 0.12 MB each, while the
-# sharpness sums of the [5]^8 strong suite sweep 1..250 in 0.75 MB.  The
-# cache is an ``OrderedDict`` from least to most recently used; one lock
-# guards every lookup, insertion and eviction.
+# 1..124 on [5]^6 of a maximal-sweep task plan 0.10 MB each, while the
+# sharpness sums of the [5]^8 strong suite sweep 1..250 in 0.73 MB.  The cache
+# is an ``OrderedDict`` from least to most recently used; one lock guards
+# every lookup, insertion and eviction.
 _PLAN_BYTES = 1 << 20
 _plans: OrderedDict = OrderedDict()
 _plans_lock = threading.Lock()
@@ -361,9 +364,9 @@ _plans_lock = threading.Lock()
 
 @dataclass(frozen=True)
 class _Plan:
-    """The groups of one sweep, and their bytes: the tails, 8 per order of the key."""
+    """The runs of one sweep, and their bytes: the tails, 8 per order of the key."""
 
-    groups: tuple
+    runs: tuple
     nbytes: int
 
 
@@ -392,48 +395,39 @@ def _plan_key(g, N: int, kind: str, params: dict, orders: list) -> tuple | None:
     return key
 
 
-def _plan_groups(M: tuple, N: int, orders: list, weights) -> Iterator[tuple]:
-    """The groups of a sweep over ``orders`` on levels up to N, one at a time.
+def _plan_runs(M: tuple, N: int, orders: list, weights) -> Iterator[tuple]:
+    """The runs (a, b, j, tails) of a sweep over ``orders`` on levels up to N.
 
-    A group is (start, tails, runs).  An order outside 1..M_N is a group of
-    its own with tails None, for the per-order mean on the full grid.  The
-    other groups hold consecutive runs (a, b, j) of orders[a:b] on level j,
-    as many rows as fit in ``_BLOCK_ENTRIES`` at the group's top level M_top,
-    and the read-only coefficient tails of their weights (one row per order
-    from ``start``, M_top columns).  A failing weight build raises when its
-    group is reached, after the groups before it.
+    A run holds orders[a:b], consecutive orders on level j, as many as fit
+    in ``_BLOCK_ENTRIES`` at M_j (or one), and the read-only coefficient
+    tails of their weights, one row per order and M_j columns.  An order
+    outside 1..M_N is a run of its own on level N with tails None, for the
+    per-order mean on the full grid.  A failing weight build raises when its
+    run is reached, after the runs before it.
     """
     levels = [bisect.bisect_left(M, n, 0, N) if 1 <= n <= M[N] else None for n in orders]
-    start = 0
-    while start < len(orders):
-        if levels[start] is None:
-            yield start, None, ()
-            start += 1
-            continue
-        runs, stop, top = [], start, 0
-        while stop < len(orders) and levels[stop] is not None:
-            j = levels[stop]
-            end = stop + 1
+    a = 0
+    while a < len(orders):
+        j, b = levels[a], a + 1
+        if j is None:
+            yield a, b, N, None
+        else:
             most = max(1, _BLOCK_ENTRIES // M[j])
-            while end < len(orders) and levels[end] == j and end - stop < most:
-                end += 1
-            if runs and (end - start) * M[max(top, j)] > _BLOCK_ENTRIES:
-                break
-            runs.append((stop, end, j))
-            stop, top = end, max(top, j)
-        tails = coefficient_tails(weights(np.array(orders[start:stop]), M[top] + 1), M[top])
-        tails.flags.writeable = False
-        yield start, tails, tuple(runs)
-        start = stop
+            while b < len(orders) and levels[b] == j and b - a < most:
+                b += 1
+            tails = coefficient_tails(weights(np.array(orders[a:b]), M[j] + 1), M[j])
+            tails.flags.writeable = False
+            yield a, b, j, tails
+        a = b
 
 
 def _plan(g, N: int, kind: str, params: dict, orders: list, weights) -> Iterator[tuple]:
-    """The groups of a sweep: from its cached plan, or built as the sweep reads them.
+    """The runs of a sweep: from its cached plan, or built as the sweep reads them.
 
-    A new plan is kept once the sweep has read every group: a build that
-    raises, or a sweep that stops early, keeps nothing.  The groups of a
-    plan past a quarter of the budget are let go as soon as the sweep is
-    done with them.
+    A new plan is kept once the sweep has read every run: a build that
+    raises, or a sweep that stops early, keeps nothing.  The runs of a plan
+    past a quarter of the budget are let go as soon as the sweep is done
+    with them.
     """
     key = _plan_key(g, N, kind, params, orders)
     with _plans_lock:
@@ -441,19 +435,19 @@ def _plan(g, N: int, kind: str, params: dict, orders: list, weights) -> Iterator
         if plan is not None:
             _plans.move_to_end(key)
     if plan is not None:
-        yield from plan.groups
+        yield from plan.runs
         return
-    groups, nbytes = [], 8 * len(orders)
-    for group in _plan_groups(g.M, N, orders, weights):
-        yield group
-        nbytes += 0 if group[1] is None else group[1].nbytes
+    runs, nbytes = [], 8 * len(orders)
+    for run in _plan_runs(g.M, N, orders, weights):
+        yield run
+        nbytes += 0 if run[3] is None else run[3].nbytes
         if nbytes <= _PLAN_BYTES // 4:
-            groups.append(group)
+            runs.append(run)
         else:
-            groups.clear()
+            runs.clear()
     if key is not None and nbytes <= _PLAN_BYTES // 4:
         with _plans_lock:
-            _plans[key] = _Plan(tuple(groups), nbytes)
+            _plans[key] = _Plan(tuple(runs), nbytes)
             _plans.move_to_end(key)
             while sum(p.nbytes for p in _plans.values()) > _PLAN_BYTES:
                 _plans.popitem(last=False)
@@ -469,35 +463,30 @@ def mean_blocks(
     ``hardy.embed`` replicates a row onto f's grid.  One forward transform
     serves f, not each sweep: ``transform_forward`` memoizes f's spectrum,
     so every sweep on the same f reads the same one.  Each level's spectrum
-    is its prefix f^(0..M_j-1), the exact spectrum of E_j f.  A block's
-    coefficient rows are that prefix times the coefficient tails of the
-    orders' weight vectors, synthesized by one batched inverse; no block
-    holds more than ``_BLOCK_ENTRIES`` entries unless a single row does.
+    is its prefix f^(0..M_j-1), the exact spectrum of E_j f.  A run's
+    coefficient rows are that prefix times the coefficient tails of its
+    orders' weight vectors at M_j columns, synthesized by one batched
+    inverse; no run holds more than ``_BLOCK_ENTRIES`` entries unless a
+    single row does.
 
-    What does not depend on f is the sweep's plan: the level of each order,
-    the runs, and the coefficient tails, built once per group of
-    consecutive blocks at the group's top level M_top; each block reads its
-    rows' first M_j tails.  That is exact: the weights of order n <= M_j
-    vanish past k = n, and the reverse cumulative sum adds those zeros
-    first.  A plan is keyed by (g.m[:N], kind, parameters by value, orders)
-    and kept in a byte-bounded LRU cache (``_PLAN_BYTES``), so a repeated
-    sweep on a new f only multiplies, synthesizes and yields.  A failing
-    weight build yields the blocks of the groups before it, then raises,
-    and keeps nothing.  Orders outside 1..M_N go to the full grid one at a
-    time, where the per-order mean raises its usual error.  Orders may come
-    in any order and repeat.
+    What does not depend on f is the sweep's plan: its runs, each with the
+    level of its orders and their tails.  A plan is keyed by (g.m[:N],
+    kind, parameters by value, orders) and kept in a byte-bounded LRU cache
+    (``_PLAN_BYTES``), so a repeated sweep on a new f only multiplies,
+    synthesizes and yields.  A failing weight build yields the blocks of
+    the runs before it, then raises, and keeps nothing.  Orders outside
+    1..M_N go to the full grid one at a time, where the per-order mean
+    raises its usual error.  Orders may come in any order and repeat.
     """
     mean, weights = _method(kind, params)
     g, N = f.group, f.resolution
-    M = g.M
     orders = list(orders)
     s = transform_forward(f)
-    for start, tails, runs in _plan(g, N, kind, params, orders, weights):
+    for a, b, j, tails in _plan(g, N, kind, params, orders, weights):
         if tails is None:
-            yield N, [orders[start]], mean(f, orders[start]).values[None]
-        for a, b, j in runs:
-            rows = s.coeffs[:M[j]] * tails[a - start:b - start, :M[j]]
-            yield j, orders[a:b], inverse_rows(g, j, rows)
+            yield j, orders[a:b], mean(f, orders[a]).values[None]
+        else:
+            yield j, orders[a:b], inverse_rows(g, j, s.coeffs[:g.M[j]] * tails)
 
 
 def weighted_maximal(

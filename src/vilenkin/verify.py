@@ -141,6 +141,11 @@ KERNEL_LEMMA_TOL = 1e-12
 # units of eps * max|f|, radices 2-11 give residue <= 0.11, other entries >= 9e7.
 RESIDUE_EPS = 64
 
+# Largest order M_c of the identity suite's character matrix, an M_c x M_c
+# complex matrix with an index table and a Gram product of the same size
+# (4 MiB each at 512).  Radices up to 8 keep resolution 3.
+CHARACTER_ORDER = 512
+
 
 def _check_n_max(n_max: int) -> None:
     if n_max < MIN_N_MAX:
@@ -265,23 +270,24 @@ def run_identity_suite(g: GroupSpec, n_max: int = 64, tol: float = 1e-12,
     ok = seen[0] == 0 and np.all(seen[1:] == 1)
     rec.identity("1.1", 0.0 if ok else 1.0, tol, N=min(ws.N, 4))
 
-    # (vilenkin) character identities at resolution 3
-    res3 = min(3, g.levels)
-    M3 = g.order(res3)
-    C = character_matrix(g, M3, res3)
+    # (vilenkin) character identities on the M_c x M_c character matrix, at
+    # the largest resolution c <= 3 with M_c <= CHARACTER_ORDER (c = 1 past it)
+    res_c = max([1] + [c for c in (2, 3) if c <= g.levels and g.order(c) <= CHARACTER_ORDER])
+    Mc = g.order(res_c)
+    C = character_matrix(g, Mc, res_c)
     r_mod = np.abs(np.abs(C) - 1).max()
-    gram = (C @ C.conj().T) / M3
-    r_orth = np.abs(gram - np.eye(M3)).max()
-    dm3 = digit_matrix(g, res3)
-    add_idx = np.zeros((M3, M3), dtype=np.int64)
-    neg_idx = np.zeros(M3, dtype=np.int64)
-    for j in range(res3):
-        dj = dm3[j]
+    gram = (C @ C.conj().T) / Mc
+    r_orth = np.abs(gram - np.eye(Mc)).max()
+    dmc = digit_matrix(g, res_c)
+    add_idx = np.zeros((Mc, Mc), dtype=np.int64)
+    neg_idx = np.zeros(Mc, dtype=np.int64)
+    for j in range(res_c):
+        dj = dmc[j]
         add_idx += ((dj[:, None] + dj[None, :]) % g.m[j]) * g.M[j]
         neg_idx += ((-dj) % g.m[j]) * g.M[j]
-    r_mult = _worst((C[k][add_idx], np.outer(C[k], C[k])) for k in range(min(M3, n_max + 1)))
+    r_mult = _worst((C[k][add_idx], np.outer(C[k], C[k])) for k in range(min(Mc, n_max + 1)))
     r_conj = np.abs(C[:, neg_idx] - C.conj()).max()
-    rec.identity("vilenkin", np.max([r_mod, r_orth, r_mult, r_conj]), tol, resolution=res3)
+    rec.identity("vilenkin", np.max([r_mod, r_orth, r_mult, r_conj]), tol, resolution=res_c)
 
     # (3aa) block kernels
     rec.identity("3aa", _worst((kernels.dirichlet_block(g, lvl, ws.N), ws.D[g.M[lvl]])
@@ -418,6 +424,8 @@ def run_inequality_suite(g: GroupSpec, n_max: int = 256, tol: float = 1e-10,
                          seed: int = 2024, samples: int = 20) -> list[VerificationRecord]:
     """Norm inequalities: variation bounds, kernel L1 bounds, Young, Watari."""
     _check_n_max(n_max)
+    if samples < 1:   # the Young and Watari bounds are suprema over the samples
+        raise InvalidParamsError(f"the inequality suite needs samples >= 1, got {samples}")
     rec = _Records("inequalities", g)
     lam = g.lam
 
@@ -555,6 +563,9 @@ def _empty(orders) -> dict:
 def run_kernel_lemma_suite(g: GroupSpec, n_max: int = 64) -> list[VerificationRecord]:
     """Pointwise and averaged kernel estimates on the coset cells."""
     _check_n_max(n_max)
+    if n_max < g.m[0]:   # the cells need resolution N >= 2, so M_1 = m_0 <= n_max
+        raise InvalidParamsError(f"the kernel-lemma suite needs n_max >= m_0 = {g.m[0]}, "
+                                 f"got {n_max}")
     rec = _Records("kernel-lemmas", g)
     ws = _Workspace(g, n_max)
     N = max(2, min(3, ws.N - 1))
@@ -646,7 +657,8 @@ def run_kernel_lemma_suite(g: GroupSpec, n_max: int = 64) -> list[VerificationRe
     # (lemma6kn): lower bound and vanishing of block multiples
     worst_margin = np.inf
     r_kn1 = 0.0
-    for lvl in range(1, res - 1):
+    levels = range(1, res - 1)
+    for lvl in levels:
         # vanishing outside: x in I_t \ I_{t+1}, x - x_t e_t not in I_n, n > t
         masks = [np.all(dmN[:t] == 0, axis=0) & (dmN[t] != 0)
                  & ~np.all(np.vstack([dmN[:t], dmN[t + 1:lvl]]) == 0, axis=0) for t in range(lvl)]
@@ -658,8 +670,9 @@ def run_kernel_lemma_suite(g: GroupSpec, n_max: int = 64) -> list[VerificationRe
             worst_margin = min(worst_margin, low - g.M[lvl] / (2 * math.pi * s))
             for mask in masks:
                 r_kn1 = max(r_kn1, float(np.abs(K[mask]).max()))
-    rec.bound("lemma6kn", -worst_margin, 0.0, 1e-10, part="100kn1")
-    rec.identity("lemma6kn", r_kn1, KERNEL_LEMMA_TOL, part="kn1")
+    if levels:   # as for lemma8ccc, no record when no level was checked
+        rec.bound("lemma6kn", -worst_margin, 0.0, 1e-10, part="100kn1")
+        rec.identity("lemma6kn", r_kn1, KERNEL_LEMMA_TOL, part="kn1")
 
     # (lemma8ccc): lower bound at I_{<n>+1}(e_{<n>-1} + e_{<n>})
     worst_margin = np.inf
@@ -767,34 +780,18 @@ def strong_sum(
     return rows
 
 
-def divergence_probe(
-    mart: hardy.StepMartingale,
-    operator_kind: str,
-    p: float,
-    checkpoints: Sequence[int],
-    q: weights.WeightSequence | None = None,
-    bound_fn: Callable[[int], float] | None = None,
-) -> list[dict]:
-    """weak-L_p norms of the designated means at the designated indices.
+def divergence_probe(mart: hardy.StepMartingale, kind: str, p: float,
+                     checkpoints: Sequence[int], **params) -> list[dict]:
+    """weak-L_p norms of the kind's means of ``mart.final`` at the checkpoints.
 
-    Each row carries the measured weak-L_p quasi-norm of the operator at
-    one checkpoint and, when ``bound_fn`` is given, the lower-bound
-    expression evaluated there.
+    One row {"n", "weak_lp"} per checkpoint, in order.  Any kind of
+    ``means.mean_blocks`` is taken, with its parameters; an unknown kind or
+    a wrong parameter set raises from there.
     """
-    if operator_kind not in ("tmean", "fejer", "partial_sum"):
-        raise InvalidParamsError(f"unknown probe operator {operator_kind!r}")
-    if operator_kind == "tmean" and q is None:
-        raise InvalidParamsError("tmean probe needs a weight sequence")
-    params = {"q": q} if operator_kind == "tmean" else {}
-    rows = []
     # weak-L_p is unchanged by replication: each mean stays a rank-j row
-    for _, ns, vals in means.mean_blocks(mart.final, operator_kind, checkpoints, **params):
-        for n, wl in zip(ns, weak_lp_rows(vals, p).tolist()):
-            row = {"n": n, "weak_lp": wl}
-            if bound_fn is not None:
-                row["bound"] = float(bound_fn(n))
-            rows.append(row)
-    return rows
+    return [{"n": n, "weak_lp": wl}
+            for _, ns, vals in means.mean_blocks(mart.final, kind, checkpoints, **params)
+            for n, wl in zip(ns, weak_lp_rows(vals, p).tolist())]
 
 
 def _tmean_bound(g: GroupSpec, a: int, p: float) -> float:
@@ -810,9 +807,11 @@ def tmean_block_probe(mart: hardy.StepMartingale, p: float,
     lower bound M_a^(1/p-2)/(16 a) as its ``bound``.
     """
     g = mart.group
-    bounds = {g.M[a] + 2: _tmean_bound(g, a, p) for a in alphas}
-    return divergence_probe(mart, "tmean", p, [g.M[a] + 2 for a in alphas],
-                            q=weights.ones(g.M[alphas[-1]] + 2), bound_fn=bounds.__getitem__)
+    rows = divergence_probe(mart, "tmean", p, [g.M[a] + 2 for a in alphas],
+                            q=weights.ones(g.M[alphas[-1]] + 2))
+    for a, row in zip(alphas, rows):
+        row["bound"] = _tmean_bound(g, a, p)
+    return rows
 
 
 def run_strong_suite(g: GroupSpec, rank: int = 5, n_max: int = 64,

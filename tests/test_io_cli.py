@@ -319,6 +319,15 @@ def test_cli_verify_kernel_lemmas_probe_orders_within_max_n(capsys, m, max_n):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("m", ["13", "13,2"])
+def test_cli_verify_kernel_lemmas_refuse_max_n_below_m0(capsys, m):
+    assert run_cli("verify", "--suite", "kernel-lemmas", "--m", m, "--levels", "8",
+                   "--max-n", "8") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the kernel-lemma suite needs n_max >= m_0 = 13, got 8\n"
+
+
 _GRID = {"m": [2, 2], "resolution": 2, "values": [[1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [0.0, 0.0]]}
 
 

@@ -107,6 +107,11 @@ def test_u_and_v_match_direct_sums(f6):
     assert np.abs(v_mean(f6, n, alpha).values - direct).max() < 1e-12
 
 
+def test_v_mean_refuses_order_zero_in_its_own_name(f6):
+    with pytest.raises(RangeError, match="^v mean requires n >= 1$"):
+        v_mean(f6, 0, 0.5)
+
+
 def test_riesz_log_single_term(f6):
     assert np.abs(riesz_log_mean(f6, 2).values - partial_sum(f6, 1).values).max() < 1e-13
     with pytest.raises(RangeError):

@@ -194,20 +194,33 @@ def test_strong_sum_matches_full_grid_loop(grid, kind, source):
         assert r["ratio_to_hp"] == pytest.approx(ratio, rel=TOL, abs=0)
 
 
-@pytest.mark.parametrize("kind", ("tmean", "fejer", "partial_sum"))
+PROBE_PARAMS = {"tmean": {"q": wts.ones(243)}, "fejer": {}, "partial_sum": {},
+                "cesaro": {"alpha": 0.5}, "u": {"alpha": 0.5}}
+
+
+@pytest.mark.parametrize("kind", sorted(PROBE_PARAMS))
 def test_divergence_probe_matches_full_grid_loop(kind):
     g = make_group([3], 6)
     mart = counterexample(g, "hp-blocks", [1, 2, 3], rank=5, p=0.4)
     f = mart.final
     cps = [g.M[3] + 2, g.M[1] + 2, g.M[2] + 2, g.M[1] + 2, g.order(5)]
-    q = wts.ones(g.order(5))
-    rows = verify.divergence_probe(mart, kind, 0.4, cps, q=q if kind == "tmean" else None,
-                                   bound_fn=lambda n: 1.0 / n)
-    mean = mean_by_kind(kind, **({"q": q} if kind == "tmean" else {}))
+    rows = verify.divergence_probe(mart, kind, 0.4, cps, **PROBE_PARAMS[kind])
+    mean = mean_by_kind(kind, **PROBE_PARAMS[kind])
     assert [r["n"] for r in rows] == cps
     for r, n in zip(rows, cps):
+        assert list(r) == ["n", "weak_lp"]
         assert r["weak_lp"] == pytest.approx(weak_lp(mean(f, n), 0.4), rel=TOL, abs=0)
-        assert r["bound"] == 1.0 / n
+
+
+def test_tmean_block_probe_attaches_its_lower_bounds():
+    g = make_group([3], 6)
+    mart = counterexample(g, "hp-blocks", [1, 2, 3], rank=5, p=0.4)
+    rows = verify.tmean_block_probe(mart, 0.4, [1, 2, 3])
+    probe = verify.divergence_probe(mart, "tmean", 0.4, [5, 11, 29], q=wts.ones(29))
+    assert [list(r) for r in rows] == [["n", "weak_lp", "bound"]] * 3
+    assert [{"n": r["n"], "weak_lp": r["weak_lp"]} for r in rows] == probe
+    # M_a^(1/p - 2) / (16 a) at a = 1, 2, 3
+    assert [r["bound"] for r in rows] == [3 ** 0.5 / 16, 9 ** 0.5 / 32, 27 ** 0.5 / 48]
 
 
 def test_divergence_probe_rejects_bad_operator():
@@ -336,11 +349,11 @@ def test_strong_sum_reference_is_the_regular_martingale_norm(pattern, levels, p)
 
 
 # ---------------------------------------------------------------------------
-# One weight build per group of blocks against one per block
+# Plan runs, cached or not, against the direct per-run loop
 # ---------------------------------------------------------------------------
 
-def per_run_blocks(f, kind, orders, **params):
-    """``mean_blocks`` as it was with one weight build per level run."""
+def direct_run_blocks(f, kind, orders, **params):
+    """The blocks of ``mean_blocks`` with no plan: each level run's weights built in place."""
     mean, weights = means._method(kind, params)
     g, N = f.group, f.resolution
     M = g.M
@@ -369,7 +382,7 @@ _M5 = ([5], 6, 6, False)
 _M234 = ([2, 3, 4], 9, 9, False)
 _SCRAMBLED = [7, 300, 3, 3, 1200, 25, 1, 576, 577, 300, 2, 1153, 1201]
 
-GROUP_CASES = [
+RUN_CASES = [
     pytest.param(_M5, kind, range(means.first_order(kind), 125), id=f"m5-1..124-{kind}")
     for kind in ("fejer", "tmean", "riesz_log")
 ] + [
@@ -415,13 +428,13 @@ def tail_builds(monkeypatch):
     return builds
 
 
-@pytest.mark.parametrize("case,kind,orders", GROUP_CASES)
+@pytest.mark.parametrize("case,kind,orders", RUN_CASES)
 def test_grouped_weight_builds_equal_the_per_run_blocks(tail_builds, case, kind, orders):
     pattern, levels, N, unit_mass = case
     g = make_group(pattern, levels)
     f = delta(g, N, scale=g.order(N)) if unit_mass else random_grid_function(g, N, seed=5)
     params = _params(kind, max(orders))
-    want, want_err = _drain(per_run_blocks(f, kind, orders, **params))
+    want, want_err = _drain(direct_run_blocks(f, kind, orders, **params))
     got, got_err = _drain(means.mean_blocks(f, kind, orders, **params))
     assert got_err == want_err
     assert [(j, ns) for j, ns, _ in got] == [(j, ns) for j, ns, _ in want]
@@ -437,7 +450,7 @@ def test_radix5_sweep_builds_its_weights_once(tail_builds):
     f = random_grid_function(g, 6, seed=11)
     blocks = list(means.mean_blocks(f, "fejer", range(1, 125)))
     assert [j for j, _, _ in blocks] == [0, 1, 2, 3]
-    assert tail_builds == [(124, 125)]
+    assert tail_builds == [(1, 1), (4, 5), (20, 25), (99, 125)]
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +496,8 @@ def test_repeated_sweep_builds_no_tails(tail_builds):
         means.weighted_maximal(f, "fejer", range(1, 125))
         means.weighted_maximal(f, "tmean", range(1, 125), q=wts.power_weights(0.5, 124))
         verify.strong_sum(f, "riesz_log", 0.4, lambda k: 1.0, 124, norm_source="hp")
-    assert tail_builds == [(124, 125), (124, 125), (123, 125)]
+    fejer_runs = [(1, 1), (4, 5), (20, 25), (99, 125)]
+    assert tail_builds == fejer_runs + fejer_runs + fejer_runs[1:]
     assert len(means._plans) == 3
 
 
@@ -499,7 +513,9 @@ def test_plan_key_holds_radices_kind_and_parameter_values(tail_builds):
     _sweep(deeper, "tmean", orders, q=wts.power_weights(0.5, 40))   # the same m[:6]
     _sweep(random_grid_function(make_group([5, 2], 6), 6, seed=1), "fejer", orders)
     _sweep(f, "fejer", orders)
-    assert len(tail_builds) == 8 == len(means._plans)
+    assert len(means._plans) == 8
+    # orders 1..29 take four runs on [5] and on [5, 2], each built once
+    assert len(tail_builds) == sum(len(plan.runs) for plan in means._plans.values()) == 8 * 4
 
 
 def test_weights_extended_through_the_generator_are_never_cached(tail_builds):
@@ -515,7 +531,7 @@ def test_weights_extended_through_the_generator_are_never_cached(tail_builds):
                         q=wts.from_values(other.values.tolist() + [2.0] * 113, wts.GENERAL))
     got_other = _sweep(f, "tmean", orders, q=other)
     _assert_same_blocks(got_other, want_other)
-    assert len(tail_builds) == 3 and len(means._plans) == 1   # only the explicit list's plan
+    assert len(tail_builds) == 3 * 4 and len(means._plans) == 1   # only the explicit list's plan
     assert not np.array_equal(got[-1][2], got_other[-1][2])
 
 
@@ -560,7 +576,7 @@ def test_cached_plan_tails_are_read_only(tail_builds):
         _sweep(f, kind, range(means.first_order(kind), 49), **_params(kind, 48))
     assert len(means._plans) == len(KINDS)
     for plan in means._plans.values():
-        for _, tails, _ in plan.groups:
+        for _, _, _, tails in plan.runs:
             assert not tails.flags.writeable
             with pytest.raises(ValueError):
                 tails[0, 0] = 1.0

@@ -4,7 +4,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from vilenkin import kernels, means, verify
+from vilenkin import io, kernels, means, verify
 from vilenkin.errors import InvalidParamsError
 from vilenkin.group import make_group
 from vilenkin.hardy import counterexample
@@ -103,6 +103,53 @@ def test_strong_suite_refusal_names_the_passed_n_max_and_the_cap(pattern, levels
     with pytest.raises(InvalidParamsError) as err:
         verify.run_strong_suite(make_group(pattern, levels), rank=rank, n_max=100)
     assert "n_max = 100" in str(err.value) and f"M_{rank} = {cap}" in str(err.value)
+
+
+@pytest.mark.parametrize("pattern", [[13], [13, 2], [97]])
+def test_kernel_lemma_suite_refuses_n_max_below_m0(pattern):
+    # below m_0 every order lives on one point, and the cells need two levels
+    g = make_group(pattern, 8)
+    with pytest.raises(InvalidParamsError, match=f"n_max >= m_0 = {pattern[0]}, got 8$"):
+        verify.run_kernel_lemma_suite(g, n_max=8)
+    assert verify.run_kernel_lemma_suite(g, n_max=pattern[0])
+
+
+def _strict_json(text: str):
+    """The parsed JSON text; Infinity, -Infinity and NaN raise."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+# (pattern, n_max, whether lemma6kn has a level 1 <= l <= res - 2 to check)
+LEMMA6KN_RUNS = [([3], 8, False), ([4], 8, False), ([5], 8, False), ([5], 16, False)] + [
+    ([m], n_max, False) for m in (6, 7) for n_max in (8, 16, 32)] + [
+    ([13, 2], 16, False), ([2, 65], 64, False), ([5], 64, True), ([3], 64, True)]
+
+
+@pytest.mark.parametrize("pattern,n_max,checked", LEMMA6KN_RUNS)
+def test_kernel_lemma_records_are_finite_and_lemma6kn_needs_a_level(pattern, n_max, checked):
+    recs = verify.run_kernel_lemma_suite(make_group(pattern, 8), n_max=n_max)
+    assert all(np.isfinite(x) for r in recs for x in (r.value, r.bound, r.margin) if x is not None)
+    assert len(_strict_json(io.records_to_json(recs))) == len(recs)
+    parts = sorted(r.params["part"] for r in recs if r.claim == "lemma6kn")
+    assert parts == (["100kn1", "kn1"] if checked else [])
+
+
+@pytest.mark.parametrize("pattern,resolution", [
+    ([2], 3), ([2, 3, 4], 3), ([5], 3), ([7], 3), ([8], 3), ([13, 2], 3), ([2, 65], 3),
+    ([9], 2), ([9, 7], 2), ([13], 2), ([97], 1)])
+def test_character_identities_take_the_largest_resolution_in_the_bound(pattern, resolution):
+    g = make_group(pattern, 8)
+    rec, = [r for r in verify.run_identity_suite(g, n_max=16) if r.claim == "vilenkin"]
+    assert rec.params["resolution"] == resolution and rec.passed
+    assert g.order(resolution) <= verify.CHARACTER_ORDER or resolution == 1
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_inequality_suite_refuses_fewer_than_one_sample(samples):
+    with pytest.raises(InvalidParamsError, match=f"samples >= 1, got {samples}$"):
+        verify.run_inequality_suite(make_group([2], 8), samples=samples)
 
 
 def test_strong_suite_runs_at_the_minimum():

@@ -79,6 +79,8 @@ def ref_u(n, alpha):
 def ref_v(n, alpha):
     if not 0 < alpha < 1:
         raise DomainError("v mean requires 0 < alpha < 1")
+    if n < 1:
+        raise RangeError("v mean requires n >= 1")
     return ref_tmean(n, power_weights(alpha, n))
 
 
