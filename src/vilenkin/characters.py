@@ -58,6 +58,7 @@ def character_column(g: GroupSpec, n: int, resolution: int) -> np.ndarray:
         raise ShapeMismatchError(
             f"psi_{n} needs resolution > {nd.hi}, grid has {resolution}"
         )
+    # the digit table's last reader: a faster column waits on ROADMAP item 1a
     dm = digit_matrix(g, resolution)
     out = np.ones(g.order(resolution), dtype=np.complex128)
     for j, d in nd.nonzero():

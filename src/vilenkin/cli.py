@@ -263,8 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel", help="tabulate a kernel",
                        parents=[group, fmt])
     p.add_argument("--kind", required=True,
-                   choices=("dirichlet", "fejer", "norlund", "tmean", "riesz-log", "norlund-log"))
-    p.add_argument("--n", type=int, required=True)
+                   choices=("dirichlet", "fejer", "norlund", "tmean", "riesz-log", "norlund-log"),
+                   help="kernel family")
+    p.add_argument("--n", type=int, required=True, help="kernel order n")
     p.add_argument("--res", type=int, default=None, help="resolution (defaults to minimal)")
     p.add_argument("--q", default="ones", help="weights: ones, power:a, log:a, or a comma list")
     p.set_defaults(fn=cmd_kernel)
@@ -272,26 +273,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lebesgue", help="Lebesgue constants with variation bounds",
                        parents=[group, fmt])
     p.add_argument("--tol", type=float, default=1e-10, help="slack of the bound checks")
-    p.add_argument("--max-n", type=int, default=64)
-    p.add_argument("--variant", choices=("literal", "corrected"), default="literal")
+    p.add_argument("--max-n", type=int, default=64, help="largest order n tabulated")
+    p.add_argument("--variant", choices=("literal", "corrected"), default="literal",
+                   help="digit variation v: from j = 1 (tabulated) or j = 0 (holds for every n)")
     p.set_defaults(fn=cmd_lebesgue)
 
     p = sub.add_parser("mean", help="convergence table ||mean_n f - f||_p",
                        parents=[group, fmt, seed])
-    p.add_argument("--kind", default="fejer", choices=tuple(means._KINDS))
-    p.add_argument("--max-n", type=int, default=32)
-    p.add_argument("--res", type=int, default=5)
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--q", default="ones")
+    p.add_argument("--kind", default="fejer", choices=tuple(means._KINDS), help="summation method")
+    p.add_argument("--max-n", type=int, default=32, help="largest order n")
+    p.add_argument("--res", type=int, default=5, help="resolution of the random input")
+    p.add_argument("--p", type=float, default=2.0, help="exponent of the L_p error")
+    p.add_argument("--alpha", type=float, default=0.5, help="alpha of the cesaro, u and v means")
+    p.add_argument("--q", default="ones",
+                   help="norlund and tmean weights: ones, power:a, log:a, or a comma list")
     p.add_argument("--input", default=None, help="grid-function JSON input")
     p.set_defaults(fn=cmd_mean)
 
     p = sub.add_parser("transform", help="forward or inverse transform of a grid file",
                        parents=[group, fmt, seed])
-    p.add_argument("--res", type=int, default=5)
-    p.add_argument("--input", default=None)
-    p.add_argument("--inverse", action="store_true")
+    p.add_argument("--res", type=int, default=5, help="resolution of the random input")
+    p.add_argument("--input", default=None, help="grid-function JSON input")
+    p.add_argument("--inverse", action="store_true",
+                   help="read the values as coefficients and synthesize the grid")
     p.set_defaults(fn=cmd_transform)
 
     p = sub.add_parser("verify", help="run verification suites",
@@ -302,16 +306,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all",
                    help="comma list of suites or 'all' "
                         f"(available: {', '.join(verify.SUITES)})")
-    p.add_argument("--max-n", type=int, default=64)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--max-n", type=int, default=64, help="largest kernel order n checked")
+    p.add_argument("--samples", type=int, default=20,
+                   help="random functions per sampled inequality (Young, Watari)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("counterexample", help="build a sharpness martingale and probe it",
                        parents=[group])
-    p.add_argument("--kind", required=True, choices=hardy.COUNTEREXAMPLE_KINDS)
+    p.add_argument("--kind", required=True, choices=hardy.COUNTEREXAMPLE_KINDS,
+                   help="block spectrum of the martingale")
     p.add_argument("--alpha", default="1,2,3", help="block levels, comma separated")
-    p.add_argument("--p", type=float, default=0.4)
-    p.add_argument("--rank", type=int, default=8)
+    p.add_argument("--p", type=float, default=0.4, help="exponent of the H_p probe")
+    p.add_argument("--rank", type=int, default=8, help="resolution of the martingale")
     p.set_defaults(fn=cmd_counterexample)
     return ap
 

@@ -195,11 +195,6 @@ def group_sub(x: Point, y: Point) -> Point:
     return Point(x.group, tuple((a - b) % m[j] for j, (a, b) in enumerate(zip(x.digits, y.digits))))
 
 
-def group_neg(x: Point) -> Point:
-    m = x.group.m
-    return Point(x.group, tuple((-a) % m[j] for j, a in enumerate(x.digits)))
-
-
 def nat_hat_add(n: int, k: int, g: GroupSpec) -> int:
     """Digitwise modular sum of natural numbers, reassembled with weights M_j.
 
@@ -256,7 +251,7 @@ def variation_vstar(nd: NatDigits) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized grid helpers (shared by the spectral and kernel modules)
+# Vectorized grid helpers: digit j of a flat index x is (x // M_j) % m_j
 # ---------------------------------------------------------------------------
 
 def digit_matrix(g: GroupSpec, resolution: int) -> np.ndarray:
@@ -269,14 +264,19 @@ def digit_matrix(g: GroupSpec, resolution: int) -> np.ndarray:
     return out
 
 
-def index_sub(g: GroupSpec, resolution: int, i: np.ndarray, h: int) -> np.ndarray:
-    """Flat indices of x - h for every grid index x in ``i`` (digitwise)."""
-    hd = digits_of(h, g).digits[:resolution]
-    rem = np.asarray(i, dtype=np.int64)
-    out = np.zeros_like(rem)
+def index_sub(g: GroupSpec, resolution: int, i, h) -> np.ndarray:
+    """Flat indices of x - h, digit by digit mod m_j, for x in ``i`` and h in ``h``.
+
+    ``i`` and ``h`` broadcast and are not range-checked (both lie below M_N).
+    Digit j wraps, adding M_{j+1}, where x_j < h_j: x - h plus those borrows.
+    """
+    x = np.asarray(i, dtype=np.int64)
+    h = np.asarray(h, dtype=np.int64)
+    out = np.subtract(x, h, out=np.empty(np.broadcast_shapes(x.shape, h.shape), np.int64))
     for j in range(resolution):
-        rem, d = rem // g.m[j], rem % g.m[j]
-        out += ((d - hd[j]) % g.m[j]) * g.M[j]
+        hj = (h // g.M[j]) % g.m[j]
+        if hj.any():
+            np.add(out, g.M[j + 1], out=out, where=(x // g.M[j]) % g.m[j] < hj)
     return out
 
 
@@ -299,25 +299,20 @@ class CosetPartition:
 def coset_partition(g: GroupSpec, resolution: int) -> CosetPartition:
     """Enumerate the shell and cell partitions of the complement of I_N."""
     N = resolution
-    MN = g.order(N)
-    dm = digit_matrix(g, N)
-    shells = []
-    for s in range(N):
-        mask = np.all(dm[:s] == 0, axis=0) & (dm[s] != 0)
-        shells.append((s, np.nonzero(mask)[0]))
+    x = np.arange(g.order(N), dtype=np.int64)
+    # x in I_s \ I_{s+1}: the digits below s vanish and digit s does not
+    shell = [(x % g.M[s] == 0) & ((x // g.M[s]) % g.m[s] != 0) for s in range(N)]
     cells = []
     for k in range(N):
-        low_zero = np.all(dm[:k] == 0, axis=0) & (dm[k] != 0)
         for l in range(k + 1, N + 1):
-            mid_zero = np.all(dm[k + 1:l] == 0, axis=0)
+            mask = shell[k] & (x % g.M[l] < g.M[k + 1])   # digits k+1..l-1 vanish
             if l < N:
-                mask = low_zero & mid_zero & (dm[l] != 0)
-            else:
-                mask = low_zero & mid_zero
+                mask &= (x // g.M[l]) % g.m[l] != 0
             idx = np.nonzero(mask)[0]
             if idx.size:
                 cells.append((k, l, idx))
-    return CosetPartition(group=g, resolution=N, shells=tuple(shells), cells=tuple(cells))
+    shells = tuple((s, np.nonzero(mask)[0]) for s, mask in enumerate(shell))
+    return CosetPartition(group=g, resolution=N, shells=shells, cells=tuple(cells))
 
 
 def coset_indices(g: GroupSpec, resolution: int, level: int, base: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .characters import character_column
-from .group import GroupSpec, check_grid_points, coset_indices, digit_matrix
+from .group import GroupSpec, check_grid_points, coset_indices, index_sub
 from .spectral import (
     GridFunction,
     lp_norm,
@@ -160,26 +160,20 @@ def moduli(f: GridFunction, ps: Sequence[float], n: int) -> tuple[float, ...]:
 
     Shifts representable on the grid have zero digits below position n,
     i.e. flat indices h = H * M_n; the supremum runs over all of them at
-    once, gathering f through a table of the flat indices of x - h (digits
-    at or above n are subtracted mod m_j) in chunks of at most
-    ``_SHIFT_ENTRIES`` entries.  Each p reduces the same gathered
+    once, gathering f through the ``index_sub`` table of x - h in chunks of
+    at most ``_SHIFT_ENTRIES`` entries.  Each p reduces the same gathered
     differences, so every value equals a ``modulus`` call of its own.
     """
     if not 0 <= n <= f.resolution:
         raise RangeError(f"level {n} outside 0..{f.resolution}")
     g, N = f.group, f.resolution
-    Mn = g.M[n]
     MN = g.order(N)
-    dm = digit_matrix(g, N)
-    hd = dm[:, Mn:MN:Mn]                       # digits of every h = H * M_n, H >= 1
+    hs = np.arange(g.M[n], MN, g.M[n])        # every shift h = H * M_n, H >= 1
+    x = np.arange(MN)
     step = max(1, _SHIFT_ENTRIES // MN)
-    low = np.arange(MN) % Mn
     best = [0.0] * len(ps)
-    for c in range(0, hd.shape[1], step):
-        idx = low
-        for j in range(n, N):
-            idx = idx + ((dm[j] - hd[j, c:c + step, None]) % g.m[j]) * g.M[j]
-        diff = f.values[idx] - f.values
+    for c in range(0, hs.size, step):
+        diff = f.values[index_sub(g, N, x, hs[c:c + step, None])] - f.values
         best = [max(b, float(lp_norm_rows(diff, p).max())) for b, p in zip(best, ps)]
     return tuple(best)
 
@@ -217,22 +211,6 @@ def best_approx_l2(f: GridFunction, n: int) -> float:
     return float(np.sqrt((np.abs(c[n:]) ** 2).sum()))
 
 
-def best_approx_bounds(f: GridFunction, p: float, n: int) -> tuple[float, float]:
-    """Bracket for E_n(f, L_p) at n = M_j: [err/2, err] with err = ||f - S_{M_j} f||_p.
-
-    Only block orders n = M_j are supported for p != 2; other orders have no
-    grid-exact bracket here.
-    """
-    if p == 2:
-        e = best_approx_l2(f, n)
-        return (e, e)
-    levels = [j for j in range(f.resolution + 1) if f.group.M[j] == n]
-    if not levels:
-        raise DomainError("bracket defined only at block orders n = M_j for p != 2")
-    err = lp_norm(f.with_values(f.values - conditional_expectation(f, levels[0]).values), p)
-    return (err / 2.0, err)
-
-
 # ---------------------------------------------------------------------------
 # Atoms
 # ---------------------------------------------------------------------------
@@ -245,10 +223,6 @@ class Atom:
     level: int
     base: int
     values: GridFunction
-
-    @property
-    def support_measure(self) -> float:
-        return 1.0 / self.values.group.M[self.level]
 
 
 def make_atom(p: float, level: int, base: int, values: GridFunction) -> Atom:

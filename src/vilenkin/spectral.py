@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, RangeError, ShapeMismatchError
-from .group import GroupSpec, check_grid_points, digit_matrix, index_sub
+from .group import GroupSpec, check_grid_points, index_sub
 from .characters import character_column
 
 
@@ -231,12 +231,12 @@ def naive_forward(f: GridFunction) -> Spectrum:
     """Direct O(M_N^2) evaluation of every coefficient (oracle path)."""
     g, N = f.group, f.resolution
     MN = g.order(N)
-    dm = digit_matrix(g, N)
+    x = np.arange(MN)
     coeffs = np.empty(MN, dtype=np.complex128)
-    # exponent of psi_n at x is sum_j n_j x_j / m_j, each term reduced exactly
-    # mod 1 before the exponential; build rows one n at a time
-    digit_tables = [np.exp(-2j * np.pi * ((np.outer(np.arange(g.m[j]), dm[j]) % g.m[j]) / g.m[j]))
-                    for j in range(N)]
+    # exponent of psi_n at x is sum_j n_j x_j / m_j; each term, k x_j = k (x // M_j)
+    # mod m_j, is reduced exactly before the exponential; rows one n at a time
+    digit_tables = [np.exp(-2j * np.pi * ((np.outer(np.arange(m), x // M) % m) / m))
+                    for m, M in zip(g.m[:N], g.M)]
     for n in range(MN):
         t = n
         row = np.ones(MN, dtype=np.complex128)
@@ -330,8 +330,11 @@ def convolve_naive(f: GridFunction, h: GridFunction) -> GridFunction:
 
 
 def shift(f: GridFunction, h: int) -> GridFunction:
-    """Translate: (T_h f)(x) = f(x - h), h given as a flat grid index."""
-    idx = index_sub(f.group, f.resolution, np.arange(f.group.order(f.resolution)), h)
+    """Translate: (T_h f)(x) = f(x - h), h given as a flat grid index 0 <= h < M_N."""
+    MN = f.group.order(f.resolution)
+    if not 0 <= h < MN:
+        raise RangeError(f"shift {h} outside the grid 0..{MN - 1}")
+    idx = index_sub(f.group, f.resolution, np.arange(MN), h)
     return GridFunction(f.group, f.resolution, f.values[idx])
 
 

@@ -32,8 +32,8 @@ from .group import (
     GroupSpec,
     coset_indices,
     coset_partition,
-    digit_matrix,
     digits_of,
+    index_sub,
 )
 from .spectral import (
     GridFunction,
@@ -278,13 +278,8 @@ def run_identity_suite(g: GroupSpec, n_max: int = 64, tol: float = 1e-12,
     r_mod = np.abs(np.abs(C) - 1).max()
     gram = (C @ C.conj().T) / Mc
     r_orth = np.abs(gram - np.eye(Mc)).max()
-    dmc = digit_matrix(g, res_c)
-    add_idx = np.zeros((Mc, Mc), dtype=np.int64)
-    neg_idx = np.zeros(Mc, dtype=np.int64)
-    for j in range(res_c):
-        dj = dmc[j]
-        add_idx += ((dj[:, None] + dj[None, :]) % g.m[j]) * g.M[j]
-        neg_idx += ((-dj) % g.m[j]) * g.M[j]
+    neg_idx = index_sub(g, res_c, 0, np.arange(Mc))                          # -y
+    add_idx = index_sub(g, res_c, np.arange(Mc)[:, None], neg_idx[None, :])   # x + y
     r_mult = _worst((C[k][add_idx], np.outer(C[k], C[k])) for k in range(min(Mc, n_max + 1)))
     r_conj = np.abs(C[:, neg_idx] - C.conj()).max()
     rec.identity("vilenkin", np.max([r_mod, r_orth, r_mult, r_conj]), tol, resolution=res_c)
@@ -560,6 +555,15 @@ def _empty(orders) -> dict:
     return {} if len(orders) else {"orders": 0}
 
 
+def _kn1_masks(g: GroupSpec, lvl: int, res: int) -> list[np.ndarray]:
+    """Where K_{s M_lvl} vanishes (lemma6kn kn1): the nonempty rank-``res`` masks, t < lvl,
+    of x in I_t \\ I_{t+1} with a nonzero digit among t+1..lvl-1 (x mod M_lvl >= M_{t+1})."""
+    x = np.arange(g.order(res))
+    masks = [(x % g.M[t] == 0) & ((x // g.M[t]) % g.m[t] != 0) & (x % g.M[lvl] >= g.M[t + 1])
+             for t in range(lvl)]
+    return [mask for mask in masks if mask.any()]
+
+
 def run_kernel_lemma_suite(g: GroupSpec, n_max: int = 64) -> list[VerificationRecord]:
     """Pointwise and averaged kernel estimates on the coset cells."""
     _check_n_max(n_max)
@@ -572,7 +576,6 @@ def run_kernel_lemma_suite(g: GroupSpec, n_max: int = 64) -> list[VerificationRe
     part = coset_partition(g, N)
     res = ws.N
     MN = g.order(N)
-    dmN = digit_matrix(g, res)
     # |K_{M_l}| for every level below res: the orders checked here are <= n_max < M_res
     absK = [np.abs(kernels.fejer_block(g, lvl, res)) for lvl in range(res)]
     nds = {n: digits_of(n, g) for n in range(2, n_max + 1)}
@@ -659,10 +662,7 @@ def run_kernel_lemma_suite(g: GroupSpec, n_max: int = 64) -> list[VerificationRe
     r_kn1 = 0.0
     levels = range(1, res - 1)
     for lvl in levels:
-        # vanishing outside: x in I_t \ I_{t+1}, x - x_t e_t not in I_n, n > t
-        masks = [np.all(dmN[:t] == 0, axis=0) & (dmN[t] != 0)
-                 & ~np.all(np.vstack([dmN[:t], dmN[t + 1:lvl]]) == 0, axis=0) for t in range(lvl)]
-        masks = [mask for mask in masks if mask.any()]
+        masks = _kn1_masks(g, lvl, res)
         for s in range(1, g.m[lvl]):
             K = kernels._fejer_s_block(g, s, lvl, res)
             idx = coset_indices(g, res, lvl + 1, g.M[lvl - 1] + g.M[lvl])

@@ -29,3 +29,16 @@ def any_group(request):
     pattern = request.param
     levels = 12 if pattern == [2] else 8
     return make_group(pattern, levels)
+
+
+# Groups on which the index-arithmetic digit sites are compared with the
+# digit-matrix formulas they replaced: (radix pattern, levels)
+DIGIT_GROUPS = [([2], 1), ([2], 4), ([2], 8), ([3], 5), ([2, 3, 4], 4), ([5, 2], 4),
+                ([13, 2], 3), ([2, 65], 3)]
+
+
+@pytest.fixture(params=DIGIT_GROUPS,
+                ids=[",".join(map(str, p)) + f"^{L}" for p, L in DIGIT_GROUPS])
+def digit_group(request):
+    pattern, levels = request.param
+    return make_group(pattern, levels)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from vilenkin.errors import IndexOverflowError, InvalidGroupError, ShapeMismatchError
 from vilenkin.group import (
     assemble,
     coset_partition,
+    digit_matrix,
     digits_of,
     group_add,
     group_sub,
@@ -168,6 +169,35 @@ def test_coset_partition_single_shell():
     assert (k, l) == (0, 1) and list(idx) == [1]
 
 
+def _digit_matrix_partition(g, N):
+    """Shells and cells of the complement of I_N, as masks of the digit matrix."""
+    dm = digit_matrix(g, N)
+    shells = [(s, np.nonzero(np.all(dm[:s] == 0, axis=0) & (dm[s] != 0))[0]) for s in range(N)]
+    cells = []
+    for k in range(N):
+        low_zero = np.all(dm[:k] == 0, axis=0) & (dm[k] != 0)
+        for l in range(k + 1, N + 1):
+            mask = low_zero & np.all(dm[k + 1:l] == 0, axis=0)
+            if l < N:
+                mask &= dm[l] != 0
+            if mask.any():
+                cells.append((k, l, np.nonzero(mask)[0]))
+    return shells, cells
+
+
+def test_coset_partition_matches_the_digit_matrix_masks(digit_group):
+    g = digit_group
+    for N in range(1, g.levels + 1):
+        part = coset_partition(g, N)
+        shells, cells = _digit_matrix_partition(g, N)
+        assert [s for s, _ in part.shells] == [s for s, _ in shells]
+        assert [(k, l) for k, l, _ in part.cells] == [(k, l) for k, l, _ in cells]
+        for (_, got), (_, ref) in zip(part.shells, shells):
+            assert np.array_equal(got, ref)
+        for (_, _, got), (_, _, ref) in zip(part.cells, cells):
+            assert np.array_equal(got, ref)
+
+
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 def test_coset_partition_covers(any_group, N):
     g = any_group
@@ -204,11 +234,31 @@ def test_variation_variants_differ():
     assert variation_v(nd, start=0) == 2
 
 
-def test_index_sub_vectorized():
-    g = make_group([2, 3], 2)
-    idx = np.arange(6)
-    out = index_sub(g, 2, idx, 1)
-    for i in range(6):
-        x = point_from_index(i, g, 2)
-        h = point_from_index(1, g, 2)
-        assert out[i] == group_sub(x, h).index()
+@st.composite
+def _grid_indices(draw):
+    """A group of radices 2..97 with M_N <= 2^12, its rank N, and index arrays x, h."""
+    radices, order = [], 1
+    while order * 2 <= 1 << 12 and (not radices or draw(st.booleans())):
+        radices.append(draw(st.integers(2, min(97, (1 << 12) // order))))
+        order *= radices[-1]
+    g = make_group(radices)
+    N = draw(st.integers(0, g.levels))
+    index = st.integers(0, g.order(N) - 1)
+    x = draw(st.lists(index, min_size=1, max_size=6))
+    h = draw(st.lists(index, min_size=1, max_size=6))
+    return g, N, x, h
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_grid_indices())
+def test_index_sub_vectorized(case):
+    # arrays of x and h broadcast; so do a single x or a single h
+    g, N, x, h = case
+    out = index_sub(g, N, np.array(x)[:, None], np.array(h)[None, :])
+    assert out.shape == (len(x), len(h)) and out.dtype == np.int64
+    for a, i in enumerate(x):
+        for b, j in enumerate(h):
+            diff = group_sub(point_from_index(i, g, N), point_from_index(j, g, N))
+            assert out[a, b] == diff.index()
+    assert np.array_equal(index_sub(g, N, x[0], np.array(h)), out[0])
+    assert np.array_equal(index_sub(g, N, np.array(x), h[0]), out[:, 0])

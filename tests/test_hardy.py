@@ -9,11 +9,10 @@ from vilenkin.errors import (
     ShapeMismatchError,
 )
 from vilenkin import hardy
-from vilenkin.group import make_group
+from vilenkin.group import digit_matrix, make_group
 from vilenkin.hardy import (
     StepMartingale,
     atom_martingale,
-    best_approx_bounds,
     best_approx_l2,
     block_coefficients,
     conditional_expectation,
@@ -37,6 +36,7 @@ from vilenkin.spectral import (
     character_function,
     constant,
     lp_norm,
+    lp_norm_rows,
     partial_sum,
     random_grid_function,
     shift,
@@ -156,6 +156,29 @@ def test_moduli_equal_modulus_for_each_p(pattern, monkeypatch):
                 assert moduli(f, ps, n) == tuple(modulus(f, p, n) for p in ps)
 
 
+def _digit_matrix_moduli(f, ps, n):
+    """``moduli`` gathered through a table of x - h built from the digit matrix."""
+    g, N = f.group, f.resolution
+    Mn, MN = g.M[n], g.order(N)
+    dm = digit_matrix(g, N)
+    idx = np.arange(MN) % Mn
+    for j in range(n, N):   # every shift h = H * M_n, H >= 1, has zero digits below n
+        idx = idx + ((dm[j] - dm[j, Mn:MN:Mn, None]) % g.m[j]) * g.M[j]
+    diff = f.values[idx] - f.values
+    return tuple(float(lp_norm_rows(diff, p).max(initial=0.0)) for p in ps)
+
+
+def test_moduli_match_the_digit_matrix_gather(digit_group, monkeypatch):
+    g = digit_group
+    ps = (0.5, 1.0, 2.0, np.inf)
+    for entries in (1 << 16, 2 * g.order(g.levels) + 1):   # one chunk; two shifts a chunk
+        monkeypatch.setattr(hardy, "_SHIFT_ENTRIES", entries)
+        for N in range(g.levels + 1):
+            f = random_grid_function(g, N, seed=N)
+            for n in range(N + 1):
+                assert moduli(f, ps, n) == _digit_matrix_moduli(f, ps, n), (entries, N, n)
+
+
 def test_watari_bracket(any_group):
     g = any_group
     for seed in range(5):
@@ -190,26 +213,11 @@ def test_best_approx_l2(walsh):
     assert best_approx_l2(f, walsh.order(3)) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_best_approx_bracket_contains_exhaustive_min(walsh):
-    # L1 best approximation by rank-1 functions: per-coset medians
-    f = random_grid_function(walsh, 2, seed=31)
-    f = f.with_values(f.values.real)
-    lo, hi = best_approx_bounds(f, 1.0, walsh.M[1])
-    vals = f.values.real
-    M1 = walsh.M[1]
-    MN = walsh.order(2)
-    best = 0.0
-    for low in range(M1):
-        members = vals[low::M1]
-        best += np.abs(members - np.median(members)).sum() / MN
-    assert lo - 1e-12 <= best <= hi + 1e-12
-
-
 def test_atom_accepts_block_difference(walsh):
     N = 3
     vals = character_function(walsh, walsh.M[N], N + 1).values * dirichlet_block(walsh, N, N + 1)
     atom = make_atom(0.5, N, 0, GridFunction(walsh, N + 1, vals))
-    assert atom.support_measure == pytest.approx(1 / 8)
+    assert (atom.level, atom.base) == (N, 0)
 
 
 def test_atom_rejections(walsh):

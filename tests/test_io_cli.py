@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -11,7 +12,7 @@ import pytest
 
 from vilenkin import io as vio
 from vilenkin import hardy, kernels, verify, weights
-from vilenkin.cli import main
+from vilenkin.cli import build_parser, main
 from vilenkin.errors import InvalidParamsError, RangeError
 from vilenkin.group import MAX_GRID_POINTS, check_grid_points, make_group
 from vilenkin.hardy import counterexample
@@ -485,3 +486,10 @@ def test_cli_run_that_fails_after_opening_leaves_no_file(monkeypatch, tmp_path, 
     assert run_cli(*argv, "--out", str(tmp_path / "x")) == 2
     assert capsys.readouterr().err.splitlines()[-1] == "error: refused"
     assert not list(tmp_path.iterdir())
+
+
+def test_every_cli_option_has_help():
+    sub, = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    missing = [f"{name} {action.option_strings[-1]}" for name, parser in sub.choices.items()
+               for action in parser._actions if action.option_strings and not action.help]
+    assert missing == []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vilenkin.errors import DomainError, RangeError, ShapeMismatchError
-from vilenkin.group import digit_matrix, make_group
+from vilenkin.group import digit_matrix, digits_of, make_group
 from vilenkin.hardy import project_to_level
 from vilenkin.spectral import (
     _BLOCK,
@@ -209,6 +209,15 @@ def test_shift_is_group_translation(mixed):
         assert sh.values[i] == f.values[group_sub(x, h).index()]
 
 
+def test_shift_refuses_shifts_outside_the_grid():
+    g = make_group([2], 8)
+    f = random_grid_function(g, 3, seed=8)
+    assert np.array_equal(shift(f, 7).values, f.values[[7, 6, 5, 4, 3, 2, 1, 0]])
+    for h in (-1, 8, 9):   # digits above the grid were once dropped: 8 gave f, 9 gave shift(f, 1)
+        with pytest.raises(RangeError):
+            shift(f, h)
+
+
 def test_values_are_immutable(walsh):
     f = random_grid_function(walsh, 3, seed=0)
     with pytest.raises(ValueError):
@@ -406,3 +415,26 @@ def test_naive_forward_matches_long_double_sum(pattern, levels):
     f = random_grid_function(g, levels, seed=levels)
     err = np.abs(naive_forward(f).coeffs - _longdouble_forward(f)).max()
     assert err < 1e-15
+
+
+def _digit_matrix_naive_forward(f):
+    """``naive_forward`` with its per-digit rows read from the digit matrix."""
+    g, N = f.group, f.resolution
+    MN = g.order(N)
+    dm = digit_matrix(g, N)
+    tables = [np.exp(-2j * np.pi * ((np.outer(np.arange(g.m[j]), dm[j]) % g.m[j]) / g.m[j]))
+              for j in range(N)]
+    coeffs = np.empty(MN, dtype=np.complex128)
+    for n in range(MN):
+        row = np.ones(MN, dtype=np.complex128)
+        for j, d in digits_of(n, g).nonzero():
+            row *= tables[j][d]
+        coeffs[n] = row @ f.values
+    return coeffs / MN
+
+
+def test_naive_forward_matches_the_digit_matrix_rows(digit_group):
+    g = digit_group
+    for N in range(g.levels + 1):
+        f = random_grid_function(g, N, seed=N)
+        assert np.array_equal(naive_forward(f).coeffs, _digit_matrix_naive_forward(f))

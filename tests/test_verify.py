@@ -6,7 +6,7 @@ import pytest
 
 from vilenkin import io, kernels, means, verify
 from vilenkin.errors import InvalidParamsError
-from vilenkin.group import make_group
+from vilenkin.group import digit_matrix, index_sub, make_group
 from vilenkin.hardy import counterexample
 from vilenkin.spectral import lp_norm, partial_sum
 from vilenkin.weights import ones
@@ -144,6 +144,39 @@ def test_character_identities_take_the_largest_resolution_in_the_bound(pattern, 
     rec, = [r for r in verify.run_identity_suite(g, n_max=16) if r.claim == "vilenkin"]
     assert rec.params["resolution"] == resolution and rec.passed
     assert g.order(resolution) <= verify.CHARACTER_ORDER or resolution == 1
+
+
+@pytest.mark.parametrize("pattern", [[2], [3], [2, 3, 4], [5, 2], [13, 2], [2, 65]])
+def test_vilenkin_tables_match_the_digit_matrix_formulas(pattern, monkeypatch):
+    tables = []
+
+    def recorded(*args):
+        tables.append(index_sub(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(verify, "index_sub", recorded)
+    g = make_group(pattern, 8)
+    verify.run_identity_suite(g, n_max=8)
+    neg, add = tables   # the index tables of -y and of x + y on the rank-r grid
+    r = g.M.index(neg.size)
+    dm = digit_matrix(g, r)
+    assert np.array_equal(neg, sum(((-dm[j]) % g.m[j]) * g.M[j] for j in range(r)))
+    assert np.array_equal(add, sum(((dm[j][:, None] + dm[j][None, :]) % g.m[j]) * g.M[j]
+                                   for j in range(r)))
+
+
+def test_kn1_masks_match_the_digit_matrix_formula(digit_group):
+    g = digit_group
+    for res in range(2, g.levels + 1):
+        dm = digit_matrix(g, res)
+        for lvl in range(1, res):
+            # x in I_t \ I_{t+1} with a nonzero digit below lvl other than digit t
+            ref = [np.all(dm[:t] == 0, axis=0) & (dm[t] != 0)
+                   & ~np.all(np.vstack([dm[:t], dm[t + 1:lvl]]) == 0, axis=0) for t in range(lvl)]
+            ref = [mask for mask in ref if mask.any()]
+            got = verify._kn1_masks(g, lvl, res)
+            assert len(got) == len(ref)
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref)), (res, lvl)
 
 
 @pytest.mark.parametrize("samples", [0, -1])
