@@ -185,8 +185,9 @@ def cmd_transform(args) -> int:
 
 
 # The least values `verify` accepts: the divergence suite builds its
-# martingale on 8 levels, and the suites refuse n_max below verify.MIN_N_MAX.
-VERIFY_MINIMUMS = {"levels": 8, "max_n": verify.MIN_N_MAX, "samples": 1}
+# martingale on verify.DIVERGENCE_RANK levels, and the suites refuse n_max
+# below verify.MIN_N_MAX.
+VERIFY_MINIMUMS = {"levels": verify.DIVERGENCE_RANK, "max_n": verify.MIN_N_MAX, "samples": 1}
 
 
 def cmd_verify(args) -> int:
@@ -196,11 +197,11 @@ def cmd_verify(args) -> int:
             flag = "--" + name.replace("_", "-")
             raise InvalidParamsError(f"verify needs {flag} >= {least}, got {value}")
     g = _group_from_args(args, min_levels=VERIFY_MINIMUMS["levels"])
-    names = verify.SUITES if args.suite == "all" else tuple(args.suite.split(","))
+    names = tuple(verify.RUNNERS) if args.suite == "all" else tuple(args.suite.split(","))
     for name in names:
-        if name not in verify.SUITES:
+        if name not in verify.RUNNERS:
             raise InvalidParamsError(
-                f"unknown suite {name!r}; choose from {', '.join(verify.SUITES)} or all")
+                f"unknown suite {name!r}; choose from {', '.join(verify.RUNNERS)} or all")
     if "divergence" in names:
         check_grid_points(g, VERIFY_MINIMUMS["levels"])
     records = []
@@ -305,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "takes tol/100, at least 1e-12 (no other suite reads it)")
     p.add_argument("--suite", default="all",
                    help="comma list of suites or 'all' "
-                        f"(available: {', '.join(verify.SUITES)})")
+                        f"(available: {', '.join(verify.RUNNERS)})")
     p.add_argument("--max-n", type=int, default=64, help="largest kernel order n checked")
     p.add_argument("--samples", type=int, default=20,
                    help="random functions per sampled inequality (Young, Watari)")

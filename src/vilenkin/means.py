@@ -341,7 +341,7 @@ def _method(kind: str, params: dict) -> tuple[MeanFn, Callable[[np.ndarray, int]
 
 
 def first_order(kind: str) -> int:
-    """Least order at which a mean of this kind is defined."""
+    """The first order of a sweep of this kind: 2 for the logarithmic means, 1 otherwise."""
     return 2 if kind in ("riesz_log", "norlund_log") else 1
 
 

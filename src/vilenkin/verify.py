@@ -18,16 +18,18 @@ are returned, and all random inputs are seeded.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import hardy, kernels, means, weights
+from . import group, hardy, kernels, means, weights
 from .characters import character_column, character_matrix
-from .errors import DomainError, InvalidParamsError
+from .errors import DomainError, InvalidParamsError, RangeError
 from .group import (
     GroupSpec,
     coset_indices,
@@ -125,6 +127,9 @@ CLAIMS: dict[str, dict[str, str]] = {
 
 SUITES = tuple(CLAIMS)
 
+# The rank of the divergence suite's block martingale, at most the group's levels.
+DIVERGENCE_RANK = 8
+
 # The least n_max a suite takes.  Below it the identity suite indexes past
 # its kernel tables and the strong suite normalizes by log 1 = 0; at 1 the
 # inequality and kernel-lemma suites also take suprema over no orders.
@@ -219,18 +224,25 @@ class _Records:
 # Shared precomputations
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
 class _Workspace:
-    """Naive Dirichlet/Fejer tables for one group, up to index cap."""
+    """Naive tables D_0..D_{cap+1} and B[n] = n K_n, kept for the last (group, cap).
+
+    The suites share it, so its arrays are read-only.  RangeError, before
+    allocating, if its (cap + 2) M_N entries exceed ``group.MAX_GRID_POINTS``.
+    """
 
     def __init__(self, g: GroupSpec, cap: int):
-        self.g = g
-        self.cap = cap
         self.N = kernels.min_resolution(g, cap)
         self.MN = g.order(self.N)
+        if (size := (cap + 2) * self.MN) > group.MAX_GRID_POINTS:
+            raise RangeError(f"the table of D_0..D_{cap + 1} on {self.MN} points has {size} "
+                             f"entries, more than the {group.MAX_GRID_POINTS} allowed")
         self.D = np.zeros((cap + 2, self.MN), dtype=np.complex128)
         for n, D in enumerate(kernels.dirichlet_sweep(g, cap + 1, self.N), start=1):
             self.D[n] = D
         self.B = np.cumsum(self.D, axis=0)  # B[n] = sum_{k<=n} D_k = n K_n
+        self.D.flags.writeable = self.B.flags.writeable = False
 
     def K(self, n: int) -> np.ndarray:
         return self.B[n] / n
@@ -422,10 +434,9 @@ def run_inequality_suite(g: GroupSpec, n_max: int = 256, tol: float = 1e-10,
     if samples < 1:   # the Young and Watari bounds are suprema over the samples
         raise InvalidParamsError(f"the inequality suite needs samples >= 1, got {samples}")
     rec = _Records("inequalities", g)
-    lam = g.lam
 
-    # Lebesgue constants and variation bounds
-    L = kernels.lebesgue_batch(g, n_max)
+    # Lebesgue constants L_n = ||D_n||_1 (entry 0 is 0) and variation bounds
+    L = np.abs(_Workspace(g, n_max).D[:n_max + 1]).mean(axis=1)
     ns = range(1, n_max + 1)
     nds = [digits_of(n, g) for n in ns]
     corrected = [kernels.lebesgue_bounds(nd, variant="corrected") for nd in nds]
@@ -453,11 +464,8 @@ def run_inequality_suite(g: GroupSpec, n_max: int = 256, tol: float = 1e-10,
     rec.report("Dn", sup_ratio, n_max=n_max)
 
     # (5aa) exact norms of block kernels
-    r = 0.0
-    for lvl in range(1, g.levels + 1):
-        if g.M[lvl] > max(n_max, 64):
-            break
-        r = max(r, abs(kernels.lebesgue_constant(g, g.M[lvl]) - 1.0))
+    r = max((abs(kernels.lebesgue_constant(g, Ml) - 1.0) for Ml in g.M[1:] if Ml <= max(n_max, 64)),
+            default=0.0)
     rec.bound("5aa", r, 0.0, 1e-12)
 
     # (Dnqn) pattern indices
@@ -466,8 +474,8 @@ def run_inequality_suite(g: GroupSpec, n_max: int = 256, tol: float = 1e-10,
             continue
         qn = kernels.q_pattern(g, k)
         Lq = kernels.lebesgue_constant(g, qn)
-        rec.bound("Dnqn", Lq, k / (2.0 * lam), tol, lower=True, k=k, n=qn, side="lower")
-        rec.bound("Dnqn", Lq, lam * k, tol, k=k, n=qn, side="upper")
+        rec.bound("Dnqn", Lq, k / (2.0 * g.lam), tol, lower=True, k=k, n=qn, side="lower")
+        rec.bound("Dnqn", Lq, g.lam * k, tol, k=k, n=qn, side="upper")
 
     # (knbounded) / (yano)
     K1 = kernels.fejer_l1_batch(g, n_max)
@@ -755,13 +763,14 @@ def strong_sum(
     only the levels l <= j.  The sum is accumulated in increasing n.
     """
     checkpoints = sorted(set(checkpoints or [n_max]))
-    if checkpoints[-1] > n_max:
-        raise InvalidParamsError("checkpoint beyond n_max")
+    first = means.first_order(mean_kind)
+    if not first <= checkpoints[0] <= checkpoints[-1] <= n_max:
+        raise InvalidParamsError(f"checkpoints must lie in [{first}, {n_max}], got {checkpoints}")
     ref = float(hardy.hardy_quasinorm_rows(f.group, f.resolution, f.values[None], p)[0]) ** p
     rows = []
     acc = 0.0
     cp = set(checkpoints)
-    orders = range(means.first_order(mean_kind), n_max + 1)
+    orders = range(first, n_max + 1)
     for j, ns, vals in means.mean_blocks(f, mean_kind, orders, **mean_params):
         if norm_source == "hp":
             terms = hardy.hardy_quasinorm_rows(f.group, j, vals, p) ** p
@@ -880,8 +889,6 @@ def _divergence_alphas(g: GroupSpec, p: float, max_level: int) -> tuple[int, ...
     checkpoints where the growth is already visible, which depends on the
     radices (small radices need wider level gaps).
     """
-    from itertools import combinations
-
     best = None
     for combo in combinations(range(1, max_level), 3):
         b = [_tmean_bound(g, a, p) for a in combo]
@@ -892,7 +899,7 @@ def _divergence_alphas(g: GroupSpec, p: float, max_level: int) -> tuple[int, ...
     return best[1] if best else (1, 2, 3)
 
 
-def run_divergence_suite(g: GroupSpec, rank: int = 8) -> list[VerificationRecord]:
+def run_divergence_suite(g: GroupSpec, rank: int = DIVERGENCE_RANK) -> list[VerificationRecord]:
     """Divergence probes on the block-spectrum martingale at p = 0.4.
 
     The T-mean probe checks the measured weak-L_p norm at M_a + 2 against
@@ -936,27 +943,27 @@ def run_divergence_suite(g: GroupSpec, rank: int = 8) -> list[VerificationRecord
 # Umbrella runner
 # ---------------------------------------------------------------------------
 
+# Suite name -> runner, in ``CLAIMS`` order, on the umbrella's keyword arguments.
+RUNNERS: dict[str, Callable[..., list[VerificationRecord]]] = {
+    "identities": lambda g, tol, samples, **kw: run_identity_suite(
+        g, tol=max(tol * 1e-2, 1e-12), **kw),
+    "inequalities": lambda g, **kw: run_inequality_suite(g, **kw),
+    "kernel-lemmas": lambda g, n_max, **_: run_kernel_lemma_suite(g, n_max=n_max),
+    "strong": lambda g, tol, samples, **kw: run_strong_suite(g, **kw),
+    "divergence": lambda g, **_: run_divergence_suite(g),
+}
+
+
 def run_suite(name: str, g: GroupSpec, n_max: int = 64, tol: float = 1e-10,
               seed: int = 2024, samples: int = 20) -> list[VerificationRecord]:
-    if name == "identities":
-        return run_identity_suite(g, n_max=n_max, tol=max(tol * 1e-2, 1e-12), seed=seed)
-    if name == "inequalities":
-        return run_inequality_suite(g, n_max=n_max, tol=tol, seed=seed, samples=samples)
-    if name == "kernel-lemmas":
-        return run_kernel_lemma_suite(g, n_max=n_max)
-    if name == "strong":
-        return run_strong_suite(g, n_max=n_max, seed=seed)
-    if name == "divergence":
-        return run_divergence_suite(g, rank=min(8, g.levels))
-    raise DomainError(f"unknown suite {name!r}")
+    if name not in RUNNERS:
+        raise DomainError(f"unknown suite {name!r}")
+    return RUNNERS[name](g, n_max=n_max, tol=tol, seed=seed, samples=samples)
 
 
 def run_all(g: GroupSpec, n_max: int = 64, tol: float = 1e-10, seed: int = 2024,
             samples: int = 20) -> list[VerificationRecord]:
-    out: list[VerificationRecord] = []
-    for name in SUITES:
-        out.extend(run_suite(name, g, n_max=n_max, tol=tol, seed=seed, samples=samples))
-    return out
+    return [r for name in RUNNERS for r in run_suite(name, g, n_max, tol, seed, samples)]
 
 
 def emitted_claims(records: Iterable[VerificationRecord]) -> frozenset[str]:

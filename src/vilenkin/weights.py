@@ -127,20 +127,11 @@ def power_weights(alpha: float, n_max: int) -> WeightSequence:
     return from_function(fn, n_max, NONINCREASING)
 
 
-def log_weights(alpha: float, n_max: int, beta: int = 1) -> WeightSequence:
-    """q_0 = 0, q_k = iterated-log(k^alpha); nondecreasing unbounded class."""
-    if alpha <= 0 or beta < 1:
-        raise DomainError("log weights require alpha > 0 and beta >= 1")
-
-    def fn(k: int) -> float:
-        if k == 0:
-            return 0.0
-        v = alpha * math.log(max(float(k), 1.0))
-        for _ in range(beta - 1):
-            v = math.log(max(v, 1.0))
-        return max(v, 0.0)
-
-    return from_function(fn, n_max, NONDECREASING)
+def log_weights(alpha: float, n_max: int) -> WeightSequence:
+    """q_0 = 0, q_k = alpha log k; nondecreasing unbounded class."""
+    if alpha <= 0:
+        raise DomainError("log weights require alpha > 0")
+    return from_function(lambda k: alpha * math.log(k) if k else 0.0, n_max, NONDECREASING)
 
 
 # l_n for n < len(_HARMONIC), grown on demand up to _HARMONIC_CAP entries

@@ -412,6 +412,15 @@ def test_cli_verify_refuses_an_oversized_grid_at_once():
     assert proc.stderr.startswith("error:") and "points" in proc.stderr
 
 
+def test_cli_verify_refuses_an_oversized_kernel_table_at_once():
+    # D_0..D_20001 on 2^15 points would take 9.77 GiB
+    proc = run_cli_process("verify", "--suite", "identities", "--m", "2", "--levels", "20",
+                           "--max-n", "20000")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+    assert "655425536 entries" in proc.stderr
+
+
 @pytest.mark.parametrize("argv,message", [
     (("lebesgue", "--m", "1"), "radix 1 < 2"),
     (("lebesgue", "--m", "0", "--max-n", "4"), "radix 0 < 2"),

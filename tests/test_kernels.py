@@ -488,4 +488,5 @@ def test_dirichlet_sweep_readers_equal_a_literal_accumulation(pattern, levels):
         Dw[n] = Dw[n - 1] + psi[n - 1]
     assert ws.N == L
     assert np.array_equal(ws.D, Dw)
+    assert np.array_equal(np.abs(ws.D[:top]).mean(axis=1), expect)   # the inequality suite's L_n
     assert np.array_equal(ws.B, np.cumsum(Dw, axis=0))

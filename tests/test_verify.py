@@ -297,12 +297,63 @@ def test_run_all_is_equal_with_cleared_and_warm_caches(monkeypatch, pattern, lev
     monkeypatch.setattr(weights, "_HARMONIC", [0.0, 0.0])
     monkeypatch.setattr(weights, "_HARMONIC_PARTIALS", [])
     for memo in (characters._unit_roots, kernels._geometric, spectral._blocks,
-                 spectral._block_matrix):
+                 spectral._block_matrix, verify._Workspace):
         memo.cache_clear()
     g = make_group(pattern, levels)
     cleared = io.records_to_json(verify.run_all(g, n_max=16, samples=2))
     assert means._plans
     assert io.records_to_json(verify.run_all(g, n_max=16, samples=2)) == cleared
+
+
+@pytest.mark.parametrize("pattern,levels", [([2], 12), ([3], 9), ([2, 3, 4], 9)])
+def test_run_all_sweeps_the_naive_kernel_table_once(monkeypatch, pattern, levels):
+    # the identity, inequality and kernel-lemma suites share one D_0..D_{n_max+1} table
+    sweep = kernels.dirichlet_sweep
+    steps = []
+
+    def counted(g, n, N):
+        steps.append(n)
+        return sweep(g, n, N)
+
+    monkeypatch.setattr(kernels, "dirichlet_sweep", counted)
+    verify._Workspace.cache_clear()
+    verify.run_all(make_group(pattern, levels), n_max=64, samples=2)
+    assert steps == [65]
+
+
+@pytest.mark.parametrize("suite", ["identities", "inequalities", "kernel-lemmas"])
+def test_kernel_suites_refuse_an_oversized_table_before_allocating(monkeypatch, suite):
+    from vilenkin import group
+    from vilenkin.errors import RangeError
+
+    g, n_max = make_group([2, 3, 4], 9), 64
+    entries = (n_max + 2) * g.order(kernels.min_resolution(g, n_max))
+
+    def no_sweep(*args):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(kernels, "dirichlet_sweep", no_sweep)
+    monkeypatch.setattr(group, "MAX_GRID_POINTS", entries - 1)
+    verify._Workspace.cache_clear()
+    with pytest.raises(RangeError, match=f"has {entries} entries, more than the {entries - 1}"):
+        verify.run_suite(suite, g, n_max=n_max)
+
+
+def test_workspace_tables_are_read_only_and_bounded_inclusively(monkeypatch):
+    from vilenkin import group
+
+    g, n_max = make_group([3], 6), 16
+    monkeypatch.setattr(group, "MAX_GRID_POINTS", (n_max + 2) * g.order(3))
+    verify._Workspace.cache_clear()
+    ws = verify._Workspace(g, n_max)
+    assert ws.D.shape == (n_max + 2, 27) and verify._Workspace(g, n_max) is ws
+    for table in (ws.D, ws.B):
+        with pytest.raises(ValueError):
+            table[1] = 0.0
+
+
+def test_suite_runners_follow_the_claim_catalogue():
+    assert tuple(verify.RUNNERS) == verify.SUITES
 
 
 def test_records_sorted(identity_records):
@@ -319,6 +370,14 @@ def test_strong_sum_constant_function_is_flat(walsh10):
     # S_k c = c for k >= 1, so the cumulative sum grows exactly linearly
     assert rows[0]["cumulative"] == pytest.approx(4 * 2.0)
     assert rows[1]["cumulative"] == pytest.approx(8 * 2.0)
+
+
+@pytest.mark.parametrize("kind,checkpoints", [("riesz_log", [1, 8]), ("fejer", [0, 8]),
+                                              ("partial_sum", [4, 9])])
+def test_strong_sum_refuses_checkpoints_outside_its_orders(walsh10, kind, checkpoints):
+    f = verify.random_grid_function(walsh10, 4, seed=1)
+    with pytest.raises(InvalidParamsError, match=r"checkpoints must lie in \[\d, 8\]"):
+        verify.strong_sum(f, kind, 1.0, lambda k: 1.0, 8, checkpoints=checkpoints)
 
 
 def test_claim_registry_closure():
