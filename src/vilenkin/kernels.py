@@ -272,7 +272,7 @@ def mean_kernel(g: GroupSpec, kind: str, n: int, N: int | None = None, **params)
     it gives the mean, up to rounding.  The weights come from the mean's own
     table entry, so its parameter checks and messages apply here too.
     """
-    w = means._weight_row(means._method(kind, params)[1], n)
+    w = means._weight_row(means._method(kind, params), n)
     N = _resolve(g, n, N)
     return transform_inverse(Spectrum(g, N, coefficient_tails(w, g.order(N))))
 

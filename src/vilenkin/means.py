@@ -10,22 +10,23 @@ spectral multiplier sum_k w_k S_k f (the coefficient tails of w), and
 builder, so mean_n f = f * kernel_n up to rounding and both share the
 builder's parameter checks.  The per-order functions (``fejer_mean``,
 ``t_mean``, ...) take row 0 of a one-order block, evaluate the multiplier
-on the full grid and serve as the oracle path.
+on the full grid with their own order ranges, and serve as the oracle.
 
 Scans over the order n (maximal operators, strong sums, divergence probes,
-convergence tables) go through ``mean_blocks``, which evaluates every run of
-orders sharing a minimal level j as one (orders, M_j) block.  A mean of
-order n uses only f^(0..n-1), and psi_k with k < M_j is constant on rank-j
-cosets, so for n <= M_j the mean is a rank-j function: the same mean of E_j f
-(the rank-j coset averages), whose spectrum is exactly f^(0..M_j-1).  The
-block's coefficient rows are that spectrum prefix times the tail sums of
-the run's weight matrix, and one batched inverse stage pass synthesizes
-them all.  Only that spectrum prefix depends on f: the runs, each with its
-level and its tails at M_j columns, make the sweep's plan, built once per
-(radices, kind, parameters, orders) and kept in a byte-bounded LRU cache,
-as FFTW plans a transform once and executes it per array.  The unit mass
-M_N 1_{I_N} has spectrum all ones, so its sweep is a table of the kind's
-kernels sum_k w_k D_k.
+convergence tables) have one evaluation path, ``mean_blocks``.  It refuses
+any order outside first_order(kind)..M_N before doing any work, and
+evaluates every run of orders sharing a minimal level j as one (orders, M_j)
+block.  A mean of order n uses only f^(0..n-1), and psi_k with k < M_j is
+constant on rank-j cosets, so for n <= M_j the mean is a rank-j function:
+the same mean of E_j f (the rank-j coset averages), whose spectrum is
+exactly f^(0..M_j-1).  The block's coefficient rows are that spectrum prefix
+times the tail sums of the run's weight matrix, and one batched inverse
+stage pass synthesizes them all.  Only that spectrum prefix depends on f:
+the runs, each with its level and its tails at M_j columns, make the sweep's
+plan, built once per (radices, kind, parameters, orders) and kept in a
+byte-bounded LRU cache, as FFTW plans a transform once and executes it per
+array.  The unit mass M_N 1_{I_N} has spectrum all ones, so its sweep is a
+table of the kind's kernels sum_k w_k D_k.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .spectral import (
     GridFunction,
     coefficient_tails,
     inverse_rows,
-    partial_sum,
     transform_forward,
     weighted_sum_combination,
 )
@@ -303,22 +303,19 @@ def regularity_report(q: WeightSequence, n_max: int) -> dict:
 # Maximal operators
 # ---------------------------------------------------------------------------
 
-MeanFn = Callable[[GridFunction, int], GridFunction]
-
-# kind -> (per-order full-grid mean, weights(ns, size, *params), names of the
-# params).  weights gives the (len(ns), size) block whose row b is w_0..w_n
-# of order n = ns[b], zero-padded (size >= max(ns) + 1); orders may come in
-# any order and repeat.
+# kind -> (weights(ns, size, *params), names of the params).  weights gives
+# the (len(ns), size) block whose row b is w_0..w_n of order n = ns[b],
+# zero-padded (size >= max(ns) + 1); orders may come in any order and repeat.
 _KINDS = {
-    "partial_sum": (partial_sum, _partial_sum_weights, ()),
-    "fejer": (fejer_mean, _fejer_weights, ()),
-    "cesaro": (cesaro_mean, _cesaro_weights, ("alpha",)),
-    "u": (u_mean, _u_weights, ("alpha",)),
-    "v": (v_mean, _v_weights, ("alpha",)),
-    "riesz_log": (riesz_log_mean, _riesz_log_weights, ()),
-    "norlund_log": (norlund_log_mean, _norlund_log_weights, ()),
-    "norlund": (norlund_mean, _norlund_weights, ("q",)),
-    "tmean": (t_mean, _t_weights, ("q",)),
+    "partial_sum": (_partial_sum_weights, ()),
+    "fejer": (_fejer_weights, ()),
+    "cesaro": (_cesaro_weights, ("alpha",)),
+    "u": (_u_weights, ("alpha",)),
+    "v": (_v_weights, ("alpha",)),
+    "riesz_log": (_riesz_log_weights, ()),
+    "norlund_log": (_norlund_log_weights, ()),
+    "norlund": (_norlund_weights, ("q",)),
+    "tmean": (_t_weights, ("q",)),
 }
 
 
@@ -326,18 +323,18 @@ def param_names(kind: str) -> tuple[str, ...]:
     """Names of the parameters a kind's mean and weights take."""
     if kind not in _KINDS:
         raise DomainError(f"unknown mean kind {kind!r}")
-    return _KINDS[kind][2]
+    return _KINDS[kind][1]
 
 
-def _method(kind: str, params: dict) -> tuple[MeanFn, Callable[[np.ndarray, int], np.ndarray]]:
-    """The per-order mean and the weights(ns, size) of a kind, bound to its parameters."""
+def _method(kind: str, params: dict) -> Callable[[np.ndarray, int], np.ndarray]:
+    """The weights(ns, size) of a kind, bound to its parameters."""
     names = param_names(kind)
     if set(params) != set(names):
         raise InvalidParamsError(f"{kind} means take parameters {sorted(names)}, "
                                  f"got {sorted(params)}")
     args = tuple(params[name] for name in names)
-    mean, weights, _ = _KINDS[kind]
-    return (lambda f, n: mean(f, n, *args)), (lambda ns, size: weights(ns, size, *args))
+    weights, _ = _KINDS[kind]
+    return lambda ns, size: weights(ns, size, *args)
 
 
 def first_order(kind: str) -> int:
@@ -396,28 +393,23 @@ def _plan_key(g, N: int, kind: str, params: dict, orders: list) -> tuple | None:
 
 
 def _plan_runs(M: tuple, N: int, orders: list, weights) -> Iterator[tuple]:
-    """The runs (a, b, j, tails) of a sweep over ``orders`` on levels up to N.
+    """The runs (a, b, j, tails) of a sweep over ``orders``, each in 1..M_N.
 
     A run holds orders[a:b], consecutive orders on level j, as many as fit
     in ``_BLOCK_ENTRIES`` at M_j (or one), and the read-only coefficient
-    tails of their weights, one row per order and M_j columns.  An order
-    outside 1..M_N is a run of its own on level N with tails None, for the
-    per-order mean on the full grid.  A failing weight build raises when its
-    run is reached, after the runs before it.
+    tails of their weights, one row per order and M_j columns.  A failing
+    weight build raises when its run is reached, after the runs before it.
     """
-    levels = [bisect.bisect_left(M, n, 0, N) if 1 <= n <= M[N] else None for n in orders]
+    levels = [bisect.bisect_left(M, n, 0, N) for n in orders]
     a = 0
     while a < len(orders):
         j, b = levels[a], a + 1
-        if j is None:
-            yield a, b, N, None
-        else:
-            most = max(1, _BLOCK_ENTRIES // M[j])
-            while b < len(orders) and levels[b] == j and b - a < most:
-                b += 1
-            tails = coefficient_tails(weights(np.array(orders[a:b]), M[j] + 1), M[j])
-            tails.flags.writeable = False
-            yield a, b, j, tails
+        most = max(1, _BLOCK_ENTRIES // M[j])
+        while b < len(orders) and levels[b] == j and b - a < most:
+            b += 1
+        tails = coefficient_tails(weights(np.array(orders[a:b]), M[j] + 1), M[j])
+        tails.flags.writeable = False
+        yield a, b, j, tails
         a = b
 
 
@@ -440,7 +432,7 @@ def _plan(g, N: int, kind: str, params: dict, orders: list, weights) -> Iterator
     runs, nbytes = [], 8 * len(orders)
     for run in _plan_runs(g.M, N, orders, weights):
         yield run
-        nbytes += 0 if run[3] is None else run[3].nbytes
+        nbytes += run[3].nbytes
         if nbytes <= _PLAN_BYTES // 4:
             runs.append(run)
         else:
@@ -473,20 +465,22 @@ def mean_blocks(
     level of its orders and their tails.  A plan is keyed by (g.m[:N],
     kind, parameters by value, orders) and kept in a byte-bounded LRU cache
     (``_PLAN_BYTES``), so a repeated sweep on a new f only multiplies,
-    synthesizes and yields.  A failing weight build yields the blocks of
-    the runs before it, then raises, and keeps nothing.  Orders outside
-    1..M_N go to the full grid one at a time, where the per-order mean
-    raises its usual error.  Orders may come in any order and repeat.
+    synthesizes and yields.  Orders may come in any order and repeat, and
+    each must lie in first_order(kind)..M_N: the first one outside raises
+    ``RangeError`` before f is transformed or a plan is read or built.  A
+    failing weight build (an explicit weight list too short, say) yields
+    the blocks of the runs before it, then raises, and keeps nothing.
     """
-    mean, weights = _method(kind, params)
+    weights = _method(kind, params)
     g, N = f.group, f.resolution
     orders = list(orders)
+    first, MN = first_order(kind), g.M[N]
+    if orders and not first <= min(orders) <= max(orders) <= MN:
+        n = next(n for n in orders if not first <= n <= MN)
+        raise RangeError(f"{kind} mean order {n} outside {first}..{MN}")
     s = transform_forward(f)
     for a, b, j, tails in _plan(g, N, kind, params, orders, weights):
-        if tails is None:
-            yield j, orders[a:b], mean(f, orders[a]).values[None]
-        else:
-            yield j, orders[a:b], inverse_rows(g, j, s.coeffs[:g.M[j]] * tails)
+        yield j, orders[a:b], inverse_rows(g, j, s.coeffs[:g.M[j]] * tails)
 
 
 def weighted_maximal(

@@ -151,6 +151,11 @@ RESIDUE_EPS = 64
 # (4 MiB each at 512).  Radices up to 8 keep resolution 3.
 CHARACTER_ORDER = 512
 
+# Largest order M_r of the inequality suite's Young and Watari samples:
+# ``hardy.moduli`` gathers every shift of the rank-r grid per level, M_r^2
+# entries (1.7e7 at 4096).  Radices up to 8 keep rank 4.
+INEQUALITY_ORDER = 4096
+
 
 def _check_n_max(n_max: int) -> None:
     if n_max < MIN_N_MAX:
@@ -504,8 +509,9 @@ def run_inequality_suite(g: GroupSpec, n_max: int = 256, tol: float = 1e-10,
         ratios = [rows[i]["ratio"] for i in picks]
         rec.trend("112", [-x for x in ratios], weights=qname)
 
-    # (covstrong) Young inequality + coefficient product rule
-    N = min(4, g.levels)
+    # (covstrong) Young inequality + coefficient product rule, at the largest
+    # rank N <= 4 with M_N <= INEQUALITY_ORDER (N = 1 past it)
+    N = max([1] + [r for r in range(2, min(4, g.levels) + 1) if g.order(r) <= INEQUALITY_ORDER])
     rng_seeds = range(seed, seed + samples)
     fs = [random_grid_function(g, N, seed=s) for s in rng_seeds]   # eqvi reads them too
     worst = np.inf
@@ -748,9 +754,9 @@ def strong_sum(
 ) -> list[dict]:
     """Cumulative weighted sums sum_{k<=n} weight(k) ||mean_k f||_p^p.
 
-    Returns one row per checkpoint with the cumulative value, the
-    normalized value (divided by ``normalizer(n)``), and its ratio to the
-    reference ||f||_{H_p}^p.
+    Returns one row per checkpoint with the cumulative value and the ratio
+    of its normalized value (divided by ``normalizer(n)``) to the reference
+    ||f||_{H_p}^p.
     The reference is taken from f's values by ``hardy.hardy_quasinorm_rows``,
     with no regular martingale of grid functions built;
     ``hardy.hardy_quasinorm_fn`` is its oracle.  ``norm_source`` picks
@@ -783,7 +789,6 @@ def strong_sum(
                 rows.append({
                     "n": n,
                     "cumulative": acc,
-                    "normalized": acc / norm,
                     "ratio_to_hp": acc / (norm * ref) if ref > 0 else math.inf,
                 })
     return rows

@@ -135,27 +135,13 @@ def log_weights(alpha: float, n_max: int) -> WeightSequence:
 
 
 # l_n for n < len(_HARMONIC), grown on demand up to _HARMONIC_CAP entries
-# (about 2 MiB of Python floats); _HARMONIC_PARTIALS holds nonoverlapping
-# floats whose exact sum is sum_{k < len(_HARMONIC) - 1} fl(1/k).
+# (about 2 MiB of Python floats).  Every float is an integer multiple of
+# 2^-1074, so _HARMONIC_SUM holds sum_{k < len(_HARMONIC) - 1} fl(1/k)
+# exactly, as an int in units of 2^-1074.
 _HARMONIC_CAP = 1 << 16
 _HARMONIC = [0.0, 0.0]
-_HARMONIC_PARTIALS: list[float] = []
+_HARMONIC_SUM = 0
 _HARMONIC_LOCK = threading.Lock()
-
-
-def _grow_partials(partials: list[float], x: float) -> None:
-    """Add x to the exact sum held by ``partials`` (Shewchuk's grow-expansion)."""
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
 
 
 def harmonic_number(n: int) -> float:
@@ -163,17 +149,18 @@ def harmonic_number(n: int) -> float:
 
     The value is ``math.fsum`` of the terms fl(1/k): the correctly rounded
     exact sum of those floats.  For n < ``_HARMONIC_CAP`` it comes from a
-    module table that keeps that exact running sum as Shewchuk partials and
-    stores fsum(partials) per n, which is the correctly rounded value of the
-    same exact sum, so both routes give the same float; filling the table
-    costs O(1) per new n instead of O(n) per call.  Larger n (and n < 0)
-    take the fsum directly.
+    module table that keeps that exact running sum as an int and stores its
+    int / int quotient per n, which CPython rounds correctly too, so both
+    routes give the same float; filling the table costs O(1) per new n
+    instead of O(n) per call.  Larger n (and n < 0) take the fsum directly.
     """
+    global _HARMONIC_SUM
     if not 0 <= n < _HARMONIC_CAP:
         return float(math.fsum(1.0 / k for k in range(1, n)))
     if n >= len(_HARMONIC):
         with _HARMONIC_LOCK:
             while n >= len(_HARMONIC):
-                _grow_partials(_HARMONIC_PARTIALS, 1.0 / (len(_HARMONIC) - 1))
-                _HARMONIC.append(math.fsum(_HARMONIC_PARTIALS))
+                num, den = (1.0 / (len(_HARMONIC) - 1)).as_integer_ratio()
+                _HARMONIC_SUM += num << (1074 - den.bit_length() + 1)
+                _HARMONIC.append(_HARMONIC_SUM / (1 << 1074))
     return _HARMONIC[n]

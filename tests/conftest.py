@@ -2,11 +2,27 @@ import pytest
 
 from vilenkin import means
 from vilenkin.group import make_group
+from vilenkin.spectral import partial_sum
+
+# kind -> its public per-order mean on the full grid, the oracle of the sweep
+# tests; each takes the kind's parameters by name
+_MEANS = {
+    "partial_sum": partial_sum,
+    "fejer": means.fejer_mean,
+    "cesaro": means.cesaro_mean,
+    "u": means.u_mean,
+    "v": means.v_mean,
+    "riesz_log": means.riesz_log_mean,
+    "norlund_log": means.norlund_log_mean,
+    "norlund": means.norlund_mean,
+    "tmean": means.t_mean,
+}
 
 
 def mean_by_kind(kind: str, **params):
     """The per-order mean (f, n) -> mean_n f of a summation kind, bound to its parameters."""
-    return means._method(kind, params)[0]
+    mean = _MEANS[kind]
+    return lambda f, n: mean(f, n, **params)
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -419,6 +420,17 @@ def test_cli_verify_refuses_an_oversized_kernel_table_at_once():
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
     assert "655425536 entries" in proc.stderr
+
+
+def test_cli_mean_refuses_an_order_past_M_N_at_once():
+    # the sweep of orders 1..16384 on 2^14 points would come before the refusal
+    t0 = time.perf_counter()
+    proc = run_cli_process("mean", "--m", "2", "--levels", "14", "--res", "14",
+                           "--max-n", "20000")
+    elapsed = time.perf_counter() - t0
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: fejer mean order 16385 outside 1..16384\n"
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("argv,message", [

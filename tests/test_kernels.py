@@ -161,7 +161,7 @@ def test_harmonic_table_is_the_fsum_bit_for_bit(monkeypatch):
     terms = [1.0 / k for k in range(1, 3 * cap + 7)]
     # a cold table, filled out of order: first a large n, then every n below
     monkeypatch.setattr(wts, "_HARMONIC", [0.0, 0.0])
-    monkeypatch.setattr(wts, "_HARMONIC_PARTIALS", [])
+    monkeypatch.setattr(wts, "_HARMONIC_SUM", 0)
     assert wts.harmonic_number(5000) == math.fsum(terms[:4999])
     for n in range(-3, 1 << 13):
         assert wts.harmonic_number(n) == math.fsum(terms[:max(n - 1, 0)]), n

@@ -19,7 +19,7 @@ import pytest
 from vilenkin import means, spectral, verify
 from vilenkin import weights as wts
 from vilenkin.cli import main
-from vilenkin.errors import InvalidParamsError, RangeError
+from vilenkin.errors import InvalidParamsError, RangeError, VilenkinError
 from vilenkin.group import make_group
 from vilenkin.hardy import counterexample, hardy_quasinorm_fn
 from vilenkin.spectral import (
@@ -123,6 +123,47 @@ def test_sweep_out_of_range_order_raises_as_oracle(grid):
         with pytest.raises(RangeError) as oracle_err:
             means.fejer_mean(grid, n)
         assert str(sweep_err.value) == str(oracle_err.value)
+
+
+@pytest.fixture
+def stage_passes(monkeypatch):
+    """Resolutions of every stage pass run, forward and inverse, from an empty plan cache."""
+    passes = []
+    stage_pass = spectral._stage_pass
+
+    def counted(vals, g, resolution, sign):
+        passes.append(resolution)
+        return stage_pass(vals, g, resolution, sign)
+
+    monkeypatch.setattr(spectral, "_stage_pass", counted)
+    monkeypatch.setattr(means, "_plans", OrderedDict())
+    return passes
+
+
+# (kind, the bad order as a function of M_N, the message's range start)
+BAD_SWEEP_ORDERS = [
+    ("fejer", lambda MN: MN + 1, 1),
+    ("riesz_log", lambda MN: 1, 2),
+    ("partial_sum", lambda MN: 0, 1),
+    ("tmean", lambda MN: MN + 1, 1),
+]
+
+
+@pytest.mark.parametrize("kind,bad,first", BAD_SWEEP_ORDERS,
+                         ids=[kind for kind, _, _ in BAD_SWEEP_ORDERS])
+def test_sweep_with_an_order_out_of_range_raises_before_any_work(stage_passes, kind, bad, first):
+    g = make_group([5], 4)
+    MN = g.order(4)
+    f = random_grid_function(g, 4, seed=8)   # a fresh f: its spectrum is not memoized yet
+    orders = [first, 7, MN, bad(MN), 30, bad(MN) + 1]
+    params = _params(kind, MN + 2)
+    with pytest.raises(RangeError) as err:
+        next(means.mean_blocks(f, kind, orders, **params))
+    assert str(err.value) == f"{kind} mean order {bad(MN)} outside {first}..{MN}"
+    assert stage_passes == [] and not means._plans
+    # the same orders in range run as usual
+    assert [ns for _, ns, _ in means.mean_blocks(f, kind, orders[:3] + [30], **params)]
+    assert stage_passes
 
 
 def _brute_maximal(f, kind, indices, weight, **params):
@@ -354,19 +395,15 @@ def test_strong_sum_reference_is_the_regular_martingale_norm(pattern, levels, p)
 
 def direct_run_blocks(f, kind, orders, **params):
     """The blocks of ``mean_blocks`` with no plan: each level run's weights built in place."""
-    mean, weights = means._method(kind, params)
+    weights = means._method(kind, params)
     g, N = f.group, f.resolution
     M = g.M
     orders = list(orders)
-    levels = [bisect.bisect_left(M, n, 0, N) if 1 <= n <= M[N] else None for n in orders]
+    levels = [bisect.bisect_left(M, n, 0, N) for n in orders]
     s = transform_forward(f)
     start = 0
     while start < len(orders):
         j = levels[start]
-        if j is None:
-            yield N, [orders[start]], mean(f, orders[start]).values[None]
-            start += 1
-            continue
         stop = start + 1
         most = max(1, means._BLOCK_ENTRIES // M[j])
         while stop < len(orders) and levels[stop] == j and stop - start < most:
@@ -390,9 +427,9 @@ RUN_CASES = [
     pytest.param(([2], 12, 9, True), "fejer", range(1, 491), id="m2-unit-mass-1..490-fejer"),
     pytest.param(([2], 15, 15, False), "fejer", [20000, 16385, 3, 20000, 5, 16384],
                  id="m2-rows-past-the-block-size"),
-    pytest.param(([5], 4, 4, False), "fejer", [625, 3, 24, 626, 4, 1], id="m5-order-past-M_N"),
-    pytest.param(([5], 4, 4, False), "partial_sum", [625, 3, 0, 24, 0, 4],
-                 id="m5-order-0-full-grid"),
+    pytest.param(([5], 4, 4, False), "fejer", [625, 3, 24, 625, 4, 1], id="m5-order-M_N"),
+    pytest.param(([5], 4, 4, False), "partial_sum", [625, 3, 1, 24, 1, 4],
+                 id="m5-order-1-partial-sum"),
 ] + [
     pytest.param(_M234, kind, range(means.first_order(kind), 1201), id=f"m234-1..1200-{kind}")
     for kind in KINDS
@@ -409,7 +446,7 @@ def _drain(blocks):
     try:
         for block in blocks:
             out.append(block)
-    except RangeError as exc:
+    except VilenkinError as exc:
         return out, str(exc)
     return out, None
 
@@ -537,10 +574,13 @@ def test_weights_extended_through_the_generator_are_never_cached(tail_builds):
 
 def test_failing_build_yields_the_same_blocks_then_error_and_caches_nothing(tail_builds):
     f = random_grid_function(make_group([5], 6), 6, seed=2)
-    orders = list(range(2, 301)) + [1]
-    runs = [_drain(means.mean_blocks(f, "riesz_log", orders)) for _ in range(3)]
+    # q_0..q_199 serve orders up to 200: the third run on level 4 (26 orders
+    # of 625 points each), orders 178..203, reads past them
+    q = wts.from_values(wts.power_weights(0.5, 199).values.tolist())
+    runs = [_drain(means.mean_blocks(f, "tmean", range(1, 301), q=q)) for _ in range(3)]
     blocks, err = runs[0]
-    assert blocks and err == "riesz-log mean requires n >= 2"
+    assert [ns[-1] for _, ns, _ in blocks] == [1, 5, 25, 125, 151, 177]
+    assert err == "explicit weight list cannot be extended"
     for got, got_err in runs[1:]:
         _assert_same_blocks(got, blocks)
         assert got_err == err

@@ -4,7 +4,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from vilenkin import io, kernels, means, verify
+from vilenkin import hardy, io, kernels, means, verify
 from vilenkin.errors import InvalidParamsError
 from vilenkin.group import digit_matrix, index_sub, make_group
 from vilenkin.hardy import counterexample
@@ -146,6 +146,24 @@ def test_character_identities_take_the_largest_resolution_in_the_bound(pattern, 
     assert g.order(resolution) <= verify.CHARACTER_ORDER or resolution == 1
 
 
+@pytest.mark.parametrize("pattern,rank", [([2], 4), ([7], 4), ([13, 2], 4), ([2, 65], 3)])
+def test_inequality_samples_take_the_largest_rank_in_the_bound(pattern, rank, monkeypatch):
+    # the Watari moduli gather every shift of the sample grid: M_4^2 = 2.9e8 on [2, 65]
+    sizes = []
+    moduli = hardy.moduli
+
+    def recorded(f, ps, n):
+        sizes.append(f.values.size)
+        return moduli(f, ps, n)
+
+    monkeypatch.setattr(hardy, "moduli", recorded)
+    g = make_group(pattern, 8)
+    recs = verify.run_inequality_suite(g, n_max=16, samples=2)
+    assert sizes and set(sizes) == {g.order(rank)}
+    assert g.order(rank) <= verify.INEQUALITY_ORDER < g.order(rank + 1) or rank == 4
+    assert all(r.passed for r in recs if r.claim in ("covstrong", "eqvi"))
+
+
 @pytest.mark.parametrize("pattern", [[2], [3], [2, 3, 4], [5, 2], [13, 2], [2, 65]])
 def test_vilenkin_tables_match_the_digit_matrix_formulas(pattern, monkeypatch):
     tables = []
@@ -278,7 +296,7 @@ def test_suites_repeat_exactly_with_warm_memo_and_table(monkeypatch):
     from vilenkin import io, weights
 
     monkeypatch.setattr(weights, "_HARMONIC", [0.0, 0.0])
-    monkeypatch.setattr(weights, "_HARMONIC_PARTIALS", [])
+    monkeypatch.setattr(weights, "_HARMONIC_SUM", 0)
 
     def run():
         recs = verify.run_all(make_group([2, 3, 4], 8), n_max=64, samples=3)
@@ -295,7 +313,7 @@ def test_run_all_is_equal_with_cleared_and_warm_caches(monkeypatch, pattern, lev
 
     monkeypatch.setattr(means, "_plans", OrderedDict())
     monkeypatch.setattr(weights, "_HARMONIC", [0.0, 0.0])
-    monkeypatch.setattr(weights, "_HARMONIC_PARTIALS", [])
+    monkeypatch.setattr(weights, "_HARMONIC_SUM", 0)
     for memo in (characters._unit_roots, kernels._geometric, spectral._blocks,
                  spectral._block_matrix, verify._Workspace):
         memo.cache_clear()

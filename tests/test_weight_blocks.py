@@ -177,7 +177,7 @@ def _first_failure(kind, ns, args):
 @pytest.mark.parametrize("pattern", [[5], [2, 3, 4]], ids=["m5", "m234"])
 def test_block_rows_equal_per_order_vectors(kind, param, pattern):
     g = make_group(pattern, 4)
-    builder = means._KINDS[kind][1]
+    builder = means._KINDS[kind][0]
     rng = np.random.default_rng(len(pattern))
     first = means.first_order(kind)
     for j in range(1, 5):
@@ -200,7 +200,7 @@ def test_single_order_row_has_the_same_tails(kind, param):
     # the reference vector is one shorter, the trailing zero changes no tail
     for n in range(means.first_order(kind), 40):
         ref = REFERENCES[kind](n, *_args(kind, param))
-        row = means._weight_row(means._KINDS[kind][1], n, *_args(kind, param))
+        row = means._weight_row(means._KINDS[kind][0], n, *_args(kind, param))
         assert row.size == n + 1
         for size in (n, n + 7):
             for dtype in (np.float64, np.complex128):
@@ -259,7 +259,7 @@ def _bad_blocks():
 def test_block_fails_like_its_first_failing_order(kind, make_args, ns):
     expected = _first_failure(kind, ns, make_args())
     assert expected is not None
-    got = _outcome(lambda: means._KINDS[kind][1](np.array(ns), max(ns) + 2, *make_args()))
+    got = _outcome(lambda: means._KINDS[kind][0](np.array(ns), max(ns) + 2, *make_args()))
     assert got == expected
     if min(ns) >= means.first_order(kind):
         # the same error from a sweep, whose orders all fall in blocks
