@@ -56,10 +56,6 @@ class GroupSpec:
             raise RangeError(f"resolution {resolution} outside 0..{self.levels}")
         return self.M[resolution]
 
-    def key(self) -> tuple[int, ...]:
-        """Hashable identity used for caches."""
-        return self.m
-
 
 def check_grid_points(g: GroupSpec, resolution: int) -> int:
     """M_N of a rank-N grid; RangeError if it exceeds ``MAX_GRID_POINTS``."""
@@ -177,7 +173,7 @@ def point_from_index(i: int, g: GroupSpec, resolution: int) -> Point:
 
 
 def _check_same(x: Point, y: Point) -> None:
-    if x.group.key() != y.group.key() or x.resolution != y.resolution:
+    if x.group != y.group or x.resolution != y.resolution:
         raise ShapeMismatchError("points must share group and resolution")
 
 

@@ -77,7 +77,7 @@ class StepMartingale:
         for n, e in zip(self.levels, self.entries):
             if e.resolution != n:
                 raise ShapeMismatchError(f"entry at level {n} has resolution {e.resolution}")
-            if e.group.key() != self.group.key():
+            if e.group != self.group:
                 raise ShapeMismatchError("martingale entries live on one group")
 
     @property

@@ -118,30 +118,20 @@ def fejer_mean(f: GridFunction, n: int) -> GridFunction:
     return weighted_sum_combination(f, _weight_row(_fejer_weights, n))
 
 
-@dataclass(frozen=True)
-class CesaroCoeffs:
-    """Table A_0^alpha .. A_n^alpha via the running product A_n = A_{n-1}(alpha+n)/n.
+def cesaro_coeffs(alpha: float, n_max: int) -> np.ndarray:
+    """A_0^alpha .. A_{n_max}^alpha via the running product A_n = A_{n-1}(alpha+n)/n.
 
     A_0^alpha = 1 (empty product); the cross-order recursions
     A_n^alpha = sum_{k<=n} A_k^{alpha-1} and A_n^alpha - A_{n-1}^alpha =
     A_n^{alpha-1} close only with this normalization.
     """
-
-    alpha: float
-    table: np.ndarray
-
-    def a(self, n: int) -> float:
-        return float(self.table[n])
-
-
-def cesaro_coeffs(alpha: float, n_max: int) -> CesaroCoeffs:
     if alpha <= -1 and float(alpha).is_integer():
         raise DomainError("alpha must avoid the negative integers")
     t = np.empty(n_max + 1)
     t[0] = 1.0
     for n in range(1, n_max + 1):
         t[n] = t[n - 1] * (alpha + n) / n
-    return CesaroCoeffs(alpha=alpha, table=t)
+    return t
 
 
 def _cesaro_weights(ns: np.ndarray, size: int, alpha: float) -> np.ndarray:
@@ -150,8 +140,8 @@ def _cesaro_weights(ns: np.ndarray, size: int, alpha: float) -> np.ndarray:
     if ns.min() < 1:
         raise RangeError("cesaro mean requires n >= 1")
     top = int(ns.max())
-    lower = cesaro_coeffs(alpha - 1.0, top).table
-    upper = cesaro_coeffs(alpha, top).table
+    lower = cesaro_coeffs(alpha - 1.0, top)
+    upper = cesaro_coeffs(alpha, top)
     k, on = _support(ns, size, 0)
     return _masked(_gather(lower, ns[:, None] - k), upper[ns][:, None], on)
 
@@ -167,8 +157,8 @@ def _u_weights(ns: np.ndarray, size: int, alpha: float) -> np.ndarray:
     if ns.min() < 1:
         raise RangeError("u mean requires n >= 1")
     top = int(ns.max())
-    lower = cesaro_coeffs(alpha - 1.0, top).table
-    upper = cesaro_coeffs(alpha, top).table
+    lower = cesaro_coeffs(alpha - 1.0, top)
+    upper = cesaro_coeffs(alpha, top)
     k, on = _support(ns, size, -1)
     return _masked(_gather(lower, k), upper[ns][:, None], on)
 
@@ -271,10 +261,16 @@ def t_mean_abel(f: GridFunction, n: int, q: WeightSequence) -> GridFunction:
 def regularity_report(q: WeightSequence, n_max: int) -> dict:
     """Tabulate q_{n-1}/Q_n and n*q_{n-1}/Q_n; check the monotone envelope.
 
-    The envelope is n*q_{n-1} <= Q_n <= n*q_0 for nonincreasing weights and
-    n*q_0 <= Q_n <= n*q_{n-1} for nondecreasing ones.
+    The report reads q_0..q_{n_max-1} (grown through the generator if need
+    be) and classes them as nonincreasing, else nondecreasing, else general,
+    with 1e-15 slack per step.  The envelope is n*q_{n-1} <= Q_n <= n*q_0
+    for nonincreasing weights and n*q_0 <= Q_n <= n*q_{n-1} for
+    nondecreasing ones.
     """
-    q.extend(n_max)
+    q.extend(n_max - 1)
+    d = np.diff(q.values[:n_max])
+    monotonicity = ("nonincreasing" if np.all(d <= 1e-15) else
+                    "nondecreasing" if np.all(d >= -1e-15) else "general")
     rows = []
     envelope_ok = True
     for n in range(1, n_max + 1):
@@ -283,20 +279,14 @@ def regularity_report(q: WeightSequence, n_max: int) -> dict:
             continue  # leading zero weights: ratio undefined until Q_n > 0
         ratio = q.q(n - 1) / Qn
         rows.append({"n": n, "ratio": ratio, "n_ratio": n * ratio})
-        if q.monotonicity == "nonincreasing":
+        if monotonicity == "nonincreasing":
             ok = n * q.q(n - 1) <= Qn * (1 + 1e-12) and Qn <= n * q.q(0) * (1 + 1e-12)
-        elif q.monotonicity == "nondecreasing":
+        elif monotonicity == "nondecreasing":
             ok = n * q.q(0) <= Qn * (1 + 1e-12) and Qn <= n * q.q(n - 1) * (1 + 1e-12) + 1e-300
         else:
             ok = True
         envelope_ok = envelope_ok and ok
-    return {
-        "monotonicity": q.monotonicity,
-        "rows": rows,
-        "envelope_ok": envelope_ok,
-        "final_ratio": rows[-1]["ratio"],
-        "sup_n_ratio": max(r["n_ratio"] for r in rows),
-    }
+    return {"monotonicity": monotonicity, "rows": rows, "envelope_ok": envelope_ok}
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +361,9 @@ def _plan_key(g, N: int, kind: str, params: dict, orders: list) -> tuple | None:
     """The plan cache key of a sweep, or None if the sweep is not cached.
 
     Parameters are keyed by type and value, a weight sequence by its values
-    and monotonicity.  A sweep that would extend q through its generator
-    reads weights the key does not hold, so it is neither looked up nor kept.
+    alone, so sequences with equal values share one plan.  A sweep that
+    would extend q through its generator reads weights the key does not
+    hold, so it is neither looked up nor kept.
     """
     top = max(orders, default=0)
     vals = []
@@ -381,7 +372,7 @@ def _plan_key(g, N: int, kind: str, params: dict, orders: list) -> tuple | None:
         if isinstance(v, WeightSequence):
             if v.generator is not None and top > v.n_max + 1:
                 return None
-            vals.append((WeightSequence, v.values.tobytes(), v.monotonicity))
+            vals.append((WeightSequence, v.values.tobytes()))
         else:
             vals.append((type(v), v))
     key = (g.m[:N], kind, tuple(vals), tuple(orders))

@@ -36,9 +36,13 @@ from .characters import character_column
 
 
 def _freeze(obj, field: str) -> None:
-    """Set ``field`` of a new grid object to a read-only complex copy of its M_N entries."""
+    """Set ``field`` of a new grid object to a read-only complex copy of its M_N entries.
+
+    M_N comes from ``check_grid_points``, so a grid past ``MAX_GRID_POINTS``
+    is refused with RangeError, as the grids built from parameters are.
+    """
+    MN = check_grid_points(obj.group, obj.resolution)
     arr = np.array(getattr(obj, field), dtype=np.complex128)
-    MN = obj.group.order(obj.resolution)
     if arr.shape != (MN,):
         raise ShapeMismatchError(f"expected {MN} {field}, got shape {arr.shape}")
     arr.flags.writeable = False
@@ -307,7 +311,7 @@ def coefficient_tails(weights: np.ndarray, size: int) -> np.ndarray:
 
 def convolve(f: GridFunction, h: GridFunction) -> GridFunction:
     """(f * h)(x) = int f(x - t) h(t) dmu(t), via coefficient products."""
-    if f.group.key() != h.group.key() or f.resolution != h.resolution:
+    if f.group != h.group or f.resolution != h.resolution:
         raise ShapeMismatchError("convolution operands must match")
     sf = transform_forward(f)
     sh = transform_forward(h)
@@ -316,7 +320,7 @@ def convolve(f: GridFunction, h: GridFunction) -> GridFunction:
 
 def convolve_naive(f: GridFunction, h: GridFunction) -> GridFunction:
     """Direct double-sum convolution (oracle path, O(M_N^2))."""
-    if f.group.key() != h.group.key() or f.resolution != h.resolution:
+    if f.group != h.group or f.resolution != h.resolution:
         raise ShapeMismatchError("convolution operands must match")
     g, N = f.group, f.resolution
     MN = g.order(N)

@@ -1,7 +1,10 @@
 """Weight sequences q_k with cached partial sums Q_n = sum_{k<n} q_k.
 
-Partial sums are accumulated with compensated (Kahan) summation so the
-Abel-transform identities downstream hold to near machine precision.
+A sequence is its values, their partial sums and an optional generator
+that grows both on demand; a property of the values, such as their order
+class, is computed where it is read.  Partial sums are accumulated with
+compensated (Kahan) summation so the Abel-transform identities downstream
+hold to near machine precision.
 """
 
 from __future__ import annotations
@@ -14,10 +17,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateWeightsError, DomainError
-
-NONINCREASING = "nonincreasing"
-NONDECREASING = "nondecreasing"
-GENERAL = "general"
 
 
 def _kahan_partials(q: np.ndarray) -> np.ndarray:
@@ -34,23 +33,11 @@ def _kahan_partials(q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _detect_monotonicity(q: np.ndarray) -> str:
-    if len(q) < 2:
-        return NONINCREASING
-    d = np.diff(q)
-    if np.all(d <= 1e-15):
-        return NONINCREASING
-    if np.all(d >= -1e-15):
-        return NONDECREASING
-    return GENERAL
-
-
 @dataclass
 class WeightSequence:
-    """q_0..q_{n_max} with partial sums Q_0..Q_{n_max+1} and monotonicity class."""
+    """q_0..q_{n_max} with partial sums Q_0..Q_{n_max+1}."""
 
     values: np.ndarray
-    monotonicity: str
     generator: Callable[[int], float] | None = None
     partials: np.ndarray = field(init=False)
 
@@ -60,15 +47,6 @@ class WeightSequence:
             raise DomainError("weight sequence must be a nonempty 1-d array")
         if np.any(q < 0):
             raise DomainError("weights must be nonnegative")
-        if self.monotonicity not in (NONINCREASING, NONDECREASING, GENERAL):
-            raise DomainError(f"unknown monotonicity class {self.monotonicity!r}")
-        if self.monotonicity != GENERAL and len(q) >= 2:
-            d = np.diff(q)
-            ok = np.all(d <= 1e-15) if self.monotonicity == NONINCREASING else np.all(d >= -1e-15)
-            if not ok:
-                raise DomainError(
-                    f"declared monotonicity {self.monotonicity!r} fails on the cached range"
-                )
         self.values = q
         self.partials = _kahan_partials(q)
 
@@ -97,26 +75,21 @@ class WeightSequence:
             raise DomainError("explicit weight list cannot be extended")
         extra = np.array([self.generator(k) for k in range(self.n_max + 1, n_max + 1)])
         q = np.concatenate([self.values, extra])
-        self.__init__(values=q, monotonicity=self.monotonicity, generator=self.generator)
+        self.__init__(values=q, generator=self.generator)
 
 
-def from_values(values: Sequence[float], monotonicity: str | None = None) -> WeightSequence:
-    q = np.asarray(values, dtype=np.float64)
-    return WeightSequence(values=q, monotonicity=monotonicity or _detect_monotonicity(q))
+def from_values(values: Sequence[float]) -> WeightSequence:
+    return WeightSequence(values=values)
 
 
-def from_function(
-    fn: Callable[[int], float], n_max: int, monotonicity: str | None = None
-) -> WeightSequence:
+def from_function(fn: Callable[[int], float], n_max: int) -> WeightSequence:
     q = np.array([fn(k) for k in range(n_max + 1)], dtype=np.float64)
-    return WeightSequence(
-        values=q, monotonicity=monotonicity or _detect_monotonicity(q), generator=fn
-    )
+    return WeightSequence(values=q, generator=fn)
 
 
 def ones(n_max: int) -> WeightSequence:
     """q == 1; turns Norlund and T means into the Fejer mean family."""
-    return from_function(lambda k: 1.0, n_max, NONINCREASING)
+    return from_function(lambda k: 1.0, n_max)
 
 
 def power_weights(alpha: float, n_max: int) -> WeightSequence:
@@ -124,14 +97,14 @@ def power_weights(alpha: float, n_max: int) -> WeightSequence:
     if not 0 < alpha <= 1:
         raise DomainError("power weights require 0 < alpha <= 1")
     fn = lambda k: 1.0 if k == 0 else float(k) ** (alpha - 1.0)
-    return from_function(fn, n_max, NONINCREASING)
+    return from_function(fn, n_max)
 
 
 def log_weights(alpha: float, n_max: int) -> WeightSequence:
     """q_0 = 0, q_k = alpha log k; nondecreasing unbounded class."""
     if alpha <= 0:
         raise DomainError("log weights require alpha > 0")
-    return from_function(lambda k: alpha * math.log(k) if k else 0.0, n_max, NONDECREASING)
+    return from_function(lambda k: alpha * math.log(k) if k else 0.0, n_max)
 
 
 # l_n for n < len(_HARMONIC), grown on demand up to _HARMONIC_CAP entries

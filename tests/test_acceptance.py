@@ -168,9 +168,9 @@ def test_criterion_07_summability_consistency():
         A = means.cesaro_coeffs(alpha, 64)
         Am1 = means.cesaro_coeffs(alpha - 1.0, 64)
         worst_tab = max(worst_tab,
-                        max(abs(A.a(n) - Am1.table[: n + 1].sum()) for n in range(65)),
-                        max(abs(A.a(n) - A.a(n - 1) - Am1.a(n)) for n in range(1, 65)))
-        band = [A.a(n) / n**alpha for n in range(8, 65)]
+                        max(abs(A[n] - Am1[: n + 1].sum()) for n in range(65)),
+                        max(abs(A[n] - A[n - 1] - Am1[n]) for n in range(1, 65)))
+        band = [A[n] / n**alpha for n in range(8, 65)]
         band_ok = band_ok and min(band) >= 0.5 and max(band) <= 2.0
     ok = worst_conv < 1e-10 and worst_tab < 1e-10 and band_ok
     _report("07 summability consistency", ok,

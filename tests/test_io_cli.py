@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from vilenkin import io as vio
-from vilenkin import hardy, kernels, verify, weights
+from vilenkin import group, hardy, kernels, verify, weights
 from vilenkin.cli import build_parser, main
 from vilenkin.errors import InvalidParamsError, RangeError
 from vilenkin.group import MAX_GRID_POINTS, check_grid_points, make_group
 from vilenkin.hardy import counterexample
-from vilenkin.spectral import constant, delta, random_grid_function
+from vilenkin.spectral import GridFunction, Spectrum, constant, delta, random_grid_function
 
 
 def run_cli(*argv):
@@ -395,6 +395,25 @@ def test_grid_cap_admits_the_largest_suite_grid():
 def test_oversized_grids_are_refused_before_allocation(build):
     with pytest.raises(RangeError, match="points"):
         build(make_group([17], 8))
+
+
+def test_grids_and_spectra_built_from_values_are_refused_past_the_cap(monkeypatch):
+    g = make_group([2], 4)
+    monkeypatch.setattr(group, "MAX_GRID_POINTS", 8)
+    assert GridFunction(g, 3, np.zeros(8)).values.shape == (8,)
+    for cls in (GridFunction, Spectrum):
+        with pytest.raises(RangeError, match="points"):
+            cls(g, 4, np.zeros(16))
+
+
+def test_cli_transform_refuses_a_grid_file_past_the_cap(tmp_path, monkeypatch, capsys):
+    src = tmp_path / "f.json"
+    src.write_text(json.dumps(vio.grid_to_dict(random_grid_function(make_group([2], 4), 4, seed=1))))
+    monkeypatch.setattr(group, "MAX_GRID_POINTS", 8)
+    assert run_cli("transform", "--m", "2", "--res", "4", "--input", str(src)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error:") and "16 points" in err
 
 
 def run_cli_process(*argv):

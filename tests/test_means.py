@@ -66,14 +66,14 @@ def test_partial_mass_means_on_constants(walsh):
     assert np.abs(t_mean(c, n, q).values - eff).max() < 1e-12
     A = cesaro_coeffs(0.5, n)
     Am1 = cesaro_coeffs(-0.5, n)
-    eff = Am1.table[:n].sum() / A.a(n)
+    eff = Am1[:n].sum() / A[n]
     assert np.abs(cesaro_mean(c, n, 0.5).values - eff).max() < 1e-12
 
 
 def test_cesaro_coeffs_values():
     A1 = cesaro_coeffs(1.0, 8)
-    assert [A1.a(n) for n in range(4)] == [1, 2, 3, 4]
-    assert cesaro_coeffs(0.5, 2).a(2) == pytest.approx(15 / 8)
+    assert A1[:4].tolist() == [1, 2, 3, 4]
+    assert cesaro_coeffs(0.5, 2)[2] == pytest.approx(15 / 8)
 
 
 def test_cesaro_coeffs_recursions():
@@ -81,9 +81,9 @@ def test_cesaro_coeffs_recursions():
         A = cesaro_coeffs(alpha, 64)
         Am1 = cesaro_coeffs(alpha - 1.0, 64)
         for n in range(65):
-            assert A.a(n) == pytest.approx(Am1.table[: n + 1].sum(), abs=1e-12)
+            assert A[n] == pytest.approx(Am1[: n + 1].sum(), abs=1e-12)
         for n in range(1, 65):
-            assert A.a(n) - A.a(n - 1) == pytest.approx(Am1.a(n), abs=1e-12)
+            assert A[n] - A[n - 1] == pytest.approx(Am1[n], abs=1e-12)
 
 
 def test_cesaro_rejects_negative_integer_alpha():
@@ -100,7 +100,7 @@ def test_u_and_v_match_direct_sums(f6):
     n = 4
     A = cesaro_coeffs(alpha, n)
     Am1 = cesaro_coeffs(alpha - 1.0, n)
-    direct = sum(Am1.a(k) * partial_sum(f6, k).values for k in range(n)) / A.a(n)
+    direct = sum(Am1[k] * partial_sum(f6, k).values for k in range(n)) / A[n]
     assert np.abs(u_mean(f6, n, alpha).values - direct).max() < 1e-12
     q = wts.power_weights(alpha, n + 1)
     direct = sum(q.q(k) * partial_sum(f6, k).values for k in range(1, n)) / q.Q(n)
@@ -143,7 +143,7 @@ def test_t_mean_weights_bit_identical_to_per_k_loop(f6):
 
 def test_t_mean_abel_identity(f6):
     qs = [
-        wts.from_function(lambda k: np.log(k + 1.0), 64, "nondecreasing"),
+        wts.from_function(lambda k: np.log(k + 1.0), 64),
         wts.power_weights(0.5, 64),
         wts.ones(64),
     ]
@@ -216,3 +216,24 @@ def test_tstar_dominated_by_sigmastar(walsh):
             tstar = weighted_maximal(f, "tmean", range(1, 65), q=q)
             sstar = weighted_maximal(f, "fejer", range(1, 65))
             assert (tstar.values.real <= sstar.values.real + 1e-10).all()
+
+
+def test_regularity_report_classes_the_weights_it_reads():
+    ones, logs, bumpy = wts.ones(32), wts.log_weights(1.0, 32), wts.from_values([1.0, 3.0, 2.0])
+    assert [regularity_report(q, 3)["monotonicity"] for q in (ones, logs, bumpy)] == [
+        "nonincreasing", "nondecreasing", "general"]
+    assert regularity_report(ones, 32)["envelope_ok"] and regularity_report(logs, 32)["envelope_ok"]
+    # over n_max = 2 only q_0 = 1 <= q_1 = 3 is read
+    assert regularity_report(bumpy, 2)["monotonicity"] == "nondecreasing"
+
+
+def test_regularity_report_on_orders_without_a_positive_normalizer_has_no_rows():
+    rep = regularity_report(wts.from_values([0.0, 1.0]), 1)
+    assert rep == {"monotonicity": "nonincreasing", "rows": [], "envelope_ok": True}
+
+
+def test_weights_grow_past_a_constant_head():
+    # q_0..q_2 are constant; growth through the generator may then increase
+    q = wts.from_function(lambda k: 1.0 if k < 3 else float(k - 1), 2)
+    assert q.q(6) == 5.0 and q.Q(7) == 3.0 + 2 + 3 + 4 + 5
+    assert regularity_report(q, 7)["monotonicity"] == "nondecreasing"

@@ -555,17 +555,30 @@ def test_plan_key_holds_radices_kind_and_parameter_values(tail_builds):
     assert len(tail_builds) == sum(len(plan.runs) for plan in means._plans.values()) == 8 * 4
 
 
+def test_weight_sequences_with_equal_values_share_one_plan(tail_builds):
+    f = random_grid_function(make_group([5], 6), 6, seed=3)
+    orders = range(1, 30)
+    harmonic = wts.from_function(lambda k: 1.0 / (k + 1), 30)
+    # constant on q_0..q_2, then growing: the values alone say what q is
+    grown = wts.from_function(lambda k: 1.0 if k < 3 else math.log(k), 2)
+    grown.extend(30)
+    for q in (harmonic, grown):
+        _assert_same_blocks(_sweep(f, "tmean", orders, q=wts.from_values(q.values)),
+                            _sweep(f, "tmean", orders, q=q))
+    assert len(means._plans) == 2 and len(tail_builds) == 2 * 4
+
+
 def test_weights_extended_through_the_generator_are_never_cached(tail_builds):
     f = random_grid_function(make_group([5], 6), 6, seed=2)
     orders = range(1, 125)
     # equal on q_0..q_10 and apart from there: a cached plan of one would be wrong for the other
-    grow = wts.from_function(lambda k: 1.0 / (k + 1), 10, wts.GENERAL)
-    other = wts.from_function(lambda k: 1.0 / (k + 1) if k <= 10 else 2.0, 10, wts.GENERAL)
+    grow = wts.from_function(lambda k: 1.0 / (k + 1), 10)
+    other = wts.from_function(lambda k: 1.0 / (k + 1) if k <= 10 else 2.0, 10)
     got = _sweep(f, "tmean", orders, q=grow)
     assert grow.n_max == 123
     assert not means._plans
     want_other = _sweep(f, "tmean", orders,
-                        q=wts.from_values(other.values.tolist() + [2.0] * 113, wts.GENERAL))
+                        q=wts.from_values(other.values.tolist() + [2.0] * 113))
     got_other = _sweep(f, "tmean", orders, q=other)
     _assert_same_blocks(got_other, want_other)
     assert len(tail_builds) == 3 * 4 and len(means._plans) == 1   # only the explicit list's plan

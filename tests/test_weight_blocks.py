@@ -60,7 +60,7 @@ def ref_cesaro(n, alpha):
     lower = cesaro_coeffs(alpha - 1.0, n)
     upper = cesaro_coeffs(alpha, n)
     w = np.zeros(n + 1)
-    w[1:] = lower.table[n - 1::-1] / upper.a(n)
+    w[1:] = lower[n - 1::-1] / upper[n]
     return w
 
 
@@ -72,7 +72,7 @@ def ref_u(n, alpha):
     lower = cesaro_coeffs(alpha - 1.0, max(n - 1, 0))
     upper = cesaro_coeffs(alpha, n)
     w = np.zeros(n)
-    w[1:] = lower.table[1:n] / upper.a(n)
+    w[1:] = lower[1:n] / upper[n]
     return w
 
 
