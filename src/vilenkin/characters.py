@@ -17,8 +17,10 @@ from .group import GroupSpec, NatDigits, Point, digit_matrix, digits_of
 
 @lru_cache(maxsize=64)
 def _unit_roots(m: int) -> np.ndarray:
-    """Table exp(2*pi*i*j/m) for j = 0..m-1."""
-    return np.exp(2j * np.pi * np.arange(m) / m)
+    """Table exp(2*pi*i*j/m) for j = 0..m-1, read-only: every call shares it."""
+    roots = np.exp(2j * np.pi * np.arange(m) / m)
+    roots.flags.writeable = False
+    return roots
 
 
 def rademacher(k: int, x: Point) -> complex:

@@ -26,12 +26,7 @@ from .errors import (
 )
 from .characters import character_column
 from .group import GroupSpec, check_grid_points, coset_indices, index_sub
-from .spectral import (
-    GridFunction,
-    lp_norm,
-    lp_norm_rows,
-    transform_forward,
-)
+from .spectral import GridFunction, lp_norm, lp_norm_rows
 
 _SHIFT_ENTRIES = 1 << 16   # index-table entries gathered at once by ``modulus``
 
@@ -147,7 +142,7 @@ def hardy_quasinorm_rows(g: GroupSpec, resolution: int, values: np.ndarray, p: f
 
 
 # ---------------------------------------------------------------------------
-# Moduli of continuity and best approximation
+# Moduli of continuity
 # ---------------------------------------------------------------------------
 
 def modulus(f: GridFunction, p: float, n: int) -> float:
@@ -200,15 +195,6 @@ def tail_martingale(mart: StepMartingale, n: int) -> StepMartingale:
 def modulus_hp(mart: StepMartingale, p: float, n: int) -> float:
     """omega_{H_p}(1/M_n, f) = ||f - S_{M_n} f||_{H_p} via the tail martingale."""
     return hardy_quasinorm(tail_martingale(mart, n), p)
-
-
-def best_approx_l2(f: GridFunction, n: int) -> float:
-    """E_n(f, L_2): exact tail energy (sum_{k>=n} |f^(k)|^2)^(1/2)."""
-    MN = f.group.order(f.resolution)
-    if not 0 <= n <= MN:
-        raise RangeError(f"order {n} outside 0..{MN}")
-    c = transform_forward(f).coeffs
-    return float(np.sqrt((np.abs(c[n:]) ** 2).sum()))
 
 
 # ---------------------------------------------------------------------------

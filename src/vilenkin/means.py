@@ -67,21 +67,17 @@ def _gather(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _normalizers(q: WeightSequence, ns: np.ndarray) -> np.ndarray:
-    """Q_n of each order as a column, q extended to max(ns) - 1 if it can grow.
+    """Q_n of each order as a column.
 
-    The first order of ``ns`` that lies past the end of an explicit weight
-    list or has a vanishing Q_n raises its own error from ``q.extend`` or
-    ``q.Q``, as the orders' weights built one at a time would.
+    The first order of ``ns`` that lies past the end of q or has a
+    vanishing Q_n raises its own error from ``q.Q``, as the orders' weights
+    built one at a time would.
     """
-    if q.generator is not None:
-        q.extend(int(ns.max()) - 1)
     fits = ns <= q.n_max + 1
     Qn = q.partials[np.where(fits, ns, 0)]
     bad = np.flatnonzero(~fits | (Qn <= 0.0))
     if bad.size:
-        n = int(ns[bad[0]])
-        q.extend(n - 1)
-        q.Q(n)
+        q.Q(int(ns[bad[0]]))
     return Qn[:, None]
 
 
@@ -261,11 +257,10 @@ def t_mean_abel(f: GridFunction, n: int, q: WeightSequence) -> GridFunction:
 def regularity_report(q: WeightSequence, n_max: int) -> dict:
     """Tabulate q_{n-1}/Q_n and n*q_{n-1}/Q_n; check the monotone envelope.
 
-    The report reads q_0..q_{n_max-1} (grown through the generator if need
-    be) and classes them as nonincreasing, else nondecreasing, else general,
-    with 1e-15 slack per step.  The envelope is n*q_{n-1} <= Q_n <= n*q_0
-    for nonincreasing weights and n*q_0 <= Q_n <= n*q_{n-1} for
-    nondecreasing ones.
+    The report reads q_0..q_{n_max-1} and classes them as nonincreasing,
+    else nondecreasing, else general, with 1e-15 slack per step.  The
+    envelope is n*q_{n-1} <= Q_n <= n*q_0 for nonincreasing weights and
+    n*q_0 <= Q_n <= n*q_{n-1} for nondecreasing ones.
     """
     q.extend(n_max - 1)
     d = np.diff(q.values[:n_max])
@@ -361,17 +356,12 @@ def _plan_key(g, N: int, kind: str, params: dict, orders: list) -> tuple | None:
     """The plan cache key of a sweep, or None if the sweep is not cached.
 
     Parameters are keyed by type and value, a weight sequence by its values
-    alone, so sequences with equal values share one plan.  A sweep that
-    would extend q through its generator reads weights the key does not
-    hold, so it is neither looked up nor kept.
+    alone, so sequences with equal values share one plan.
     """
-    top = max(orders, default=0)
     vals = []
     for name in sorted(params):
         v = params[name]
         if isinstance(v, WeightSequence):
-            if v.generator is not None and top > v.n_max + 1:
-                return None
             vals.append((WeightSequence, v.values.tobytes()))
         else:
             vals.append((type(v), v))

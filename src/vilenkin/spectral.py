@@ -353,7 +353,7 @@ def lp_norm(f: GridFunction, p: float) -> float:
 
 def lp_norm_rows(values: np.ndarray, p: float) -> np.ndarray:
     """``lp_norm`` of each row of a (..., M_N) block of grid values."""
-    if p <= 0:
+    if not p > 0:   # NaN too
         raise DomainError(f"p must be positive, got {p}")
     a = np.abs(values)
     if np.isinf(p):
@@ -372,7 +372,7 @@ def weak_lp(f: GridFunction, p: float) -> float:
 
 def weak_lp_rows(values: np.ndarray, p: float) -> np.ndarray:
     """``weak_lp`` of each row of a (..., M_N) block of grid values."""
-    if p <= 0:
+    if not p > 0:   # NaN too
         raise DomainError(f"p must be positive, got {p}")
     a = np.sort(np.abs(values), axis=-1)[..., ::-1]
     MN = a.shape[-1]

@@ -1,10 +1,11 @@
 """Weight sequences q_k with cached partial sums Q_n = sum_{k<n} q_k.
 
-A sequence is its values, their partial sums and an optional generator
-that grows both on demand; a property of the values, such as their order
-class, is computed where it is read.  Partial sums are accumulated with
-compensated (Kahan) summation so the Abel-transform identities downstream
-hold to near machine precision.
+A sequence is a value: its weights q_0..q_{n_max} and their partial sums,
+both read-only float64 arrays, the weights copied from the caller's input.
+It never grows, so reading q_k or Q_n past its end raises, and a property
+of the values, such as their order class, is computed where it is read.
+Partial sums are accumulated with compensated (Kahan) summation so the
+Abel-transform identities downstream hold to near machine precision.
 """
 
 from __future__ import annotations
@@ -33,49 +34,46 @@ def _kahan_partials(q: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class WeightSequence:
-    """q_0..q_{n_max} with partial sums Q_0..Q_{n_max+1}."""
+    """q_0..q_{n_max} with partial sums Q_0..Q_{n_max+1}, both read-only; == is identity."""
 
     values: np.ndarray
-    generator: Callable[[int], float] | None = None
-    partials: np.ndarray = field(init=False)
+    partials: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        q = np.asarray(self.values, dtype=np.float64)
+        q = np.array(self.values, dtype=np.float64)
         if q.ndim != 1 or len(q) == 0:
             raise DomainError("weight sequence must be a nonempty 1-d array")
         if np.any(q < 0):
             raise DomainError("weights must be nonnegative")
-        self.values = q
-        self.partials = _kahan_partials(q)
+        partials = _kahan_partials(q)
+        if not math.isfinite(partials[-1]):   # a NaN or inf weight, or a sum past the float range
+            raise DomainError("weights and their sum must be finite")
+        for name, arr in (("values", q), ("partials", partials)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n_max(self) -> int:
         return len(self.values) - 1
 
     def q(self, k: int) -> float:
-        if k > self.n_max:
-            self.extend(k)
+        self.extend(k)
         return float(self.values[k])
 
     def Q(self, n: int) -> float:
         """Q_n = sum_{k<n} q_k; raises on a vanishing normalizer."""
-        if n > self.n_max + 1:
-            self.extend(n)
+        self.extend(n - 1)
         val = float(self.partials[n])
         if n >= 1 and val <= 0.0:
             raise DegenerateWeightsError(f"Q_{n} = {val} is not positive")
         return val
 
     def extend(self, n_max: int) -> None:
-        if n_max <= self.n_max:
-            return
-        if self.generator is None:
+        """Check that q_0..q_{n_max} exist: a sequence never grows past its end."""
+        if n_max > self.n_max:
             raise DomainError("explicit weight list cannot be extended")
-        extra = np.array([self.generator(k) for k in range(self.n_max + 1, n_max + 1)])
-        q = np.concatenate([self.values, extra])
-        self.__init__(values=q, generator=self.generator)
 
 
 def from_values(values: Sequence[float]) -> WeightSequence:
@@ -83,8 +81,8 @@ def from_values(values: Sequence[float]) -> WeightSequence:
 
 
 def from_function(fn: Callable[[int], float], n_max: int) -> WeightSequence:
-    q = np.array([fn(k) for k in range(n_max + 1)], dtype=np.float64)
-    return WeightSequence(values=q, generator=fn)
+    """q_k = fn(k) for k = 0..n_max."""
+    return WeightSequence(values=[fn(k) for k in range(n_max + 1)])
 
 
 def ones(n_max: int) -> WeightSequence:

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from vilenkin.errors import DomainError
-from vilenkin.characters import character_column, character_matrix, rademacher, vilenkin_psi, walsh
+from vilenkin.characters import (
+    _unit_roots,
+    character_column,
+    character_matrix,
+    rademacher,
+    vilenkin_psi,
+    walsh,
+)
 from vilenkin.group import group_add, group_sub, make_group, point_from_index
 
 
@@ -95,3 +102,11 @@ def test_psi_constant_on_fine_cosets():
     M3 = g.M[3]
     for h in range(1, g.order(6) // M3):
         assert np.abs(col[h * M3:(h + 1) * M3] - col[:M3]).max() < 1e-15
+
+
+def test_cached_unit_roots_are_read_only():
+    # every later character reads this table: a write would change them all
+    roots = _unit_roots(3)
+    with pytest.raises(ValueError):
+        roots[1] = 1.0
+    assert roots is _unit_roots(3) and roots[0] == 1.0

@@ -13,7 +13,6 @@ from vilenkin.group import digit_matrix, make_group
 from vilenkin.hardy import (
     StepMartingale,
     atom_martingale,
-    best_approx_l2,
     block_coefficients,
     conditional_expectation,
     counterexample,
@@ -203,14 +202,6 @@ def test_tail_martingale_structure(walsh):
     # omega_Hp at the top level vanishes: f - S_{M_N} f = 0
     assert modulus_hp(mart, 1.0, 4) == 0.0
     assert modulus_hp(mart, 1.0, 2) > 0
-
-
-def test_best_approx_l2(walsh):
-    psi5 = character_function(walsh, 5, 3)
-    assert best_approx_l2(psi5, 4) == pytest.approx(1.0)
-    assert best_approx_l2(psi5, 6) == pytest.approx(0.0, abs=1e-12)
-    f = random_grid_function(walsh, 3, seed=8)
-    assert best_approx_l2(f, walsh.order(3)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_atom_accepts_block_difference(walsh):

@@ -265,6 +265,20 @@ def test_cli_malformed_weights_exit_2(capsys, argv, q):
     assert err.startswith("error:") and "--q" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("mean", "--p", "nan", "--m", "2", "--levels", "4", "--res", "4", "--max-n", "8"),
+    ("counterexample", "--kind", "strong-fejer", "--p", "nan", "--m", "2"),
+    ("kernel", "--kind", "tmean", "--q", "nan,1,1,1", "--n", "3", "--m", "2"),
+], ids=["mean-p", "counterexample-p", "kernel-q"])
+def test_cli_nan_exponent_or_weight_exits_2(tmp_path, capsys, argv):
+    prefix = tmp_path / "ce"
+    extra = ("--out", str(prefix)) if argv[0] == "counterexample" else ()
+    assert run_cli(*argv, *extra) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_determinism(capsys):
     run_cli("mean", "--kind", "fejer", "--m", "3", "--res", "3", "--max-n", "9", "--seed", "7")
     first = capsys.readouterr().out

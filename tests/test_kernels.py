@@ -288,7 +288,7 @@ def test_min_resolution_at_block_edges(g):
 
 
 def _kind_params(kind: str) -> dict:
-    values = {"alpha": 0.5, "q": wts.power_weights(0.5, 8)}
+    values = {"alpha": 0.5, "q": wts.power_weights(0.5, 60)}   # q_0..q_60: past every order read
     return {name: values[name] for name in param_names(kind)}
 
 

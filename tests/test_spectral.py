@@ -395,6 +395,12 @@ def test_row_norms_equal_per_row_norms(mixed):
         weak_lp_rows(rows, -1.0)
 
 
+@pytest.mark.parametrize("norm", [lp_norm_rows, weak_lp_rows])
+def test_row_norms_refuse_a_nan_exponent(norm):
+    with pytest.raises(DomainError, match="p must be positive"):
+        norm(np.ones((2, 4)), float("nan"))
+
+
 def _longdouble_forward(f):
     """Every coefficient summed in long double, phases reduced exactly mod 1."""
     g, N = f.group, f.resolution

@@ -19,7 +19,7 @@ import pytest
 from vilenkin import means, spectral, verify
 from vilenkin import weights as wts
 from vilenkin.cli import main
-from vilenkin.errors import InvalidParamsError, RangeError, VilenkinError
+from vilenkin.errors import DomainError, InvalidParamsError, RangeError, VilenkinError
 from vilenkin.group import make_group
 from vilenkin.hardy import counterexample, hardy_quasinorm_fn
 from vilenkin.spectral import (
@@ -559,30 +559,22 @@ def test_weight_sequences_with_equal_values_share_one_plan(tail_builds):
     f = random_grid_function(make_group([5], 6), 6, seed=3)
     orders = range(1, 30)
     harmonic = wts.from_function(lambda k: 1.0 / (k + 1), 30)
-    # constant on q_0..q_2, then growing: the values alone say what q is
-    grown = wts.from_function(lambda k: 1.0 if k < 3 else math.log(k), 2)
-    grown.extend(30)
-    for q in (harmonic, grown):
+    # constant on q_0..q_2, then increasing: the values alone say what q is
+    rising = wts.from_function(lambda k: 1.0 if k < 3 else math.log(k), 30)
+    for q in (harmonic, rising):
         _assert_same_blocks(_sweep(f, "tmean", orders, q=wts.from_values(q.values)),
                             _sweep(f, "tmean", orders, q=q))
     assert len(means._plans) == 2 and len(tail_builds) == 2 * 4
 
 
-def test_weights_extended_through_the_generator_are_never_cached(tail_builds):
+def test_sweep_past_the_end_of_q_raises_and_leaves_q_unchanged(tail_builds):
     f = random_grid_function(make_group([5], 6), 6, seed=2)
-    orders = range(1, 125)
-    # equal on q_0..q_10 and apart from there: a cached plan of one would be wrong for the other
-    grow = wts.from_function(lambda k: 1.0 / (k + 1), 10)
-    other = wts.from_function(lambda k: 1.0 / (k + 1) if k <= 10 else 2.0, 10)
-    got = _sweep(f, "tmean", orders, q=grow)
-    assert grow.n_max == 123
+    q = wts.power_weights(0.5, 10)
+    values = q.values.copy()
+    with pytest.raises(DomainError, match="explicit weight list cannot be extended"):
+        means.weighted_maximal(f, "tmean", range(1, 125), q=q)
+    assert q.n_max == 10 and np.array_equal(q.values, values)
     assert not means._plans
-    want_other = _sweep(f, "tmean", orders,
-                        q=wts.from_values(other.values.tolist() + [2.0] * 113))
-    got_other = _sweep(f, "tmean", orders, q=other)
-    _assert_same_blocks(got_other, want_other)
-    assert len(tail_builds) == 3 * 4 and len(means._plans) == 1   # only the explicit list's plan
-    assert not np.array_equal(got[-1][2], got_other[-1][2])
 
 
 def test_failing_build_yields_the_same_blocks_then_error_and_caches_nothing(tail_builds):

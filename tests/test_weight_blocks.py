@@ -107,7 +107,6 @@ def ref_norlund(n, q):
         raise RangeError("norlund mean requires n >= 1")
     if q.q(0) <= 0:
         raise DomainError("norlund mean requires q_0 > 0")
-    q.extend(n - 1)
     Qn = q.Q(n)
     w = np.zeros(n + 1)
     w[1:] = q.values[n - 1::-1] / Qn
@@ -117,7 +116,6 @@ def ref_norlund(n, q):
 def ref_tmean(n, q):
     if n < 1:
         raise RangeError("t mean requires n >= 1")
-    q.extend(n - 1)
     Qn = q.Q(n)
     w = np.zeros(n)
     w[1:] = q.values[1:n] / Qn
@@ -136,18 +134,19 @@ REFERENCES = {
     "tmean": ref_tmean,
 }
 
-# parameter sets of each kind; "q" is rebuilt per use, as extend mutates it
+# parameter sets of each kind; the weight sequences reach q_625, past the
+# largest order read (M_4 = 625 on [5]^4)
 PARAMS = {"cesaro": [0.3, 1.0], "u": [0.3, 0.75], "v": [0.3, 0.75],
           "norlund": ["power", "increasing", "ones"], "tmean": ["power", "increasing", "ones"]}
-Q_FAMILIES = {"power": lambda: wts.power_weights(0.5, 4),
-              "increasing": lambda: wts.from_function(lambda k: math.log(k + 2.0), 4),
-              "ones": lambda: wts.ones(2)}
+Q_FAMILIES = {"power": wts.power_weights(0.5, 625),
+              "increasing": wts.from_function(lambda k: math.log(k + 2.0), 625),
+              "ones": wts.ones(625)}
 
 
 def _args(kind, param):
     if param is None:
         return ()
-    return (Q_FAMILIES[param](),) if kind in ("norlund", "tmean") else (param,)
+    return (Q_FAMILIES[param],) if kind in ("norlund", "tmean") else (param,)
 
 
 def _cases():
