@@ -113,6 +113,7 @@ def cmd_kernel(args) -> int:
         f = kernels.fejer(g, n, N)
     else:
         kind = args.kind.replace("-", "_")
+        kernels._resolve(g, n, N)   # an oversized grid is refused before q is built
         f = kernels.mean_kernel(g, kind, n, N, **_mean_params(args, kind, n))
     _emit(args, ["x-index", "re", "im"], io.kernel_csv_rows(f), json_obj=io.grid_to_dict(f))
     return 0
@@ -141,7 +142,13 @@ def _weights_from_args(args, n: int) -> weights.WeightSequence:
                                  f"weights, got {desc!r}") from None
 
 
+def _check_tol(args) -> None:
+    if not 0 <= args.tol < float("inf"):
+        raise InvalidParamsError(f"--tol must be a finite number >= 0, got {args.tol}")
+
+
 def cmd_lebesgue(args) -> int:
+    _check_tol(args)
     g = _group_from_args(args, min_levels=_levels_above(args, args.max_n) + 1)
     L = kernels.lebesgue_batch(g, args.max_n)
     rows = []
@@ -163,8 +170,11 @@ def _input_function(args, g: GroupSpec) -> GridFunction:
 
 def cmd_mean(args) -> int:
     f = _input_function(args, _group_from_args(args, min_levels=args.res))
-    kw = _mean_params(args, args.kind, args.max_n)
-    orders = range(means.first_order(args.kind), args.max_n + 1)
+    # the sweep refuses M_N + 1 as it would any larger order, so q and the
+    # orders stop there instead of growing with --max-n
+    top = min(args.max_n, f.group.order(f.resolution) + 1)
+    kw = _mean_params(args, args.kind, top)
+    orders = range(means.first_order(args.kind), top + 1)
     rows = []
     for _, ns, vals in means.mean_blocks(f, args.kind, orders, **kw):
         reps = f.values.size // vals.shape[1]
@@ -191,6 +201,7 @@ VERIFY_MINIMUMS = {"levels": verify.DIVERGENCE_RANK, "max_n": verify.MIN_N_MAX, 
 
 
 def cmd_verify(args) -> int:
+    _check_tol(args)
     for name, least in VERIFY_MINIMUMS.items():
         value = getattr(args, name)
         if value is not None and value < least:

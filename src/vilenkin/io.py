@@ -45,18 +45,25 @@ def grid_to_dict(f: GridFunction) -> dict:
     }
 
 
+def _json_list(xs, types: tuple) -> bool:
+    """xs is a list whose items are all of exactly these types: a JSON bool is no number."""
+    return isinstance(xs, list) and all(type(x) in types for x in xs)
+
+
 def grid_from_dict(obj: dict, group: GroupSpec | None = None) -> GridFunction:
     if not isinstance(obj, dict) or not {"m", "resolution", "values"} <= obj.keys():
         raise InvalidParamsError('a grid file is a JSON object with "m", "resolution" and "values"')
-    N = obj["resolution"]
-    if not isinstance(N, int) or isinstance(N, bool) or N < 0:
+    N, m, values = obj["resolution"], obj["m"], obj["values"]
+    if type(N) is not int or N < 0:
         raise InvalidParamsError(f"grid file resolution must be a nonnegative integer, got {N!r}")
-    try:
-        m = [int(r) for r in obj["m"]]
-        vals = np.array([complex(re, im) for re, im in obj["values"]])
-    except (TypeError, ValueError, OverflowError):
+    if not (_json_list(m, (int,)) and isinstance(values, list)
+            and all(_json_list(v, (int, float)) and len(v) == 2 for v in values)):
         raise InvalidParamsError(
-            'grid file "m" must list integers and "values" must hold [re, im] pairs') from None
+            'grid file "m" must list integers and "values" must hold [re, im] pairs of numbers')
+    try:
+        vals = np.array([complex(re, im) for re, im in values])
+    except OverflowError:
+        raise InvalidParamsError("grid file values must be finite (no NaN or inf)") from None
     if len(m) < N:
         raise InvalidParamsError("radix list shorter than the resolution")
     g = group if group is not None else make_group(m)
@@ -102,15 +109,12 @@ def martingale_from_dict(obj: dict) -> StepMartingale:
             'a martingale file is a JSON object with "m", "levels" and "entries"')
     if not isinstance(obj["entries"], list):
         raise InvalidParamsError('martingale file "entries" must be a list of grids')
-    try:
-        m = [int(r) for r in obj["m"]]
-        levels = tuple(int(n) for n in obj["levels"])
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidParamsError(
-            'martingale file "m" and "levels" must list integers') from None
+    m, levels = obj["m"], obj["levels"]
+    if not (_json_list(m, (int,)) and _json_list(levels, (int,))):
+        raise InvalidParamsError('martingale file "m" and "levels" must list integers')
     g = make_group(m)
     entries = tuple(grid_from_dict(e, g) for e in obj["entries"])
-    return StepMartingale(group=g, levels=levels, entries=entries)
+    return StepMartingale(group=g, levels=tuple(levels), entries=entries)
 
 
 def save_martingale(mart: StepMartingale, out: TextIO) -> None:

@@ -270,10 +270,11 @@ def mean_kernel(g: GroupSpec, kind: str, n: int, N: int | None = None, **params)
 
     This is the kernel of the order-n mean of that kind: convolving f with
     it gives the mean, up to rounding.  The weights come from the mean's own
-    table entry, so its parameter checks and messages apply here too.
+    table entry, so its parameter checks and messages apply here too.  The
+    grid is checked before the n + 1 weights are built.
     """
-    w = means._weight_row(means._method(kind, params), n)
     N = _resolve(g, n, N)
+    w = means._weight_row(means._method(kind, params), n)
     return transform_inverse(Spectrum(g, N, coefficient_tails(w, g.order(N))))
 
 

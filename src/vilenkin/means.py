@@ -22,9 +22,9 @@ the same mean of E_j f (the rank-j coset averages), whose spectrum is
 exactly f^(0..M_j-1).  The block's coefficient rows are that spectrum prefix
 times the tail sums of the run's weight matrix, and one batched inverse
 stage pass synthesizes them all.  Only that spectrum prefix depends on f:
-the runs, each with its level and its tails at M_j columns, make the sweep's
-plan, built once per (radices, kind, parameters, orders) and kept in a
-byte-bounded LRU cache, as FFTW plans a transform once and executes it per
+a run's tails at M_j columns depend only on the kind, its parameters, M_j
+and the run's orders, so they are built once under that key and kept in a
+byte-bounded run cache, as FFTW plans a transform once and executes it per
 array.  The unit mass M_N 1_{I_N} has spectrum all ones, so its sweep is a
 table of the kind's kernels sum_k w_k D_k.
 """
@@ -33,8 +33,6 @@ from __future__ import annotations
 
 import bisect
 import threading
-from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -332,40 +330,24 @@ def first_order(kind: str) -> int:
 # bounds the coefficient tails of one run's weight build.
 _BLOCK_ENTRIES = 1 << 14
 
-# Most bytes of sweep plans the plan cache keeps (1 MiB); the least recently
-# used go first.  A plan larger than a quarter of the budget is not kept, so
-# one long sweep does not flush the short ones: the three sweeps of orders
-# 1..124 on [5]^6 of a maximal-sweep task plan 0.10 MB each, while the
-# sharpness sums of the [5]^8 strong suite sweep 1..250 in 0.73 MB.  The cache
-# is an ``OrderedDict`` from least to most recently used; one lock guards
-# every lookup, insertion and eviction.
+# Most bytes of run tails the run cache ``_plans`` keeps (1 MiB).  A built
+# run is kept while the total stays within it, and nothing is evicted: a
+# working set larger than the budget keeps the runs built first, rather than
+# thrashing as a least-recently-used cache would when sweeps repeat in a
+# cycle.  One lock guards every lookup and insertion.
 _PLAN_BYTES = 1 << 20
-_plans: OrderedDict = OrderedDict()
+_plans: dict = {}
 _plans_lock = threading.Lock()
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """The runs of one sweep, and their bytes: the tails, 8 per order of the key."""
-
-    runs: tuple
-    nbytes: int
-
-
-def _plan_key(g, N: int, kind: str, params: dict, orders: list) -> tuple | None:
-    """The plan cache key of a sweep, or None if the sweep is not cached.
+def _params_key(kind: str, params: dict) -> tuple | None:
+    """A kind and its parameters as part of a run's key, or None if they are not hashable.
 
     Parameters are keyed by type and value, a weight sequence by its values
-    alone, so sequences with equal values share one plan.
+    alone, so sequences with equal values share their runs.
     """
-    vals = []
-    for name in sorted(params):
-        v = params[name]
-        if isinstance(v, WeightSequence):
-            vals.append((WeightSequence, v.values.tobytes()))
-        else:
-            vals.append((type(v), v))
-    key = (g.m[:N], kind, tuple(vals), tuple(orders))
+    key = (kind,) + tuple((WeightSequence, v.values.tobytes()) if isinstance(v, WeightSequence)
+                          else (type(v), v) for _, v in sorted(params.items()))
     try:
         hash(key)
     except TypeError:
@@ -373,57 +355,38 @@ def _plan_key(g, N: int, kind: str, params: dict, orders: list) -> tuple | None:
     return key
 
 
-def _plan_runs(M: tuple, N: int, orders: list, weights) -> Iterator[tuple]:
-    """The runs (a, b, j, tails) of a sweep over ``orders``, each in 1..M_N.
+def _plan(M: tuple, N: int, kind: str, params: dict, orders: list, weights) -> Iterator[tuple]:
+    """The runs (j, ns, tails) of a sweep over ``orders``, each in 1..M_N.
 
-    A run holds orders[a:b], consecutive orders on level j, as many as fit
-    in ``_BLOCK_ENTRIES`` at M_j (or one), and the read-only coefficient
-    tails of their weights, one row per order and M_j columns.  A failing
-    weight build raises when its run is reached, after the runs before it.
+    A run holds ns, consecutive orders on level j, as many as fit in
+    ``_BLOCK_ENTRIES`` at M_j (or one), and the read-only coefficient tails
+    of their weights, one row per order and M_j columns.  The tails depend
+    only on (kind, parameters, M_j, ns), so they are read from the run cache
+    under that key, or built and kept there if the cache stays within
+    ``_PLAN_BYTES``.  A failing weight build raises when its run is reached,
+    after the runs before it.
     """
-    levels = [bisect.bisect_left(M, n, 0, N) for n in orders]
+    params_key = _params_key(kind, params)
     a = 0
     while a < len(orders):
-        j, b = levels[a], a + 1
-        most = max(1, _BLOCK_ENTRIES // M[j])
-        while b < len(orders) and levels[b] == j and b - a < most:
+        j = bisect.bisect_left(M, orders[a], 0, N)
+        low, size = M[j - 1] if j else 0, M[j]   # level j holds the orders in low+1..M_j
+        end, b = min(len(orders), a + max(1, _BLOCK_ENTRIES // size)), a + 1
+        while b < end and low < orders[b] <= size:
             b += 1
-        tails = coefficient_tails(weights(np.array(orders[a:b]), M[j] + 1), M[j])
-        tails.flags.writeable = False
-        yield a, b, j, tails
-        a = b
-
-
-def _plan(g, N: int, kind: str, params: dict, orders: list, weights) -> Iterator[tuple]:
-    """The runs of a sweep: from its cached plan, or built as the sweep reads them.
-
-    A new plan is kept once the sweep has read every run: a build that
-    raises, or a sweep that stops early, keeps nothing.  The runs of a plan
-    past a quarter of the budget are let go as soon as the sweep is done
-    with them.
-    """
-    key = _plan_key(g, N, kind, params, orders)
-    with _plans_lock:
-        plan = None if key is None else _plans.get(key)
-        if plan is not None:
-            _plans.move_to_end(key)
-    if plan is not None:
-        yield from plan.runs
-        return
-    runs, nbytes = [], 8 * len(orders)
-    for run in _plan_runs(g.M, N, orders, weights):
-        yield run
-        nbytes += run[3].nbytes
-        if nbytes <= _PLAN_BYTES // 4:
-            runs.append(run)
-        else:
-            runs.clear()
-    if key is not None and nbytes <= _PLAN_BYTES // 4:
+        ns = orders[a:b]
+        key = None if params_key is None else (params_key, size, tuple(ns))
         with _plans_lock:
-            _plans[key] = _Plan(tuple(runs), nbytes)
-            _plans.move_to_end(key)
-            while sum(p.nbytes for p in _plans.values()) > _PLAN_BYTES:
-                _plans.popitem(last=False)
+            tails = None if key is None else _plans.get(key)
+        if tails is None:
+            tails = coefficient_tails(weights(np.array(ns), size + 1), size)
+            tails.flags.writeable = False
+            if key is not None:
+                with _plans_lock:
+                    if sum(t.nbytes for t in _plans.values()) + tails.nbytes <= _PLAN_BYTES:
+                        _plans[key] = tails
+        yield j, ns, tails
+        a = b
 
 
 def mean_blocks(
@@ -442,15 +405,16 @@ def mean_blocks(
     inverse; no run holds more than ``_BLOCK_ENTRIES`` entries unless a
     single row does.
 
-    What does not depend on f is the sweep's plan: its runs, each with the
-    level of its orders and their tails.  A plan is keyed by (g.m[:N],
-    kind, parameters by value, orders) and kept in a byte-bounded LRU cache
-    (``_PLAN_BYTES``), so a repeated sweep on a new f only multiplies,
-    synthesizes and yields.  Orders may come in any order and repeat, and
-    each must lie in first_order(kind)..M_N: the first one outside raises
-    ``RangeError`` before f is transformed or a plan is read or built.  A
-    failing weight build (an explicit weight list too short, say) yields
-    the blocks of the runs before it, then raises, and keeps nothing.
+    What does not depend on f is a run's tails.  They are keyed by (kind,
+    parameters by value, M_j, the run's orders) and kept in the run cache
+    while it stays within ``_PLAN_BYTES``, so a repeated run, in this sweep's
+    range or another's, on this group or one with the same M_j, only
+    multiplies, synthesizes and yields.  Orders may come in any order and
+    repeat, and each must lie in first_order(kind)..M_N: the first one
+    outside raises ``RangeError`` before f is transformed or any tails are
+    read or built.  A failing weight build (an explicit weight list too
+    short, say) yields the blocks of the runs before it, then raises; the
+    runs built before it stay cached.
     """
     weights = _method(kind, params)
     g, N = f.group, f.resolution
@@ -460,8 +424,8 @@ def mean_blocks(
         n = next(n for n in orders if not first <= n <= MN)
         raise RangeError(f"{kind} mean order {n} outside {first}..{MN}")
     s = transform_forward(f)
-    for a, b, j, tails in _plan(g, N, kind, params, orders, weights):
-        yield j, orders[a:b], inverse_rows(g, j, s.coeffs[:g.M[j]] * tails)
+    for j, ns, tails in _plan(g.M, N, kind, params, orders, weights):
+        yield j, ns, inverse_rows(g, j, s.coeffs[:g.M[j]] * tails)
 
 
 def weighted_maximal(

@@ -384,6 +384,50 @@ def test_malformed_martingale_file(tmp_path, walsh, mangle):
         vio.load_martingale(src)
 
 
+# radices and levels are JSON integers and values JSON numbers: nothing is
+# rounded, parsed from a string or read from a bool
+@pytest.mark.parametrize("change", [
+    {"m": [2.7, 2]},
+    {"m": [2.0, 2]},
+    {"m": ["2", "2"]},
+    {"m": [True, 2]},
+    {"m": 2},
+    {"values": [[True, False]] + _GRID["values"][1:]},
+    {"values": [["1", 0]] + _GRID["values"][1:]},
+    {"values": [[None, 0]] + _GRID["values"][1:]},
+    {"values": [[1.0]] * 4},
+    {"values": [[10 ** 400, 0]] + _GRID["values"][1:]},
+], ids=["float-radix", "integral-float-radix", "string-radices", "bool-radix",
+        "radices-not-a-list", "bool-values", "string-value", "null-value", "short-pair",
+        "value-past-float"])
+def test_grid_file_takes_only_json_numbers(tmp_path, capsys, change):
+    src = tmp_path / "f.json"
+    src.write_text(json.dumps({**_GRID, **change}))
+    with pytest.raises(InvalidParamsError):
+        vio.load_grid(src)
+    assert run_cli("transform", "--m", "2", "--levels", "2", "--res", "2",
+                   "--input", str(src)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("change", [
+    lambda obj: {**obj, "levels": [1.9] + obj["levels"][1:]},
+    lambda obj: {**obj, "levels": [True] + obj["levels"][1:]},
+    lambda obj: {**obj, "levels": "1234"},
+    lambda obj: {**obj, "m": [2.0] + obj["m"][1:]},
+    lambda obj: {**obj, "m": ["2"] + obj["m"][1:]},
+    lambda obj: {**obj, "entries": [{**obj["entries"][0], "values": [[True, False]] * 2}]
+                 + obj["entries"][1:]},
+], ids=["float-level", "bool-level", "levels-not-a-list", "float-radix", "string-radix",
+        "bool-values"])
+def test_martingale_file_takes_only_json_numbers(tmp_path, walsh, change):
+    src = tmp_path / "mart.json"
+    src.write_text(json.dumps(change(_martingale_obj(walsh))))
+    with pytest.raises(InvalidParamsError, match="mart.json"):
+        vio.load_martingale(src)
+
+
 def test_missing_martingale_file(tmp_path):
     with pytest.raises(InvalidParamsError, match="absent.json"):
         vio.load_martingale(tmp_path / "absent.json")
@@ -464,6 +508,48 @@ def test_cli_mean_refuses_an_order_past_M_N_at_once():
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: fejer mean order 16385 outside 1..16384\n"
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("kernel", "--kind", "tmean", "--n", "16777216", "--m", "2"),
+     "error: a rank-25 grid on radices [2"),
+    (("kernel", "--kind", "riesz-log", "--n", "16777216", "--m", "2"),
+     "error: a rank-25 grid on radices [2"),
+    (("mean", "--kind", "tmean", "--max-n", "16777216", "--m", "2", "--levels", "4",
+      "--res", "4"), "error: tmean mean order 17 outside 1..16\n"),
+    (("mean", "--kind", "riesz_log", "--max-n", "16777216", "--m", "2", "--levels", "4",
+      "--res", "0"), "error: riesz_log mean order 2 outside 2..1\n"),
+], ids=["tmean-kernel", "riesz-log-kernel", "tmean-mean", "riesz-log-mean-on-one-point"])
+def test_cli_huge_orders_are_refused_before_weights_are_built(monkeypatch, capsys, argv,
+                                                               message):
+    # at n = 2^24 the weights and order lists alone would take about 1 GB
+    sizes = []
+    ones = weights.ones
+
+    def counted(n):
+        sizes.append(n)
+        return ones(n)
+
+    monkeypatch.setattr(weights, "ones", counted)
+    assert run_cli(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(message) and len(err.splitlines()) == 1
+    assert all(n <= 18 for n in sizes)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "identities", "--m", "2", "--levels", "8", "--tol", "nan"),
+    ("verify", "--suite", "inequalities", "--m", "2", "--levels", "8", "--tol", "-1"),
+    ("lebesgue", "--m", "2", "--max-n", "8", "--tol", "nan"),
+    ("lebesgue", "--m", "2", "--max-n", "8", "--tol", "inf"),
+    ("lebesgue", "--m", "2", "--max-n", "8", "--tol", "-0.5"),
+], ids=["verify-nan", "verify-negative", "lebesgue-nan", "lebesgue-inf", "lebesgue-negative"])
+def test_cli_refuses_a_tol_that_is_not_finite_and_nonnegative(tmp_path, capsys, argv):
+    out = tmp_path / "report.csv"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"error: --tol must be a finite number >= 0, got {float(argv[-1])}\n"
 
 
 @pytest.mark.parametrize("argv,message", [

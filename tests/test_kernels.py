@@ -490,3 +490,18 @@ def test_dirichlet_sweep_readers_equal_a_literal_accumulation(pattern, levels):
     assert np.array_equal(ws.D, Dw)
     assert np.array_equal(np.abs(ws.D[:top]).mean(axis=1), expect)   # the inequality suite's L_n
     assert np.array_equal(ws.B, np.cumsum(Dw, axis=0))
+
+
+def test_oversized_mean_kernel_is_refused_before_its_weights_are_built(monkeypatch):
+    # the weight row of order 2^24 would take 134 MB before the grid check
+    calls = []
+    build, names = _KINDS["tmean"]
+
+    def counted(ns, size, q):
+        calls.append(size)
+        return build(ns, size, q)
+
+    monkeypatch.setitem(_KINDS, "tmean", (counted, names))
+    with pytest.raises(RangeError, match="33554432 points"):
+        mean_kernel(make_group([2], 25), "tmean", 1 << 24, q=wts.ones(3))
+    assert calls == []

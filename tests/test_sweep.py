@@ -11,7 +11,7 @@ import json
 import math
 import sys
 import threading
-from collections import Counter, OrderedDict
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -127,7 +127,7 @@ def test_sweep_out_of_range_order_raises_as_oracle(grid):
 
 @pytest.fixture
 def stage_passes(monkeypatch):
-    """Resolutions of every stage pass run, forward and inverse, from an empty plan cache."""
+    """Resolutions of every stage pass run, forward and inverse, from an empty run cache."""
     passes = []
     stage_pass = spectral._stage_pass
 
@@ -136,7 +136,7 @@ def stage_passes(monkeypatch):
         return stage_pass(vals, g, resolution, sign)
 
     monkeypatch.setattr(spectral, "_stage_pass", counted)
-    monkeypatch.setattr(means, "_plans", OrderedDict())
+    monkeypatch.setattr(means, "_plans", {})
     return passes
 
 
@@ -453,9 +453,9 @@ def _drain(blocks):
 
 @pytest.fixture
 def tail_builds(monkeypatch):
-    """(rows, size) of every coefficient-tail build of ``mean_blocks``, from an empty plan cache."""
+    """(rows, size) of every coefficient-tail build of ``mean_blocks``, from an empty run cache."""
     builds = []
-    monkeypatch.setattr(means, "_plans", OrderedDict())
+    monkeypatch.setattr(means, "_plans", {})
 
     def counted(weights, size):
         builds.append((weights.shape[0], size))
@@ -491,7 +491,7 @@ def test_radix5_sweep_builds_its_weights_once(tail_builds):
 
 
 # ---------------------------------------------------------------------------
-# Sweep plans: built once per (radices, kind, parameters, orders) and cached
+# Run cache: each run's tails built once per (kind, parameters, M_j, orders)
 # ---------------------------------------------------------------------------
 
 PLAN_GROUPS = {"m5": ([5], 6), "m2": ([2], 8), "m234": ([2, 3, 4], 5)}
@@ -507,6 +507,15 @@ def _assert_same_blocks(got, want):
         assert np.array_equal(a, b)
 
 
+def _entries():
+    """The run cache's entries as (key, id of the tails) pairs."""
+    return [(key, id(tails)) for key, tails in means._plans.items()]
+
+
+def _cached_bytes() -> int:
+    return sum(tails.nbytes for tails in means._plans.values())
+
+
 @pytest.mark.parametrize("name", sorted(PLAN_GROUPS))
 @pytest.mark.parametrize("kind", KINDS)
 def test_warm_plan_equals_cold_build(monkeypatch, name, kind):
@@ -515,15 +524,15 @@ def test_warm_plan_equals_cold_build(monkeypatch, name, kind):
     MN = g.order(levels)
     orders = range(means.first_order(kind), min(MN, 125) + 1)
     f = random_grid_function(g, levels, seed=3)
-    monkeypatch.setattr(means, "_plans", OrderedDict())
+    monkeypatch.setattr(means, "_plans", {})
     cold = _sweep(f, kind, orders, **_params(kind, MN))
-    assert len(means._plans) == 1
-    # another function builds the plan, and f runs on it
-    monkeypatch.setattr(means, "_plans", OrderedDict())
+    assert len(means._plans) == _chunks(g, orders)
+    # another function builds the runs, and f runs on them
+    monkeypatch.setattr(means, "_plans", {})
     _sweep(random_grid_function(g, levels, seed=4), kind, orders, **_params(kind, MN))
-    plan, = means._plans.values()
+    runs = _entries()
     _assert_same_blocks(_sweep(f, kind, orders, **_params(kind, MN)), cold)
-    assert list(means._plans.values()) == [plan]
+    assert _entries() == runs
 
 
 def test_repeated_sweep_builds_no_tails(tail_builds):
@@ -535,10 +544,10 @@ def test_repeated_sweep_builds_no_tails(tail_builds):
         verify.strong_sum(f, "riesz_log", 0.4, lambda k: 1.0, 124, norm_source="hp")
     fejer_runs = [(1, 1), (4, 5), (20, 25), (99, 125)]
     assert tail_builds == fejer_runs + fejer_runs + fejer_runs[1:]
-    assert len(means._plans) == 3
+    assert len(means._plans) == 4 + 4 + 3
 
 
-def test_plan_key_holds_radices_kind_and_parameter_values(tail_builds):
+def test_run_key_holds_kind_parameter_values_and_level_size(tail_builds):
     f = random_grid_function(make_group([5], 6), 6, seed=1)
     deeper = random_grid_function(make_group([5], 7), 6, seed=1)
     orders = range(1, 30)
@@ -547,12 +556,49 @@ def test_plan_key_holds_radices_kind_and_parameter_values(tail_builds):
         _sweep(f, "u", orders, alpha=alpha)
     for a in (0.5, 0.25, 0.5):
         _sweep(f, "tmean", orders, q=wts.power_weights(a, 40))
-    _sweep(deeper, "tmean", orders, q=wts.power_weights(0.5, 40))   # the same m[:6]
-    _sweep(random_grid_function(make_group([5, 2], 6), 6, seed=1), "fejer", orders)
+    _sweep(deeper, "tmean", orders, q=wts.power_weights(0.5, 40))   # the same M_j
     _sweep(f, "fejer", orders)
-    assert len(means._plans) == 8
-    # orders 1..29 take four runs on [5] and on [5, 2], each built once
-    assert len(tail_builds) == sum(len(plan.runs) for plan in means._plans.values()) == 8 * 4
+    # orders 1..29 take four runs on [5], each built once per kind and parameters
+    assert len(tail_builds) == len(means._plans) == 7 * 4
+    assert {key[1:] for key in means._plans} == {
+        (1, (1,)), (5, (2, 3, 4, 5)), (25, tuple(range(6, 26))), (125, (26, 27, 28, 29))}
+
+
+def test_sweeps_on_other_radices_share_the_runs_of_equal_level_sizes(tail_builds):
+    orders = range(1, 30)
+    five = random_grid_function(make_group([5], 6), 6, seed=1)
+    _sweep(five, "fejer", orders)
+    assert tail_builds == [(1, 1), (4, 5), (20, 25), (4, 125)]
+    # on [5, 2], M_0 = 1 and M_1 = 5 as on [5]: orders 1 and 2..5 reuse their runs
+    five_two = random_grid_function(make_group([5, 2], 6), 6, seed=1)
+    del tail_builds[:]
+    got = _sweep(five_two, "fejer", orders)
+    assert tail_builds == [(5, 10), (19, 50)]
+    _assert_same_blocks(got, list(direct_run_blocks(five_two, "fejer", orders)))
+
+
+def test_longer_sweep_builds_only_the_runs_a_shorter_one_lacked(tail_builds):
+    f = random_grid_function(make_group([5], 6), 6, seed=4)
+    _sweep(f, "fejer", range(1, 101))
+    assert tail_builds == [(1, 1), (4, 5), (20, 25), (75, 125)]
+    del tail_builds[:]
+    got = _sweep(f, "fejer", range(1, 125))
+    assert tail_builds == [(99, 125)]
+    _assert_same_blocks(got, list(direct_run_blocks(f, "fejer", range(1, 125))))
+
+
+def test_second_strong_and_divergence_run_rebuilds_at_most_five_runs(tail_builds):
+    g = make_group([5], 8)
+
+    def run():
+        return [r.to_dict() for name in ("strong", "divergence")
+                for r in verify.run_suite(name, g, seed=11)]
+
+    first = run()
+    cold = len(tail_builds)
+    assert run() == first
+    assert len(tail_builds) - cold <= 5
+    assert _cached_bytes() <= means._PLAN_BYTES
 
 
 def test_weight_sequences_with_equal_values_share_one_plan(tail_builds):
@@ -564,7 +610,7 @@ def test_weight_sequences_with_equal_values_share_one_plan(tail_builds):
     for q in (harmonic, rising):
         _assert_same_blocks(_sweep(f, "tmean", orders, q=wts.from_values(q.values)),
                             _sweep(f, "tmean", orders, q=q))
-    assert len(means._plans) == 2 and len(tail_builds) == 2 * 4
+    assert len(means._plans) == len(tail_builds) == 2 * 4
 
 
 def test_sweep_past_the_end_of_q_raises_and_leaves_q_unchanged(tail_builds):
@@ -574,10 +620,12 @@ def test_sweep_past_the_end_of_q_raises_and_leaves_q_unchanged(tail_builds):
     with pytest.raises(DomainError, match="explicit weight list cannot be extended"):
         means.weighted_maximal(f, "tmean", range(1, 125), q=q)
     assert q.n_max == 10 and np.array_equal(q.values, values)
-    assert not means._plans
+    # the runs of orders 1 and 2..5 read only q_0..q_4 and are kept; 6..25 raised
+    assert [key[1:] for key in means._plans] == [(1, (1,)), (5, (2, 3, 4, 5))]
 
 
-def test_failing_build_yields_the_same_blocks_then_error_and_caches_nothing(tail_builds):
+def test_failing_build_yields_the_same_blocks_then_error_and_keeps_the_runs_before_it(
+        tail_builds):
     f = random_grid_function(make_group([5], 6), 6, seed=2)
     # q_0..q_199 serve orders up to 200: the third run on level 4 (26 orders
     # of 625 points each), orders 178..203, reads past them
@@ -589,42 +637,66 @@ def test_failing_build_yields_the_same_blocks_then_error_and_caches_nothing(tail
     for got, got_err in runs[1:]:
         _assert_same_blocks(got, blocks)
         assert got_err == err
-    assert not means._plans
+    # the six runs before the failing one are built once, by the first sweep
+    assert tail_builds == [(1, 1), (4, 5), (20, 25), (100, 125), (26, 625), (26, 625)]
+    assert [key[2][-1] for key in means._plans] == [1, 5, 25, 125, 151, 177]
 
 
-def test_sweep_stopped_early_caches_nothing(tail_builds):
+def test_sweep_stopped_early_keeps_the_runs_it_read(tail_builds):
     f = random_grid_function(make_group([5], 6), 6, seed=2)
     sweep = means.mean_blocks(f, "fejer", range(1, 300))
     next(sweep)
     sweep.close()
-    assert not means._plans
+    assert list(means._plans) == [(("fejer",), 1, (1,))]
+    _sweep(f, "fejer", range(1, 300))
+    assert tail_builds[0] == (1, 1) and (1, 1) not in tail_builds[1:]
 
 
 def test_plan_cache_stays_in_its_budget(tail_builds):
     f = random_grid_function(make_group([5], 6), 6, seed=2)
     for top in range(60, 125):
+        before = _entries()
         _sweep(f, "fejer", range(1, top))
-    assert 1 < len(means._plans) < 65
-    assert sum(plan.nbytes for plan in means._plans.values()) <= means._PLAN_BYTES
-    assert list(means._plans)[-1][3] == tuple(range(1, 124))   # the last plan is kept
-    kept = list(means._plans.items())
-    # a plan past a quarter of the budget is built, used and not kept, and evicts nothing
+        # nothing is evicted, and the total stays within the budget
+        assert _entries()[:len(before)] == before
+        assert _cached_bytes() <= means._PLAN_BYTES
+    # the runs of orders 1, 2..5 and 6..25 are shared; some level-3 runs did not fit
+    assert 3 < len(means._plans) < 3 + 65
+    assert len(tail_builds) == 3 + 65
+    kept = _entries()
+    # a longer sweep past the budget is built and used, and evicts nothing
     big = _sweep(f, "fejer", range(1, 200))
-    assert list(means._plans.items()) == kept
+    assert _entries()[:len(kept)] == kept
     _assert_same_blocks(big, _sweep(f, "fejer", range(1, 200)))
-    assert list(means._plans.items()) == kept
+    _assert_same_blocks(big, list(direct_run_blocks(f, "fejer", range(1, 200))))
+
+
+def test_sweep_past_the_budget_keeps_what_fits_and_evicts_nothing(tail_builds):
+    f = random_grid_function(make_group([5], 6), 6, seed=2)
+    _sweep(f, "fejer", range(1, 125))
+    before = _entries()
+    orders = range(1, 301)
+    # its level-4 runs hold 26 orders at 625 columns, 130,000 bytes each
+    got = _sweep(f, "fejer", orders)
+    assert _entries()[:len(before)] == before
+    assert _cached_bytes() <= means._PLAN_BYTES < _cached_bytes() + 26 * 625 * 8
+    kept = _entries()
+    assert before != kept and len(kept) < len(before) + _chunks(f.group, orders)
+    want = list(direct_run_blocks(f, "fejer", orders))
+    _assert_same_blocks(got, want)
+    _assert_same_blocks(_sweep(f, "fejer", orders), want)
+    assert _entries() == kept
 
 
 def test_cached_plan_tails_are_read_only(tail_builds):
     f = random_grid_function(make_group([2, 3, 4], 5), 5, seed=2)
     for kind in KINDS:
         _sweep(f, kind, range(means.first_order(kind), 49), **_params(kind, 48))
-    assert len(means._plans) == len(KINDS)
-    for plan in means._plans.values():
-        for _, _, _, tails in plan.runs:
-            assert not tails.flags.writeable
-            with pytest.raises(ValueError):
-                tails[0, 0] = 1.0
+    assert {key[0][0] for key in means._plans} == set(KINDS)
+    for tails in means._plans.values():
+        assert not tails.flags.writeable
+        with pytest.raises(ValueError):
+            tails[0, 0] = 1.0
 
 
 def test_plan_cache_under_threads(monkeypatch):
@@ -632,7 +704,7 @@ def test_plan_cache_under_threads(monkeypatch):
     f = random_grid_function(make_group([5], 6), 6, seed=2)
     tops = [40, 60, 80, 100, 124, 50, 70, 90, 110, 120]
     want = {top: _sweep(f, "fejer", range(1, top + 1)) for top in tops}
-    monkeypatch.setattr(means, "_plans", OrderedDict())
+    monkeypatch.setattr(means, "_plans", {})
     monkeypatch.setattr(means, "_PLAN_BYTES", 500_000)
     errors = []
 

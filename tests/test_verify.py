@@ -1,5 +1,4 @@
 import json
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -311,7 +310,7 @@ def test_suites_repeat_exactly_with_warm_memo_and_table(monkeypatch):
 def test_run_all_is_equal_with_cleared_and_warm_caches(monkeypatch, pattern, levels):
     from vilenkin import characters, io, kernels, means, spectral, weights
 
-    monkeypatch.setattr(means, "_plans", OrderedDict())
+    monkeypatch.setattr(means, "_plans", {})
     monkeypatch.setattr(weights, "_HARMONIC", [0.0, 0.0])
     monkeypatch.setattr(weights, "_HARMONIC_SUM", 0)
     for memo in (characters._unit_roots, kernels._geometric, spectral._blocks,
