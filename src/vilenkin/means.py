@@ -330,13 +330,14 @@ def first_order(kind: str) -> int:
 # bounds the coefficient tails of one run's weight build.
 _BLOCK_ENTRIES = 1 << 14
 
-# Most bytes of run tails the run cache ``_plans`` keeps (1 MiB).  A built
-# run is kept while the total stays within it, and nothing is evicted: a
-# working set larger than the budget keeps the runs built first, rather than
-# thrashing as a least-recently-used cache would when sweeps repeat in a
-# cycle.  One lock guards every lookup and insertion.
+# Most bytes the run cache ``_plans`` keeps (1 MiB), counting a run's tails
+# and 8 per order of its key; ``_plans_nbytes`` is the running total.  A run
+# is kept while the total fits, and nothing is evicted, so a working set past
+# the budget keeps the runs built first instead of thrashing when sweeps
+# repeat in a cycle, as an LRU would.  One lock guards lookups and insertions.
 _PLAN_BYTES = 1 << 20
 _plans: dict = {}
+_plans_nbytes = 0
 _plans_lock = threading.Lock()
 
 
@@ -360,12 +361,11 @@ def _plan(M: tuple, N: int, kind: str, params: dict, orders: list, weights) -> I
 
     A run holds ns, consecutive orders on level j, as many as fit in
     ``_BLOCK_ENTRIES`` at M_j (or one), and the read-only coefficient tails
-    of their weights, one row per order and M_j columns.  The tails depend
-    only on (kind, parameters, M_j, ns), so they are read from the run cache
-    under that key, or built and kept there if the cache stays within
-    ``_PLAN_BYTES``.  A failing weight build raises when its run is reached,
-    after the runs before it.
+    of their weights (one row per order, M_j columns), which depend only on
+    (kind, parameters, M_j, ns): they are read from the run cache under that
+    key, or built and kept if they fit.  A failing build raises at its run.
     """
+    global _plans_nbytes
     params_key = _params_key(kind, params)
     a = 0
     while a < len(orders):
@@ -383,8 +383,9 @@ def _plan(M: tuple, N: int, kind: str, params: dict, orders: list, weights) -> I
             tails.flags.writeable = False
             if key is not None:
                 with _plans_lock:
-                    if sum(t.nbytes for t in _plans.values()) + tails.nbytes <= _PLAN_BYTES:
-                        _plans[key] = tails
+                    nbytes = _plans_nbytes + tails.nbytes + 8 * len(ns)
+                    if key not in _plans and nbytes <= _PLAN_BYTES:
+                        _plans[key], _plans_nbytes = tails, nbytes
         yield j, ns, tails
         a = b
 

@@ -137,6 +137,7 @@ def stage_passes(monkeypatch):
 
     monkeypatch.setattr(spectral, "_stage_pass", counted)
     monkeypatch.setattr(means, "_plans", {})
+    monkeypatch.setattr(means, "_plans_nbytes", 0)
     return passes
 
 
@@ -456,6 +457,7 @@ def tail_builds(monkeypatch):
     """(rows, size) of every coefficient-tail build of ``mean_blocks``, from an empty run cache."""
     builds = []
     monkeypatch.setattr(means, "_plans", {})
+    monkeypatch.setattr(means, "_plans_nbytes", 0)
 
     def counted(weights, size):
         builds.append((weights.shape[0], size))
@@ -513,7 +515,10 @@ def _entries():
 
 
 def _cached_bytes() -> int:
-    return sum(tails.nbytes for tails in means._plans.values())
+    """The run cache's bytes (tails, and 8 per key order), checked against its running total."""
+    total = sum(tails.nbytes + 8 * len(key[2]) for key, tails in means._plans.items())
+    assert means._plans_nbytes == total
+    return total
 
 
 @pytest.mark.parametrize("name", sorted(PLAN_GROUPS))
@@ -525,10 +530,12 @@ def test_warm_plan_equals_cold_build(monkeypatch, name, kind):
     orders = range(means.first_order(kind), min(MN, 125) + 1)
     f = random_grid_function(g, levels, seed=3)
     monkeypatch.setattr(means, "_plans", {})
+    monkeypatch.setattr(means, "_plans_nbytes", 0)
     cold = _sweep(f, kind, orders, **_params(kind, MN))
     assert len(means._plans) == _chunks(g, orders)
     # another function builds the runs, and f runs on them
     monkeypatch.setattr(means, "_plans", {})
+    monkeypatch.setattr(means, "_plans_nbytes", 0)
     _sweep(random_grid_function(g, levels, seed=4), kind, orders, **_params(kind, MN))
     runs = _entries()
     _assert_same_blocks(_sweep(f, kind, orders, **_params(kind, MN)), cold)
@@ -679,7 +686,7 @@ def test_sweep_past_the_budget_keeps_what_fits_and_evicts_nothing(tail_builds):
     # its level-4 runs hold 26 orders at 625 columns, 130,000 bytes each
     got = _sweep(f, "fejer", orders)
     assert _entries()[:len(before)] == before
-    assert _cached_bytes() <= means._PLAN_BYTES < _cached_bytes() + 26 * 625 * 8
+    assert _cached_bytes() <= means._PLAN_BYTES < _cached_bytes() + 26 * 625 * 8 + 26 * 8
     kept = _entries()
     assert before != kept and len(kept) < len(before) + _chunks(f.group, orders)
     want = list(direct_run_blocks(f, "fejer", orders))
@@ -705,6 +712,7 @@ def test_plan_cache_under_threads(monkeypatch):
     tops = [40, 60, 80, 100, 124, 50, 70, 90, 110, 120]
     want = {top: _sweep(f, "fejer", range(1, top + 1)) for top in tops}
     monkeypatch.setattr(means, "_plans", {})
+    monkeypatch.setattr(means, "_plans_nbytes", 0)
     monkeypatch.setattr(means, "_PLAN_BYTES", 500_000)
     errors = []
 
@@ -726,4 +734,4 @@ def test_plan_cache_under_threads(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and not errors
-    assert sum(plan.nbytes for plan in means._plans.values()) <= means._PLAN_BYTES
+    assert _cached_bytes() <= means._PLAN_BYTES

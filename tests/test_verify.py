@@ -311,6 +311,7 @@ def test_run_all_is_equal_with_cleared_and_warm_caches(monkeypatch, pattern, lev
     from vilenkin import characters, io, kernels, means, spectral, weights
 
     monkeypatch.setattr(means, "_plans", {})
+    monkeypatch.setattr(means, "_plans_nbytes", 0)
     monkeypatch.setattr(weights, "_HARMONIC", [0.0, 0.0])
     monkeypatch.setattr(weights, "_HARMONIC_SUM", 0)
     for memo in (characters._unit_roots, kernels._geometric, spectral._blocks,
