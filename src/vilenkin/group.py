@@ -10,6 +10,7 @@ digit expansion and point indexing share one code path.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -121,9 +122,12 @@ def make_group(radices: Sequence[int], levels: int | None = None) -> GroupSpec:
     """Build a GroupSpec from an explicit radix list or a repeating pattern.
 
     With ``levels`` given, the radix list is repeated cyclically to that
-    length; otherwise it is taken verbatim.
+    length; otherwise it is taken verbatim.  Radices must be integers.
     """
-    pattern = tuple(int(r) for r in radices)
+    try:
+        pattern = tuple(operator.index(r) for r in radices)
+    except TypeError:
+        raise InvalidGroupError(f"radices must be integers, got {radices!r}") from None
     if not pattern:
         raise InvalidGroupError("empty radix sequence")
     if levels is None:

@@ -274,7 +274,7 @@ def mean_kernel(g: GroupSpec, kind: str, n: int, N: int | None = None, **params)
     grid is checked before the n + 1 weights are built.
     """
     N = _resolve(g, n, N)
-    w = means._weight_row(means._method(kind, params), n)
+    w = means._weight_row(kind, n, **params)
     return transform_inverse(Spectrum(g, N, coefficient_tails(w, g.order(N))))
 
 

@@ -1,16 +1,16 @@
 """Summability means of grid functions and weighted maximal operators.
 
 All means follow the convention sum_{k=1}^{n} with S_0 f = 0.  Each kind of
-mean is one weight vector w on the partial sums S_k.  Its entry in the table
-``_KINDS`` holds one builder, ``weights(ns, size)``, which returns the
-vectors of many orders at once as the rows of one matrix: masks on k and
-gathers from coefficient tables built once for max(ns).  The mean is the
-spectral multiplier sum_k w_k S_k f (the coefficient tails of w), and
-``kernels.mean_kernel`` builds its kernel sum_k w_k D_k from the same
-builder, so mean_n f = f * kernel_n up to rounding and both share the
-builder's parameter checks.  The per-order functions (``fejer_mean``,
-``t_mean``, ...) take row 0 of a one-order block, evaluate the multiplier
-on the full grid with their own order ranges, and serve as the oracle.
+mean is one weight vector w on the partial sums S_k, and one row of the
+table ``_KINDS``: its builder ``weights(ns, size, *params)``, which returns
+the vectors of many orders at once as the rows of one matrix, its parameter
+names and its least order.  ``_method`` resolves every use of a kind: it
+checks the parameters' names and types, and its bound builder refuses
+orders below the least one.  The mean is the spectral multiplier
+sum_k w_k S_k f (the coefficient tails of w); ``kernels.mean_kernel`` builds
+the kernel sum_k w_k D_k from the same weight row, so mean_n f = f *
+kernel_n up to rounding.  The per-order functions (``fejer_mean``,
+``t_mean``, ...) take that row on the full grid and serve as the oracle.
 
 Scans over the order n (maximal operators, strong sums, divergence probes,
 convergence tables) have one evaluation path, ``mean_blocks``.  It refuses
@@ -32,7 +32,9 @@ table of the kind's kernels sum_k w_k D_k.
 from __future__ import annotations
 
 import bisect
+import numbers
 import threading
+from collections.abc import Sequence
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -84,22 +86,18 @@ def _harmonic(ns: np.ndarray) -> np.ndarray:
     return np.array([harmonic_number(n) for n in ns.tolist()])[:, None]
 
 
-def _weight_row(weights: Callable[..., np.ndarray], n: int, *params) -> np.ndarray:
-    """The weight vector w_0..w_n of the order-n mean: row 0 of its (1, n + 1) block."""
-    return weights(np.array([n]), n + 1, *params)[0]
+def _weight_row(kind: str, n: int, **params) -> np.ndarray:
+    """The weight vector w_0..w_n of a kind's order-n mean: row 0 of its (1, n + 1) block."""
+    return _method(kind, params)(np.array([n]), n + 1)[0]
 
 
 def _partial_sum_weights(ns: np.ndarray, size: int) -> np.ndarray:
-    if ns.min() < 0:
-        raise RangeError("partial sum requires n >= 0")
     W = np.zeros((len(ns), size))
     W[np.arange(len(ns)), ns] = 1.0
     return W
 
 
 def _fejer_weights(ns: np.ndarray, size: int) -> np.ndarray:
-    if ns.min() < 1:
-        raise RangeError("fejer mean requires n >= 1")
     _, on = _support(ns, size, 0)
     return _masked(1.0, ns[:, None], on)
 
@@ -109,7 +107,7 @@ def fejer_mean(f: GridFunction, n: int) -> GridFunction:
     MN = f.group.order(f.resolution)
     if not 1 <= n <= MN:
         raise RangeError(f"fejer mean order {n} outside 1..{MN}")
-    return weighted_sum_combination(f, _weight_row(_fejer_weights, n))
+    return weighted_sum_combination(f, _weight_row("fejer", n))
 
 
 def cesaro_coeffs(alpha: float, n_max: int) -> np.ndarray:
@@ -131,8 +129,6 @@ def cesaro_coeffs(alpha: float, n_max: int) -> np.ndarray:
 def _cesaro_weights(ns: np.ndarray, size: int, alpha: float) -> np.ndarray:
     if not 0 < alpha <= 1:
         raise DomainError("cesaro mean requires 0 < alpha <= 1")
-    if ns.min() < 1:
-        raise RangeError("cesaro mean requires n >= 1")
     top = int(ns.max())
     lower = cesaro_coeffs(alpha - 1.0, top)
     upper = cesaro_coeffs(alpha, top)
@@ -142,14 +138,12 @@ def _cesaro_weights(ns: np.ndarray, size: int, alpha: float) -> np.ndarray:
 
 def cesaro_mean(f: GridFunction, n: int, alpha: float) -> GridFunction:
     """(C, alpha) mean (1/A_n^alpha) sum_{k=1}^{n} A_{n-k}^{alpha-1} S_k f."""
-    return weighted_sum_combination(f, _weight_row(_cesaro_weights, n, alpha))
+    return weighted_sum_combination(f, _weight_row("cesaro", n, alpha=alpha))
 
 
 def _u_weights(ns: np.ndarray, size: int, alpha: float) -> np.ndarray:
     if not 0 < alpha < 1:
         raise DomainError("u mean requires 0 < alpha < 1")
-    if ns.min() < 1:
-        raise RangeError("u mean requires n >= 1")
     top = int(ns.max())
     lower = cesaro_coeffs(alpha - 1.0, top)
     upper = cesaro_coeffs(alpha, top)
@@ -159,49 +153,41 @@ def _u_weights(ns: np.ndarray, size: int, alpha: float) -> np.ndarray:
 
 def u_mean(f: GridFunction, n: int, alpha: float) -> GridFunction:
     """Inverse-order Cesaro mean (1/A_n^alpha) sum_{k=0}^{n-1} A_k^{alpha-1} S_k f."""
-    return weighted_sum_combination(f, _weight_row(_u_weights, n, alpha))
+    return weighted_sum_combination(f, _weight_row("u", n, alpha=alpha))
 
 
 def _v_weights(ns: np.ndarray, size: int, alpha: float) -> np.ndarray:
     if not 0 < alpha < 1:
         raise DomainError("v mean requires 0 < alpha < 1")
-    if ns.min() < 1:
-        raise RangeError("v mean requires n >= 1")
     return _t_weights(ns, size, power_weights(alpha, int(ns.max())))
 
 
 def v_mean(f: GridFunction, n: int, alpha: float) -> GridFunction:
     """T mean with weights q_0 = 1, q_k = k^(alpha-1): (1/Q_n) sum_{k=1}^{n-1} q_k S_k f."""
-    return weighted_sum_combination(f, _weight_row(_v_weights, n, alpha))
+    return weighted_sum_combination(f, _weight_row("v", n, alpha=alpha))
 
 
 def _riesz_log_weights(ns: np.ndarray, size: int) -> np.ndarray:
-    if ns.min() < 2:
-        raise RangeError("riesz-log mean requires n >= 2")
     k, on = _support(ns, size, -1)
     return _masked(1.0, k * _harmonic(ns), on)
 
 
 def riesz_log_mean(f: GridFunction, n: int) -> GridFunction:
     """R_n f = (1/l_n) sum_{k=1}^{n-1} S_k f / k, n >= 2."""
-    return weighted_sum_combination(f, _weight_row(_riesz_log_weights, n))
+    return weighted_sum_combination(f, _weight_row("riesz_log", n))
 
 
 def _norlund_log_weights(ns: np.ndarray, size: int) -> np.ndarray:
-    if ns.min() < 2:
-        raise RangeError("norlund-log mean requires n >= 2")
     k, on = _support(ns, size, -1)
     return _masked(1.0, (ns[:, None] - k) * _harmonic(ns), on)
 
 
 def norlund_log_mean(f: GridFunction, n: int) -> GridFunction:
     """L_n f = (1/l_n) sum_{k=1}^{n-1} S_k f / (n-k), n >= 2."""
-    return weighted_sum_combination(f, _weight_row(_norlund_log_weights, n))
+    return weighted_sum_combination(f, _weight_row("norlund_log", n))
 
 
 def _norlund_weights(ns: np.ndarray, size: int, q: WeightSequence) -> np.ndarray:
-    if ns.min() < 1:
-        raise RangeError("norlund mean requires n >= 1")
     if q.q(0) <= 0:
         raise DomainError("norlund mean requires q_0 > 0")
     Qn = _normalizers(q, ns)
@@ -211,12 +197,10 @@ def _norlund_weights(ns: np.ndarray, size: int, q: WeightSequence) -> np.ndarray
 
 def norlund_mean(f: GridFunction, n: int, q: WeightSequence) -> GridFunction:
     """t_n f = (1/Q_n) sum_{k=1}^{n} q_{n-k} S_k f (reversed weights)."""
-    return weighted_sum_combination(f, _weight_row(_norlund_weights, n, q))
+    return weighted_sum_combination(f, _weight_row("norlund", n, q=q))
 
 
 def _t_weights(ns: np.ndarray, size: int, q: WeightSequence) -> np.ndarray:
-    if ns.min() < 1:
-        raise RangeError("t mean requires n >= 1")
     Qn = _normalizers(q, ns)
     k, on = _support(ns, size, -1)
     return _masked(_gather(q.values, k), Qn, on)
@@ -224,7 +208,7 @@ def _t_weights(ns: np.ndarray, size: int, q: WeightSequence) -> np.ndarray:
 
 def t_mean(f: GridFunction, n: int, q: WeightSequence) -> GridFunction:
     """T_n f = (1/Q_n) sum_{k=1}^{n-1} q_k S_k f (forward weights, S_0 f = 0)."""
-    return weighted_sum_combination(f, _weight_row(_t_weights, n, q))
+    return weighted_sum_combination(f, _weight_row("tmean", n, q=q))
 
 
 def t_mean_abel(f: GridFunction, n: int, q: WeightSequence) -> GridFunction:
@@ -286,43 +270,61 @@ def regularity_report(q: WeightSequence, n_max: int) -> dict:
 # Maximal operators
 # ---------------------------------------------------------------------------
 
-# kind -> (weights(ns, size, *params), names of the params).  weights gives
-# the (len(ns), size) block whose row b is w_0..w_n of order n = ns[b],
+# kind -> (weights(ns, size, *params), parameter names, least order).  weights
+# gives the (len(ns), size) block whose row b is w_0..w_n of order n = ns[b],
 # zero-padded (size >= max(ns) + 1); orders may come in any order and repeat.
 _KINDS = {
-    "partial_sum": (_partial_sum_weights, ()),
-    "fejer": (_fejer_weights, ()),
-    "cesaro": (_cesaro_weights, ("alpha",)),
-    "u": (_u_weights, ("alpha",)),
-    "v": (_v_weights, ("alpha",)),
-    "riesz_log": (_riesz_log_weights, ()),
-    "norlund_log": (_norlund_log_weights, ()),
-    "norlund": (_norlund_weights, ("q",)),
-    "tmean": (_t_weights, ("q",)),
+    "partial_sum": (_partial_sum_weights, (), 0),
+    "fejer": (_fejer_weights, (), 1),
+    "cesaro": (_cesaro_weights, ("alpha",), 1),
+    "u": (_u_weights, ("alpha",), 1),
+    "v": (_v_weights, ("alpha",), 1),
+    "riesz_log": (_riesz_log_weights, (), 2),
+    "norlund_log": (_norlund_log_weights, (), 2),
+    "norlund": (_norlund_weights, ("q",), 1),
+    "tmean": (_t_weights, ("q",), 1),
 }
+_PARAM_TYPES = {"alpha": (numbers.Real, "a real number"), "q": (WeightSequence, "a WeightSequence")}
+
+
+def _row(kind: str) -> tuple:
+    """The ``_KINDS`` row of a kind; an unknown kind raises ``DomainError``."""
+    if kind not in _KINDS:
+        raise DomainError(f"unknown mean kind {kind!r}")
+    return _KINDS[kind]
 
 
 def param_names(kind: str) -> tuple[str, ...]:
     """Names of the parameters a kind's mean and weights take."""
-    if kind not in _KINDS:
-        raise DomainError(f"unknown mean kind {kind!r}")
-    return _KINDS[kind][1]
-
-
-def _method(kind: str, params: dict) -> Callable[[np.ndarray, int], np.ndarray]:
-    """The weights(ns, size) of a kind, bound to its parameters."""
-    names = param_names(kind)
-    if set(params) != set(names):
-        raise InvalidParamsError(f"{kind} means take parameters {sorted(names)}, "
-                                 f"got {sorted(params)}")
-    args = tuple(params[name] for name in names)
-    weights, _ = _KINDS[kind]
-    return lambda ns, size: weights(ns, size, *args)
+    return _row(kind)[1]
 
 
 def first_order(kind: str) -> int:
-    """The first order of a sweep of this kind: 2 for the logarithmic means, 1 otherwise."""
-    return 2 if kind in ("riesz_log", "norlund_log") else 1
+    """The first order of a sweep of this kind: its least order, and at least 1."""
+    return max(1, _row(kind)[2])
+
+
+def _method(kind: str, params: dict) -> Callable[[np.ndarray, int], np.ndarray]:
+    """The weights(ns, size) of a kind, bound to its parameters once their names and types pass.
+
+    The bound builder refuses an order below the kind's least one.
+    """
+    weights, names, least = _row(kind)
+    if set(params) != set(names):
+        raise InvalidParamsError(f"{kind} means take parameters {sorted(names)}, "
+                                 f"got {sorted(params)}")
+    for name in names:
+        cls, what = _PARAM_TYPES[name]
+        if isinstance(params[name], bool) or not isinstance(params[name], cls):
+            raise InvalidParamsError(f"{kind} mean parameter {name} must be {what}")
+    args = tuple(params[name] for name in names)
+
+    def bound(ns: np.ndarray, size: int) -> np.ndarray:
+        if ns.min() < least:
+            raise RangeError(f"{kind} mean requires n >= {least}")
+        return weights(ns, size, *args)
+
+    return bound
 
 
 # Most complex entries one ``mean_blocks`` block holds (256 KiB; a block's
@@ -341,19 +343,14 @@ _plans_nbytes = 0
 _plans_lock = threading.Lock()
 
 
-def _params_key(kind: str, params: dict) -> tuple | None:
-    """A kind and its parameters as part of a run's key, or None if they are not hashable.
+def _params_key(kind: str, params: dict) -> tuple:
+    """A kind and its checked parameters as part of a run's key.
 
     Parameters are keyed by type and value, a weight sequence by its values
     alone, so sequences with equal values share their runs.
     """
-    key = (kind,) + tuple((WeightSequence, v.values.tobytes()) if isinstance(v, WeightSequence)
-                          else (type(v), v) for _, v in sorted(params.items()))
-    try:
-        hash(key)
-    except TypeError:
-        return None
-    return key
+    return (kind,) + tuple((WeightSequence, v.values.tobytes()) if isinstance(v, WeightSequence)
+                           else (type(v), v) for _, v in sorted(params.items()))
 
 
 def _plan(M: tuple, N: int, kind: str, params: dict, orders: list, weights) -> Iterator[tuple]:
@@ -375,17 +372,16 @@ def _plan(M: tuple, N: int, kind: str, params: dict, orders: list, weights) -> I
         while b < end and low < orders[b] <= size:
             b += 1
         ns = orders[a:b]
-        key = None if params_key is None else (params_key, size, tuple(ns))
+        key = (params_key, size, tuple(ns))
         with _plans_lock:
-            tails = None if key is None else _plans.get(key)
+            tails = _plans.get(key)
         if tails is None:
             tails = coefficient_tails(weights(np.array(ns), size + 1), size)
             tails.flags.writeable = False
-            if key is not None:
-                with _plans_lock:
-                    nbytes = _plans_nbytes + tails.nbytes + 8 * len(ns)
-                    if key not in _plans and nbytes <= _PLAN_BYTES:
-                        _plans[key], _plans_nbytes = tails, nbytes
+            with _plans_lock:
+                nbytes = _plans_nbytes + tails.nbytes + 8 * len(ns)
+                if key not in _plans and nbytes <= _PLAN_BYTES:
+                    _plans[key], _plans_nbytes = tails, nbytes
         yield j, ns, tails
         a = b
 
@@ -397,35 +393,33 @@ def mean_blocks(
 
     Row b of ``values`` (shape (len(ns), M_j)) is mean_{ns[b]} f as a rank-j
     function, j the least level with M_j >= n for every n in ns;
-    ``hardy.embed`` replicates a row onto f's grid.  One forward transform
-    serves f, not each sweep: ``transform_forward`` memoizes f's spectrum,
-    so every sweep on the same f reads the same one.  Each level's spectrum
-    is its prefix f^(0..M_j-1), the exact spectrum of E_j f.  A run's
-    coefficient rows are that prefix times the coefficient tails of its
-    orders' weight vectors at M_j columns, synthesized by one batched
-    inverse; no run holds more than ``_BLOCK_ENTRIES`` entries unless a
-    single row does.
+    ``hardy.embed`` replicates a row onto f's grid.  f is transformed once
+    (``transform_forward`` memoizes its spectrum), and a run's rows are the
+    prefix f^(0..M_j-1), the exact spectrum of E_j f, times the run's
+    coefficient tails at M_j columns, synthesized by one batched inverse; no
+    run holds more than ``_BLOCK_ENTRIES`` entries unless a single row does.
+    The tails do not depend on f: keyed by (kind, parameters by value, M_j,
+    the run's orders), they are kept in the run cache while it stays within
+    ``_PLAN_BYTES``, so a repeated run, in any sweep on any group with the
+    same M_j, only multiplies, synthesizes and yields.
 
-    What does not depend on f is a run's tails.  They are keyed by (kind,
-    parameters by value, M_j, the run's orders) and kept in the run cache
-    while it stays within ``_PLAN_BYTES``, so a repeated run, in this sweep's
-    range or another's, on this group or one with the same M_j, only
-    multiplies, synthesizes and yields.  Orders may come in any order and
-    repeat, and each must lie in first_order(kind)..M_N: the first one
-    outside raises ``RangeError`` before f is transformed or any tails are
-    read or built.  A failing weight build (an explicit weight list too
-    short, say) yields the blocks of the runs before it, then raises; the
-    runs built before it stay cached.
+    ``_method`` checks the kind and its parameters first.  Orders may come in
+    any order and repeat, and each must lie in first_order(kind)..M_N (the
+    kind's ``_KINDS`` row holds its least order): a sequence is scanned up to
+    the first order outside, which raises ``RangeError`` before the orders
+    are copied, f is transformed or any tails are read or built.  A failing
+    weight build (an explicit weight list too short, say) yields the blocks
+    of the runs before it, then raises; the runs built before it stay cached.
     """
     weights = _method(kind, params)
     g, N = f.group, f.resolution
-    orders = list(orders)
+    orders = orders if isinstance(orders, Sequence) else list(orders)
     first, MN = first_order(kind), g.M[N]
-    if orders and not first <= min(orders) <= max(orders) <= MN:
-        n = next(n for n in orders if not first <= n <= MN)
+    n = next((n for n in orders if not first <= n <= MN), None)
+    if n is not None:
         raise RangeError(f"{kind} mean order {n} outside {first}..{MN}")
     s = transform_forward(f)
-    for j, ns, tails in _plan(g.M, N, kind, params, orders, weights):
+    for j, ns, tails in _plan(g.M, N, kind, params, list(orders), weights):
         yield j, ns, inverse_rows(g, j, s.coeffs[:g.M[j]] * tails)
 
 
@@ -448,11 +442,11 @@ def weighted_maximal(
     (M_j / M_l, M_l) view, so the coarser of the two operands is broadcast
     over the finer one's rows, and nothing is tiled before the end.
     """
-    idx = list(indices)
-    if not idx:
+    indices = indices if isinstance(indices, Sequence) else list(indices)
+    if not len(indices):
         raise RangeError("maximal operator needs a nonempty index range")
     out = np.zeros(1)
-    for _, ns, vals in mean_blocks(f, kind, idx, **params):
+    for _, ns, vals in mean_blocks(f, kind, indices, **params):
         w = np.ones(len(ns)) if weight is None else np.array([float(weight(n)) for n in ns])
         block = (np.abs(vals) / w[:, None]).max(axis=0)
         fine, coarse = (block, out) if block.size >= out.size else (out, block)

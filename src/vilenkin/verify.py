@@ -760,7 +760,8 @@ def strong_sum(
     The reference is taken from f's values by ``hardy.hardy_quasinorm_rows``,
     with no regular martingale of grid functions built;
     ``hardy.hardy_quasinorm_fn`` is its oracle.  ``norm_source`` picks
-    ||.||_p ("lp") or the H_p quasi-norm of each mean ("hp").
+    ||.||_p ("lp") or the H_p quasi-norm of each mean ("hp"); any other
+    value raises ``InvalidParamsError``.
 
     The means come from ``means.mean_blocks`` as rank-j rows, and each block
     is normed row-wise at once.  Both norms are exact there: replication
@@ -768,6 +769,8 @@ def strong_sum(
     function is constant from level j on, so its maximal function needs
     only the levels l <= j.  The sum is accumulated in increasing n.
     """
+    if norm_source not in ("lp", "hp"):
+        raise InvalidParamsError(f"norm_source must be 'lp' or 'hp', got {norm_source!r}")
     checkpoints = sorted(set(checkpoints or [n_max]))
     first = means.first_order(mean_kind)
     if not first <= checkpoints[0] <= checkpoints[-1] <= n_max:
@@ -778,10 +781,8 @@ def strong_sum(
     cp = set(checkpoints)
     orders = range(first, n_max + 1)
     for j, ns, vals in means.mean_blocks(f, mean_kind, orders, **mean_params):
-        if norm_source == "hp":
-            terms = hardy.hardy_quasinorm_rows(f.group, j, vals, p) ** p
-        else:
-            terms = lp_norm_rows(vals, p) ** p
+        terms = (hardy.hardy_quasinorm_rows(f.group, j, vals, p) if norm_source == "hp"
+                 else lp_norm_rows(vals, p)) ** p
         for n, term in zip(ns, terms.tolist()):
             acc += weight(n) * term
             if n in cp:
@@ -904,7 +905,7 @@ def _divergence_alphas(g: GroupSpec, p: float, max_level: int) -> tuple[int, ...
     return best[1] if best else (1, 2, 3)
 
 
-def run_divergence_suite(g: GroupSpec, rank: int = DIVERGENCE_RANK) -> list[VerificationRecord]:
+def run_divergence_suite(g: GroupSpec) -> list[VerificationRecord]:
     """Divergence probes on the block-spectrum martingale at p = 0.4.
 
     The T-mean probe checks the measured weak-L_p norm at M_a + 2 against
@@ -915,7 +916,7 @@ def run_divergence_suite(g: GroupSpec, rank: int = DIVERGENCE_RANK) -> list[Veri
     """
     p, tol = 0.4, 1e-10
     rec = _Records("divergence", g)
-    rank = min(rank, g.levels)
+    rank = min(DIVERGENCE_RANK, g.levels)
     alphas = _divergence_alphas(g, p, rank)
     rank = max(rank, alphas[-1] + 1)
     if rank > g.levels:

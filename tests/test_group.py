@@ -43,6 +43,18 @@ def test_make_group_rejects_small_radix():
         make_group([1, 2])
 
 
+@pytest.mark.parametrize("radices", [[2.7, 3], ["2", "3"], [2.0, 3], [np.float64(3.0)]],
+                         ids=["float", "str", "integral-float", "numpy-float"])
+def test_make_group_rejects_non_integer_radices(radices):
+    with pytest.raises(InvalidGroupError, match="radices must be integers"):
+        make_group(radices)
+
+
+def test_make_group_takes_numpy_integers():
+    g = make_group(np.array([2, 3]), 3)
+    assert g.m == (2, 3, 2) and all(type(r) is int for r in g.m)
+
+
 def test_make_group_rejects_overflow():
     with pytest.raises(IndexOverflowError):
         make_group([2], 80)

@@ -495,13 +495,13 @@ def test_dirichlet_sweep_readers_equal_a_literal_accumulation(pattern, levels):
 def test_oversized_mean_kernel_is_refused_before_its_weights_are_built(monkeypatch):
     # the weight row of order 2^24 would take 134 MB before the grid check
     calls = []
-    build, names = _KINDS["tmean"]
+    build, names, least = _KINDS["tmean"]
 
     def counted(ns, size, q):
         calls.append(size)
         return build(ns, size, q)
 
-    monkeypatch.setitem(_KINDS, "tmean", (counted, names))
+    monkeypatch.setitem(_KINDS, "tmean", (counted, names, least))
     with pytest.raises(RangeError, match="33554432 points"):
         mean_kernel(make_group([2], 25), "tmean", 1 << 24, q=wts.ones(3))
     assert calls == []

@@ -1,17 +1,23 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from vilenkin import weights as wts
 from vilenkin.errors import DomainError, InvalidParamsError, RangeError
+from vilenkin.group import make_group
+from vilenkin.hardy import counterexample
+from vilenkin.kernels import mean_kernel
 from vilenkin.means import (
     cesaro_coeffs,
     cesaro_mean,
     fejer_mean,
+    first_order,
     mean_blocks,
     norlund_log_mean,
     norlund_mean,
+    param_names,
     power_log_weight,
     regularity_report,
     riesz_log_mean,
@@ -27,7 +33,9 @@ from vilenkin.spectral import (
     random_grid_function,
     weighted_sum_combination,
 )
-from vilenkin.verify import strong_sum
+from vilenkin.verify import divergence_probe, strong_sum
+
+from conftest import mean_by_kind
 
 
 @pytest.fixture
@@ -188,11 +196,78 @@ def test_weighted_maximal_matches_brute_force(f6):
      "fejer means take parameters [], got ['alpha']"),
     (lambda f: list(mean_blocks(f, "tmean", [3], q=wts.ones(4), alpha=0.5)),
      "tmean means take parameters ['q'], got ['alpha', 'q']"),
+    (lambda f: strong_sum(f, "fejer", 0.5, lambda n: 1.0, 8, norm_source="HP"),
+     "norm_source must be 'lp' or 'hp', got 'HP'"),
 ], ids=["missing-q", "missing-alpha", "strong-sum-missing-q", "unexpected-alpha",
-        "extra-alpha"])
+        "extra-alpha", "strong-sum-norm-source"])
 def test_summation_parameters_must_be_the_kinds_own(f6, run, message):
     with pytest.raises(InvalidParamsError, match=re.escape(message)):
         run(f6)
+
+
+# every path that resolves a kind checks the parameters' types before any work
+WRONG_TYPES = [
+    ("cesaro", {"alpha": "0.5"}, "a real number"),
+    ("u", {"alpha": None}, "a real number"),
+    ("cesaro", {"alpha": True}, "a real number"),
+    ("v", {"alpha": np.array(0.5)}, "a real number"),
+    ("tmean", {"q": [1.0, 1.0, 1.0]}, "a WeightSequence"),
+    ("norlund", {"q": np.ones(9)}, "a WeightSequence"),
+]
+ENTRY_POINTS = {
+    "mean_blocks": lambda f, kind, params: list(mean_blocks(f, kind, [3], **params)),
+    "weighted_maximal": lambda f, kind, params: weighted_maximal(f, kind, range(1, 9), **params),
+    "mean_kernel": lambda f, kind, params: mean_kernel(f.group, kind, 3, N=4, **params),
+    "per_order_mean": lambda f, kind, params: mean_by_kind(kind, **params)(f, 3),
+    "strong_sum": lambda f, kind, params: strong_sum(f, kind, 0.5, lambda n: 1.0, 8, **params),
+    "divergence_probe": lambda f, kind, params: divergence_probe(
+        counterexample(f.group, "hp-blocks", [1, 2], rank=4, p=0.4), kind, 0.4, [3], **params),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("kind,params,what", WRONG_TYPES,
+                         ids=["alpha-str", "alpha-none", "alpha-bool", "alpha-0d-array",
+                              "q-list", "q-array"])
+def test_wrong_typed_parameters_are_refused_everywhere(walsh, entry, kind, params, what):
+    f = random_grid_function(walsh, 4, seed=2)
+    name = next(iter(params))
+    with pytest.raises(InvalidParamsError,
+                       match=re.escape(f"{kind} mean parameter {name} must be {what}")):
+        ENTRY_POINTS[entry](f, kind, params)
+
+
+def test_real_parameters_of_any_numeric_type_are_taken(f6):
+    # a NumPy or integer alpha is a real number; its mean is the float one's
+    expect = cesaro_mean(f6, 5, 1.0).values
+    for alpha in (1, np.float64(1.0), np.int64(1)):
+        assert np.array_equal(cesaro_mean(f6, 5, alpha).values, expect)
+
+
+@pytest.mark.parametrize("lookup", [first_order, param_names])
+def test_kind_lookups_refuse_an_unknown_kind(lookup):
+    with pytest.raises(DomainError, match="unknown mean kind 'bogus'"):
+        lookup("bogus")
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda f: next(mean_blocks(f, "fejer", range(1, 1 << 24))),
+    lambda f: weighted_maximal(f, "fejer", range(1, 1 << 24)),
+], ids=["mean_blocks", "weighted_maximal"])
+def test_huge_order_range_is_refused_without_listing_it(sweep):
+    # the range is scanned up to its first order past M_4 = 16, not copied
+    # (listing it took 676 MB)
+    f = random_grid_function(make_group([2], 4), 4, seed=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(RangeError, match=re.escape("fejer mean order 17 outside 1..16")):
+            sweep(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert "_spectrum" not in vars(f)   # refused before f was transformed
+
 
 
 def test_restricted_maximal_partial_sums(walsh):

@@ -38,7 +38,7 @@ from conftest import mean_by_kind
 
 def ref_partial_sum(n):
     if n < 0:
-        raise RangeError("partial sum requires n >= 0")
+        raise RangeError("partial_sum mean requires n >= 0")
     w = np.zeros(n + 1)
     w[n] = 1.0
     return w
@@ -86,7 +86,7 @@ def ref_v(n, alpha):
 
 def ref_riesz_log(n):
     if n < 2:
-        raise RangeError("riesz-log mean requires n >= 2")
+        raise RangeError("riesz_log mean requires n >= 2")
     ln = harmonic_number(n)
     w = np.zeros(n)
     w[1:] = 1.0 / (np.arange(1, n) * ln)
@@ -95,7 +95,7 @@ def ref_riesz_log(n):
 
 def ref_norlund_log(n):
     if n < 2:
-        raise RangeError("norlund-log mean requires n >= 2")
+        raise RangeError("norlund_log mean requires n >= 2")
     ln = harmonic_number(n)
     w = np.zeros(n)
     w[1:] = 1.0 / ((n - np.arange(1, n)) * ln)
@@ -115,7 +115,7 @@ def ref_norlund(n, q):
 
 def ref_tmean(n, q):
     if n < 1:
-        raise RangeError("t mean requires n >= 1")
+        raise RangeError("tmean mean requires n >= 1")
     Qn = q.Q(n)
     w = np.zeros(n)
     w[1:] = q.values[1:n] / Qn
@@ -199,7 +199,7 @@ def test_single_order_row_has_the_same_tails(kind, param):
     # the reference vector is one shorter, the trailing zero changes no tail
     for n in range(means.first_order(kind), 40):
         ref = REFERENCES[kind](n, *_args(kind, param))
-        row = means._weight_row(means._KINDS[kind][0], n, *_args(kind, param))
+        row = means._weight_row(kind, n, **dict(zip(means.param_names(kind), _args(kind, param))))
         assert row.size == n + 1
         for size in (n, n + 7):
             for dtype in (np.float64, np.complex128):
@@ -258,15 +258,15 @@ def _bad_blocks():
 def test_block_fails_like_its_first_failing_order(kind, make_args, ns):
     expected = _first_failure(kind, ns, make_args())
     assert expected is not None
-    got = _outcome(lambda: means._KINDS[kind][0](np.array(ns), max(ns) + 2, *make_args()))
+    params = dict(zip(means.param_names(kind), make_args()))
+    got = _outcome(lambda: means._method(kind, params)(np.array(ns), max(ns) + 2))
     assert got == expected
     if min(ns) >= means.first_order(kind):
         # the same error from a sweep, whose orders all fall in blocks
         g = make_group([2], 5)
         f = random_grid_function(g, 4, seed=3)
-        params = dict(zip(means.param_names(kind), make_args()))
         sweep = _outcome(lambda: list(means.mean_blocks(f, kind, ns, **params)))
-        mean = mean_by_kind(kind, **dict(zip(means.param_names(kind), make_args())))
+        mean = mean_by_kind(kind, **params)
         assert sweep == expected
         assert _outcome(lambda: [mean(f, n) for n in ns]) == expected
 
